@@ -2,7 +2,9 @@
 
 Exit codes are disjoint by cause: 0 success or positive verdict, 1 negative
 verdict (a failed certification or check), 2 usage or parse error, 3 fuel
-exhausted. STOROP_FUEL overrides the default fuel; an explicit --fuel beats
+exhausted, 4 internal error (one line on stderr, no traceback), 141 stdout
+closed by the reader (128 + SIGPIPE, as a shell reports a tool killed by a
+closed pipe). STOROP_FUEL overrides the default fuel; an explicit --fuel beats
 both.
 """
 
@@ -51,6 +53,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_FUEL = 3
+EXIT_INTERNAL = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 class _UsageError(Exception):
@@ -284,10 +288,22 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a reader that closed early is seen here, not at exit
+        return code
     except _UsageError as e:
         print(f"storop: error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    except Exception as e:
+        # Exit 1 means a negative verdict; a crash must not read as one.
+        print(f"storop: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,17 +1,19 @@
 """Reduction API: head reduction, normal-order normalization, equivalence.
 
-The step kernel is selected at import: the compiled extension when available,
-else the pure-Python fallback. Set STOROP_BACKEND=pure|compiled|auto to
-force a lane (``compiled`` raises if the extension is missing).
+A head step contracts the head redex of \\x1..xk ((\\y.M) N) a1..am and
+counts as one step; step counts are exact and binder names are part of the
+result (substitution renames a capturing binder by priming it). normalize
+counts every head step it takes, at the root and inside arguments, in
+normal (leftmost-outermost) order. On fuel exhaustion the result is the
+partial reduct.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
-from storop.terms import Abs, App, Term, subterms
+from storop.terms import Abs, App, Term, Var, subterms
 
 __all__ = [
     "DEFAULT_FUEL",
@@ -30,20 +32,6 @@ __all__ = [
     "is_solvable",
 ]
 
-_choice = os.environ.get("STOROP_BACKEND", "auto")
-if _choice not in ("auto", "pure", "compiled"):
-    raise RuntimeError(f"STOROP_BACKEND must be auto, pure or compiled, not {_choice!r}")
-
-if _choice == "pure":
-    from storop import _reduce_py as _kernel
-else:
-    try:
-        from storop import _reduce_cy as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        if _choice == "compiled":
-            raise
-        from storop import _reduce_py as _kernel  # type: ignore[no-redef]
-
 
 DEFAULT_FUEL = 100_000
 
@@ -53,8 +41,13 @@ FUEL_EXHAUSTED = "fuel-exhausted"
 
 
 def backend_name() -> str:
-    """'compiled' or 'pure', whichever kernel is active."""
-    return _kernel.KERNEL
+    """The kernel lane, always 'pure': there is one kernel, in Python.
+
+    Kept as a constant because benchmark results are stamped with it
+    (perfbench/sample.py) and perfbench/compare.py refuses to compare
+    results from different lanes.
+    """
+    return "pure"
 
 
 @dataclass(frozen=True)
@@ -73,9 +66,49 @@ def _check_fuel(fuel: int) -> None:
         raise ValueError("fuel must be a positive integer")
 
 
+def _subst1(t, name, value):
+    """Capture-avoiding substitution of a single free variable.
+
+    A binder that would capture a free variable of value is primed until it
+    is fresh for value and the body. terms.substitute primes differently;
+    step-for-step output depends on this exact rule.
+    """
+    if name not in t.fv:
+        return t
+    tt = type(t)
+    if tt is Var:
+        return value
+    if tt is App:
+        return App(_subst1(t.fn, name, value), _subst1(t.arg, name, value))
+    binder = t.binder
+    if binder in value.fv:
+        avoid = value.fv | t.body.fv
+        nb = binder
+        while nb in avoid:
+            nb = nb + "'"
+        body = _subst1(t.body, binder, Var(nb))
+        return Abs(nb, _subst1(body, name, value))
+    return Abs(binder, _subst1(t.body, name, value))
+
+
 def head_step(t: Term) -> Optional[Term]:
     """One head reduction step, or None when t is already in head normal form."""
-    return _kernel.head_step_core(t)
+    binders = []
+    while type(t) is Abs:
+        binders.append(t.binder)
+        t = t.body
+    rev_args = []
+    while type(t) is App:
+        rev_args.append(t.arg)
+        t = t.fn
+    if type(t) is not Abs or not rev_args:
+        return None
+    core = _subst1(t.body, t.binder, rev_args.pop())
+    for a in reversed(rev_args):
+        core = App(core, a)
+    for b in reversed(binders):
+        core = Abs(b, core)
+    return core
 
 
 def normal_step(t: Term) -> Optional[Term]:
@@ -83,7 +116,7 @@ def normal_step(t: Term) -> Optional[Term]:
 
     Iterating this matches normalize step for step, including variable names.
     """
-    nxt = _kernel.head_step_core(t)
+    nxt = head_step(t)
     if nxt is not None:
         return nxt
     if type(t) is Abs:
@@ -104,19 +137,64 @@ def head_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
     steps is the exact number of head reductions performed.
     """
     _check_fuel(fuel)
-    result, steps, done = _kernel.head_reduce_core(t, fuel)
-    return ReductionOutcome(result, steps, HEAD_NORMAL_FORM if done else FUEL_EXHAUSTED)
+    steps = 0
+    while steps < fuel:
+        nxt = head_step(t)
+        if nxt is None:
+            return ReductionOutcome(t, steps, HEAD_NORMAL_FORM)
+        t = nxt
+        steps += 1
+    status = HEAD_NORMAL_FORM if head_step(t) is None else FUEL_EXHAUSTED
+    return ReductionOutcome(t, steps, status)
+
+
+class _Budget:
+    __slots__ = ("left", "dead")
+
+    def __init__(self, left):
+        self.left = left
+        self.dead = False
+
+
+def _norm(t, budget):
+    if budget.dead:
+        return t
+    while True:
+        nxt = head_step(t)
+        if nxt is None:
+            break
+        if budget.left == 0:
+            budget.dead = True
+            return t
+        t = nxt
+        budget.left -= 1
+    binders = []
+    while type(t) is Abs:
+        binders.append(t.binder)
+        t = t.body
+    rev_args = []
+    while type(t) is App:
+        rev_args.append(t.arg)
+        t = t.fn
+    core = t
+    for a in reversed(rev_args):
+        core = App(core, a if budget.dead else _norm(a, budget))
+    for b in reversed(binders):
+        core = Abs(b, core)
+    return core
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
     """Normal-order normalization; on exhaustion result is the partial reduct."""
     _check_fuel(fuel)
-    result, steps, done = _kernel.normalize_core(t, fuel)
-    return ReductionOutcome(result, steps, NORMAL_FORM if done else FUEL_EXHAUSTED)
+    budget = _Budget(fuel)
+    result = _norm(t, budget)
+    status = FUEL_EXHAUSTED if budget.dead else NORMAL_FORM
+    return ReductionOutcome(result, fuel - budget.left, status)
 
 
 def is_head_normal(t: Term) -> bool:
-    return _kernel.head_step_core(t) is None
+    return head_step(t) is None
 
 
 def is_normal(t: Term) -> bool:

@@ -325,19 +325,30 @@ class BehavioralResult:
     value: Optional[int] = None
 
 
+def _run_to_tau(op: Term, theta: Term, fuel: int) -> Term | str:
+    """Head-reduce ((op) theta) f for a fresh f; return what f is applied to.
+
+    Returns the failure tag FUEL_EXHAUSTED or BAD_HEAD_SHAPE instead when
+    the run does not end as f applied to exactly one argument.
+    """
+    f = fresh_name("f", op.fv | theta.fv)
+    out = head_reduce(App(App(op, theta), Var(f)), fuel)
+    if not out.completed:
+        return FUEL_EXHAUSTED
+    hole = fresh_name("h", out.result.fv | {f})
+    sigma = match_holes(App(Var(f), Var(hole)), out.result, {hole})
+    if sigma is None:
+        return BAD_HEAD_SHAPE
+    return sigma[hole]
+
+
 def behavioral_check(
     op: Term, theta: Term, n: int, fuel: int = DEFAULT_FUEL, strict: bool = True
 ) -> BehavioralResult:
     """Run the operator on one concrete argument and inspect the output."""
-    f = fresh_name("f", op.fv | theta.fv)
-    out = head_reduce(App(App(op, theta), Var(f)), fuel)
-    if not out.completed:
-        return BehavioralResult(False, FUEL_EXHAUSTED)
-    hole = fresh_name("h", out.result.fv | {f})
-    sigma = match_holes(App(Var(f), Var(hole)), out.result, {hole})
-    if sigma is None:
-        return BehavioralResult(False, BAD_HEAD_SHAPE)
-    tau = sigma[hole]
+    tau = _run_to_tau(op, theta, fuel)
+    if isinstance(tau, str):
+        return BehavioralResult(False, tau)
     norm = normalize(tau, fuel)
     if not norm.completed:
         return BehavioralResult(False, FUEL_EXHAUSTED, print_term(tau))
@@ -422,21 +433,9 @@ def pair_behavioral(
     the argument itself in the output. Returns None when either run fails
     to reach f with one argument.
     """
-
-    def run(theta: Term) -> Optional[Term]:
-        f = fresh_name("f", op.fv | theta.fv)
-        out = head_reduce(App(App(op, theta), Var(f)), fuel)
-        if not out.completed:
-            return None
-        hole = fresh_name("h", out.result.fv | {f})
-        sigma = match_holes(App(Var(f), Var(hole)), out.result, {hole})
-        if sigma is None:
-            return None
-        return sigma[hole]
-
-    tau_l = run(theta_left)
-    tau_r = run(theta_right)
-    if tau_l is None or tau_r is None:
+    tau_l = _run_to_tau(op, theta_left, fuel)
+    tau_r = _run_to_tau(op, theta_right, fuel)
+    if isinstance(tau_l, str) or isinstance(tau_r, str):
         return None
     norm_l = normalize(tau_l, fuel)
     norm_r = normalize(tau_r, fuel)

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import storop
+from storop import cli
 from storop.cli import main
 from storop.reduction import normalize
 from storop.terms import church, parse_term, print_term
@@ -291,3 +297,30 @@ def test_reduce_result_round_trips(capsys):
     t = parse_term(printed)
     # the passed argument normalizes to zero even though it was not evaluated
     assert normalize(t.arg).result == church(0)
+
+
+def test_internal_error_is_exit_4_without_traceback(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("kernel exploded")
+
+    monkeypatch.setattr(cli, "cmd_reduce", boom)
+    code, out, err = run(capsys, "reduce", "x")
+    assert code == 4
+    assert err == "storop: internal error: RuntimeError: kernel exploded\n"
+    assert "Traceback" not in err
+
+
+def test_closed_stdout_is_exit_141_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(storop.__file__).parents[1]))
+    # omega traces 100000 lines, far more than the pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "storop", "reduce", "--trace", "@omega"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"0: ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in err

@@ -1,11 +1,16 @@
+import hashlib
+import random
+
 import pytest
 
+from genterms import random_closed_term, random_term
 from storop.builtins import BUILTINS, parse
 from storop.reduction import (
     DEFAULT_FUEL,
     FUEL_EXHAUSTED,
     HEAD_NORMAL_FORM,
     NORMAL_FORM,
+    _subst1,
     beta_equiv,
     head_reduce,
     head_step,
@@ -14,7 +19,7 @@ from storop.reduction import (
     is_solvable,
     normalize,
 )
-from storop.terms import App, Var, church, numeral_of
+from storop.terms import App, Var, church, numeral_of, print_term
 
 
 OMEGA = BUILTINS["omega"]
@@ -145,3 +150,51 @@ def test_is_solvable():
 
 def test_default_fuel_is_reasonable():
     assert DEFAULT_FUEL >= 10_000
+
+
+# sha256 of the kernel's output on 1,306 seeded inputs: printed term, step
+# count and status, one line per input. Any change to a step count or to a
+# primed binder name changes a digest; a faster kernel must keep all five.
+KERNEL_DIGESTS = {
+    "subst1": "df10aa5f0284656451a392f2485867067835cef6b6b162befead059ef3ad8ec7",
+    "head_reduce": "bee4e764dac2e4b77128671081c15012dcb54d9de593142fbc2ddaf0fad97ff6",
+    "normalize": "c8bf1f75ec27d30b42a3a2bdd56bfddfa3cf9577c66e8bc5ea9741530e2cdfe3",
+    "normalize_closed": "0c503baddcf8406073222306ac5b052dc76da784dd76bafec91defd00da1fd08",
+    "storage_run": "de6cc3ed35668e7dffa81da68dc327052a2cfed8f1556f109f8283f1c5ae51ad",
+}
+
+
+def _row(out):
+    return f"{print_term(out.result)}|{out.steps}|{out.status}"
+
+
+def _kernel_lines(family):
+    if family == "subst1":
+        rng = random.Random(101)
+        for _ in range(300):
+            t = random_term(rng, depth=5)
+            value = random_term(rng, depth=3)
+            name = rng.choice(sorted(t.fv) or ["a"])
+            yield print_term(_subst1(t, name, value))
+    elif family == "head_reduce":
+        rng = random.Random(202)
+        for _ in range(400):
+            yield _row(head_reduce(random_term(rng, depth=rng.randint(2, 7)), 150))
+    elif family == "normalize":
+        rng = random.Random(303)
+        for _ in range(400):
+            yield _row(normalize(random_term(rng, depth=rng.randint(2, 6)), 200))
+    elif family == "normalize_closed":
+        rng = random.Random(404)
+        for _ in range(200):
+            yield _row(normalize(random_closed_term(rng, depth=6), 300))
+    else:
+        T = BUILTINS["T"]
+        for n in range(6):
+            yield _row(head_reduce(App(App(T, church(n)), Var("f")), 100_000))
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_DIGESTS))
+def test_kernel_output_fingerprint(family):
+    text = "\n".join(_kernel_lines(family))
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGESTS[family]
