@@ -40,6 +40,7 @@ from storop.reduction import (
 )
 from storop.storage import (
     STEP_BUDGET_EXHAUSTED,
+    CorpusFuelExhausted,
     behavioral_check,
     certify,
     theta_corpus,
@@ -120,10 +121,6 @@ def cmd_reduce(args) -> int:
 # certify
 
 
-def _write_certificates(path: str, certs) -> None:
-    Path(path).write_text("\n".join(c.to_text() for c in certs), encoding="utf-8")
-
-
 def cmd_certify(args) -> int:
     term = _parse_args_term(args.term)
     if term.fv:
@@ -135,11 +132,22 @@ def cmd_certify(args) -> int:
     if args.corpus < 0:
         raise _UsageError("--corpus must be non-negative")
     fuel = _fuel_from(args)
+    if not args.out:
+        return _certify_range(term, args.max_n, args.corpus, fuel, None)
+    try:
+        out = open(args.out, "w", encoding="utf-8")
+    except OSError as e:
+        raise _UsageError(f"cannot write certificate file: {e}") from None
+    with out:
+        return _certify_range(term, args.max_n, args.corpus, fuel, out)
 
-    certs = []
-    for n in range(args.max_n + 1):
+
+def _certify_range(term, max_n: int, corpus_size: int, fuel: int, out) -> int:
+    """Certify n = 0..max_n, writing each certificate to out as it is made."""
+    for n in range(max_n + 1):
         cert = certify(term, n, fuel=fuel)
-        certs.append(cert)
+        if out is not None:
+            out.write(("\n" if n else "") + cert.to_text())
         line = (
             f"n={n}: {cert.status} machine-steps={len(cert.steps)}"
             f" contractions={cert.total_contractions}"
@@ -150,28 +158,29 @@ def cmd_certify(args) -> int:
         if not cert.ok:
             if cert.detail:
                 print(f"detail: {cert.detail}")
-            if args.out:
-                _write_certificates(args.out, certs)
             print(f"certify: failed at n={n} ({cert.status})")
             exhausted = cert.status in (FUEL_EXHAUSTED, STEP_BUDGET_EXHAUSTED)
             return EXIT_FUEL if exhausted else EXIT_FAIL
 
-    for n in range(args.max_n + 1):
-        corpus = theta_corpus(n)[: args.corpus]
+    for n in range(max_n + 1):
+        try:
+            corpus = theta_corpus(n, limit=corpus_size, fuel=fuel)
+        except CorpusFuelExhausted as e:
+            return _behavioral_failed(n, e.index, FUEL_EXHAUSTED)
         for i, theta in enumerate(corpus):
             res = behavioral_check(term, theta, n, fuel=fuel)
             if not res.ok:
-                print(f"behavioral n={n} theta={i}: {res.status}")
-                if args.out:
-                    _write_certificates(args.out, certs)
-                print(f"certify: behavioral check failed at n={n} ({res.status})")
-                return EXIT_FUEL if res.status == FUEL_EXHAUSTED else EXIT_FAIL
+                return _behavioral_failed(n, i, res.status)
         print(f"behavioral n={n}: {len(corpus)}/{len(corpus)} ok")
 
-    if args.out:
-        _write_certificates(args.out, certs)
-    print(f"certify: ok for n <= {args.max_n}")
+    print(f"certify: ok for n <= {max_n}")
     return EXIT_OK
+
+
+def _behavioral_failed(n: int, index: int, status: str) -> int:
+    print(f"behavioral n={n} theta={index}: {status}")
+    print(f"certify: behavioral check failed at n={n} ({status})")
+    return EXIT_FUEL if status == FUEL_EXHAUSTED else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

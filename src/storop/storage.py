@@ -15,8 +15,10 @@ same text.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from collections import deque
+from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from storop.reduction import DEFAULT_FUEL, beta_equiv, head_reduce, normalize
 from storop.terms import (
@@ -26,7 +28,6 @@ from storop.terms import (
     Var,
     church,
     fresh_name,
-    match_holes,
     numeral_of,
     parse_term,
     print_term,
@@ -39,6 +40,7 @@ __all__ = [
     "certify",
     "certify_range",
     "theta_corpus",
+    "CorpusFuelExhausted",
     "behavioral_check",
     "BehavioralResult",
     "pair_behavioral",
@@ -83,12 +85,9 @@ class IndexedVarRegistry:
     def names(self) -> tuple[str, ...]:
         return tuple(self._entries)
 
-    def rows(self) -> tuple[tuple[str, int, str, str], ...]:
+    def rows(self) -> tuple[tuple[str, int, Term, Term], ...]:
         """(name, level, first, second) per entry, in creation order."""
-        return tuple(
-            (name, e.value, print_term(e.first), print_term(e.second))
-            for name, e in self._entries.items()
-        )
+        return tuple((name, e.value, e.first, e.second) for name, e in self._entries.items())
 
 
 @dataclass(frozen=True)
@@ -97,12 +96,17 @@ class MachineStep:
     head: str
     args: int
     contractions: int
-    state: str  # the term after this step, printed
+    term: Term  # the term after this step
 
-    def describe(self) -> str:
+    @property
+    def state(self) -> str:
+        """The term after this step, printed."""
+        return print_term(self.term)
+
+    def describe(self, _cache: Optional[dict] = None) -> str:
         return (
             f"{self.kind} head={self.head} args={self.args} "
-            f"contractions={self.contractions} -> {self.state}"
+            f"contractions={self.contractions} -> {print_term(self.term, _cache)}"
         )
 
 
@@ -127,13 +131,25 @@ class Certificate:
     tau: Optional[str] = None
     tau_value: Optional[int] = None
     detail: str = ""
-    registry: tuple[tuple[str, int, str, str], ...] = ()
+    registry_terms: tuple[tuple[str, int, Term, Term], ...] = ()
 
     @property
     def ok(self) -> bool:
         return self.status == OK
 
+    @property
+    def registry(self) -> tuple[tuple[str, int, str, str], ...]:
+        """(name, level, first, second) per indexed variable, terms printed."""
+        return tuple(
+            (name, level, print_term(first), print_term(second))
+            for name, level, first, second in self.registry_terms
+        )
+
     def to_text(self) -> str:
+        # Successive states share all but their spines, and the certificate
+        # keeps every node alive meanwhile, so one print cache keyed by node
+        # identity serves the whole text.
+        cache: dict[int, str] = {}
         lines = [
             f"operator: {self.operator}",
             f"n: {self.n}",
@@ -143,10 +159,13 @@ class Certificate:
             f"total-contractions: {self.total_contractions}",
         ]
         for i, s in enumerate(self.steps, start=1):
-            lines.append(f"step {i}: {s.describe()}")
-        lines.append(f"registry: {len(self.registry)} entries")
-        for name, level, first, second in self.registry:
-            lines.append(f"  {name} := level={level} first={first} second={second}")
+            lines.append(f"step {i}: {s.describe(cache)}")
+        lines.append(f"registry: {len(self.registry_terms)} entries")
+        for name, level, first, second in self.registry_terms:
+            lines.append(
+                f"  {name} := level={level} first={print_term(first, cache)}"
+                f" second={print_term(second, cache)}"
+            )
         if self.tau is not None:
             lines.append(f"tau: {self.tau}")
         if self.tau_value is not None:
@@ -208,14 +227,14 @@ def certify(
         if not out.completed:
             return done(FUEL_EXHAUSTED, detail="head reduction ran out of fuel")
         if type(term) is Abs:
-            steps.append(MachineStep("bad", "lambda", 0, out.steps, print_term(term)))
+            steps.append(MachineStep("bad", "lambda", 0, out.steps, term))
             return done(BAD_HEAD_SHAPE, detail="head normal form is an abstraction")
         head, args = _spine(term)
         if type(head) is not Var:
             raise AssertionError("head normal form must be headed by a variable")
 
         if head.name == f:
-            steps.append(MachineStep("f-terminal", f, len(args), out.steps, print_term(term)))
+            steps.append(MachineStep("f-terminal", f, len(args), out.steps, term))
             if len(args) != 1:
                 return done(
                     BAD_HEAD_SHAPE,
@@ -239,7 +258,7 @@ def certify(
 
         if head.name == nu:
             if len(args) < 2:
-                steps.append(MachineStep("nu-head", nu, len(args), out.steps, print_term(term)))
+                steps.append(MachineStep("nu-head", nu, len(args), out.steps, term))
                 return done(BAD_HEAD_SHAPE, detail="the iterator needs at least two arguments")
             first, second, rest = args[0], args[1], args[2:]
             if n == 0:
@@ -247,13 +266,13 @@ def certify(
             else:
                 name = registry.fresh(n - 1, first, second)
                 term = _apply(App(second, Var(name)), rest)
-            steps.append(MachineStep("nu-head", nu, len(args), out.steps, print_term(term)))
+            steps.append(MachineStep("nu-head", nu, len(args), out.steps, term))
             continue
 
         entry = registry.lookup(head.name)
         if entry is not None:
             if entry.used:
-                steps.append(MachineStep("indexed-head", head.name, len(args), out.steps, print_term(term)))
+                steps.append(MachineStep("indexed-head", head.name, len(args), out.steps, term))
                 return done(INDEXED_REUSE, detail=f"{head.name} was expanded twice")
             entry.used = True
             if entry.value == 0:
@@ -261,10 +280,10 @@ def certify(
             else:
                 name = registry.fresh(entry.value - 1, entry.first, entry.second)
                 term = _apply(App(entry.second, Var(name)), args)
-            steps.append(MachineStep("indexed-head", head.name, len(args), out.steps, print_term(term)))
+            steps.append(MachineStep("indexed-head", head.name, len(args), out.steps, term))
             continue
 
-        steps.append(MachineStep("bad", head.name, len(args), out.steps, print_term(term)))
+        steps.append(MachineStep("bad", head.name, len(args), out.steps, term))
         return done(BAD_HEAD_SHAPE, detail=f"unexpected head variable {head.name}")
 
 
@@ -281,39 +300,77 @@ def certify_range(
 # concrete argument corpus
 
 
-def theta_corpus(n: int, extra: int = 4, seed: int = 0) -> list[Term]:
+class CorpusFuelExhausted(Exception):
+    """A corpus candidate did not normalize within the fuel."""
+
+    def __init__(self, index: int):
+        super().__init__(f"corpus term {index} did not normalize in fuel")
+        self.index = index
+
+
+def _round_robin(families: Sequence[Iterable[Term]]) -> Iterator[Term]:
+    pending = deque(iter(f) for f in families)
+    while pending:
+        it = pending.popleft()
+        t = next(it, None)
+        if t is not None:
+            yield t
+            pending.append(it)
+
+
+def theta_corpus(
+    n: int,
+    extra: int = 4,
+    seed: int = 0,
+    limit: Optional[int] = None,
+    fuel: int = DEFAULT_FUEL,
+) -> list[Term]:
     """Closed terms provably equal to the n-th numeral, in varied shapes.
 
-    Includes the numeral itself, successor towers over smaller numerals,
-    identity wrappings, and seeded redex insertions inside the body. Every
-    candidate is verified equal to the numeral before it is returned.
+    There are four shape families: the numeral itself, successor towers over
+    smaller numerals, identity wrappings, and seeded redex insertions inside
+    the body. Candidates are taken round-robin over the families, so every
+    prefix mixes the shapes, and verified equal to the numeral one at a
+    time; nothing past the first ``limit`` terms (None: all) is verified
+    or, beyond the two identity wrappings, built.
+    Raises CorpusFuelExhausted when a candidate does not normalize within
+    ``fuel`` steps.
     """
     if n < 0:
         raise ValueError("the stored value must be non-negative")
+    target = church(n)
     succ = parse_term("\\n x f (f) ((n) x) f")
-    out: list[Term] = [church(n)]
-    for k in range(1, n + 1):
-        t: Term = church(n - k)
-        for _ in range(k):
-            t = App(succ, t)
-        out.append(t)
     ident = parse_term("\\x x")
-    out.append(App(ident, church(n)))
-    out.append(App(ident, App(ident, church(n))))
-    rng = random.Random(seed)
-    for _ in range(extra):
-        t = church(n)
-        for _ in range(rng.randint(1, 3)):
-            if rng.random() < 0.5:
-                t = App(ident, t)
-            else:
-                # discard a throwaway binder around the current candidate
-                pad = fresh_name("d", t.fv)
-                t = App(Abs(pad, t), ident)
-        out.append(t)
-    for t in out:
-        if beta_equiv(t, church(n)) is not True:
+    wraps = (App(ident, target), App(ident, App(ident, target)))
+
+    def towers() -> Iterator[Term]:
+        for k in range(1, n + 1):
+            t: Term = church(n - k)
+            for _ in range(k):
+                t = App(succ, t)
+            yield t
+
+    def seeded() -> Iterator[Term]:
+        rng = random.Random(seed)
+        for _ in range(extra):
+            t = target
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    t = App(ident, t)
+                else:
+                    # discard a throwaway binder around the current candidate
+                    pad = fresh_name("d", t.fv)
+                    t = App(Abs(pad, t), ident)
+            yield t
+
+    out: list[Term] = []
+    for t in islice(_round_robin(((target,), towers(), wraps, seeded())), limit):
+        same = beta_equiv(t, target, fuel)
+        if same is None:
+            raise CorpusFuelExhausted(len(out))
+        if not same:
             raise AssertionError(f"corpus term is not equal to the numeral: {print_term(t)}")
+        out.append(t)
     return out
 
 
@@ -321,8 +378,13 @@ def theta_corpus(n: int, extra: int = 4, seed: int = 0) -> list[Term]:
 class BehavioralResult:
     ok: bool
     status: str
-    tau: Optional[str] = None
+    tau_term: Optional[Term] = None  # what f received
     value: Optional[int] = None
+
+    @property
+    def tau(self) -> Optional[str]:
+        """What f received, printed; None when the run did not reach f."""
+        return None if self.tau_term is None else print_term(self.tau_term)
 
 
 def _run_to_tau(op: Term, theta: Term, fuel: int) -> Term | str:
@@ -335,11 +397,10 @@ def _run_to_tau(op: Term, theta: Term, fuel: int) -> Term | str:
     out = head_reduce(App(App(op, theta), Var(f)), fuel)
     if not out.completed:
         return FUEL_EXHAUSTED
-    hole = fresh_name("h", out.result.fv | {f})
-    sigma = match_holes(App(Var(f), Var(hole)), out.result, {hole})
-    if sigma is None:
-        return BAD_HEAD_SHAPE
-    return sigma[hole]
+    r = out.result
+    if type(r) is App and type(r.fn) is Var and r.fn.name == f:
+        return r.arg
+    return BAD_HEAD_SHAPE
 
 
 def behavioral_check(
@@ -351,13 +412,13 @@ def behavioral_check(
         return BehavioralResult(False, tau)
     norm = normalize(tau, fuel)
     if not norm.completed:
-        return BehavioralResult(False, FUEL_EXHAUSTED, print_term(tau))
+        return BehavioralResult(False, FUEL_EXHAUSTED, tau)
     value = numeral_of(norm.result)
     if value is None:
-        return BehavioralResult(False, TAU_NOT_NUMERAL, print_term(tau))
+        return BehavioralResult(False, TAU_NOT_NUMERAL, tau)
     if strict and value != n:
-        return BehavioralResult(False, TAU_WRONG_VALUE, print_term(tau), value)
-    return BehavioralResult(True, OK, print_term(tau), value)
+        return BehavioralResult(False, TAU_WRONG_VALUE, tau, value)
+    return BehavioralResult(True, OK, tau, value)
 
 
 # ---------------------------------------------------------------------------

@@ -459,10 +459,19 @@ def parse_term(src: str, builtins: Mapping[str, Term] | None = None) -> Term:
     return t
 
 
-def print_term(t: Term) -> str:
-    """Render t; parse_term(print_term(t)) recovers t exactly."""
+def print_term(t: Term, _cache: Optional[dict[int, str]] = None) -> str:
+    """Render t; parse_term(print_term(t)) recovers t exactly.
+
+    ``_cache`` maps id(node) to the node's text. A caller that prints many
+    terms sharing subterms may pass one dict to all its calls, as long as
+    every node it was filled from stays alive while the dict is in use.
+    """
     if type(t) is Var:
         return t.name
+    if _cache is not None:
+        s = _cache.get(id(t))
+        if s is not None:
+            return s
     if type(t) is Abs:
         parts = []
         cur: Term = t
@@ -471,22 +480,26 @@ def print_term(t: Term) -> str:
             cur = cur.body
         if type(cur) is Var:
             parts.append(cur.name)
-            return "\\" + " ".join(parts)
-        return "\\" + " ".join(parts) + " " + print_term(cur)
-    # App: flatten the spine
-    rev_args = []
-    cur = t
-    while type(cur) is App:
-        rev_args.append(cur.arg)
-        cur = cur.fn
-    args = rev_args[::-1]
-    s = "(" + print_term(cur) + ")"
-    last = len(args) - 1
-    for i, a in enumerate(args):
-        if type(a) is Var:
-            s += " " + a.name
-        elif i == last:
-            s += " " + print_term(a)
+            s = "\\" + " ".join(parts)
         else:
-            s = "(" + s + " " + print_term(a) + ")"
+            s = "\\" + " ".join(parts) + " " + print_term(cur, _cache)
+    else:
+        # App: flatten the spine
+        rev_args = []
+        cur = t
+        while type(cur) is App:
+            rev_args.append(cur.arg)
+            cur = cur.fn
+        args = rev_args[::-1]
+        s = "(" + print_term(cur, _cache) + ")"
+        last = len(args) - 1
+        for i, a in enumerate(args):
+            if type(a) is Var:
+                s += " " + a.name
+            elif i == last:
+                s += " " + print_term(a, _cache)
+            else:
+                s = "(" + s + " " + print_term(a, _cache) + ")"
+    if _cache is not None:
+        _cache[id(t)] = s
     return s

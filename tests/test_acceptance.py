@@ -129,7 +129,7 @@ def test_criterion_03_behavioral_cross_check():
             cert = certify(op, n)
             assert cert.ok
             expected_tau = parse_term(cert.tau)
-            for theta in theta_corpus(n)[:4]:
+            for theta in theta_corpus(n, limit=4):
                 res = behavioral_check(op, theta, n)
                 assert res.ok, (name, n, res)
                 assert parse_term(res.tau) == expected_tau, (name, n, res.tau)

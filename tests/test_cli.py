@@ -9,7 +9,9 @@ import pytest
 import storop
 from storop import cli
 from storop.cli import main
+from storop.builtins import BUILTINS
 from storop.reduction import normalize
+from storop.storage import certify
 from storop.terms import church, parse_term, print_term
 
 SUCC2_PRINT = "(f) (\\n x f (f) (n) x f) (\\n x f (f) (n) x f) \\x f x"
@@ -155,6 +157,40 @@ def test_certify_writes_deterministic_certificates(capsys, tmp_path):
     assert text == out_b.read_text()
     assert text.count("operator:") == 4
     assert "registry:" in text and "tau-value: 3" in text
+
+
+def test_certify_unwritable_out_is_exit_2_before_any_work(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "certify", "@T", "--max-n", "1", "--out", str(tmp_path / "missing" / "x")
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("storop: error: ")
+
+
+def test_certify_failed_run_writes_certificates_so_far(capsys, tmp_path):
+    path = tmp_path / "certs.txt"
+    op = "\\v \\f (f) @church:0"
+    code, _, _ = run(capsys, "certify", op, "--max-n", "3", "--out", str(path))
+    assert code == 1
+    made = [certify(parse_term(op, BUILTINS), n).to_text() for n in (0, 1)]
+    assert path.read_text(encoding="utf-8") == "\n".join(made)
+
+
+def test_certify_corpus_verification_obeys_fuel(capsys, monkeypatch, tmp_path):
+    # No operator's symbolic run is cheaper than verifying its corpus: the
+    # output's own normalization outweighs it. So the symbolic stage gets the
+    # default fuel here, and --fuel 1 first bites on the third corpus term
+    # at n=0, which takes two steps to verify.
+    monkeypatch.setattr(cli, "certify", lambda term, n, fuel: certify(term, n))
+    path = tmp_path / "certs.txt"
+    code, out, _ = run(capsys, "certify", "@T2", "--max-n", "0", "--fuel", "1", "--out", str(path))
+    assert code == 3
+    assert out.splitlines()[1:] == [
+        "behavioral n=0 theta=2: fuel-exhausted",
+        "certify: behavioral check failed at n=0 (fuel-exhausted)",
+    ]
+    assert path.read_text(encoding="utf-8") == certify(BUILTINS["T2"], 0).to_text()
 
 
 def test_certify_behavioral_catches_the_forwarder(capsys):

@@ -1,6 +1,10 @@
+import hashlib
+
 import pytest
 
+from storop import storage
 from storop.builtins import BUILTINS, t_operator, tp_operator
+from storop.cli import main
 from storop.reduction import beta_equiv, head_reduce, normalize
 from storop.storage import (
     BAD_HEAD_SHAPE,
@@ -11,13 +15,14 @@ from storop.storage import (
     TAU_NOT_NUMERAL,
     TAU_WRONG_VALUE,
     Certificate,
+    CorpusFuelExhausted,
     IndexedVarRegistry,
     behavioral_check,
     certify,
     certify_range,
     theta_corpus,
 )
-from storop.terms import App, Var, church, numeral_of, parse_term, print_term
+from storop.terms import Abs, App, Var, church, numeral_of, parse_term, print_term
 
 
 def test_registry_freshness_and_flags():
@@ -81,6 +86,44 @@ def test_certificate_text_and_replay():
     assert "registry: 4 entries" in text
     assert "x_1 := level=1" in text and "x_0 := level=0" in text
     assert "x_1' := level=1" in text and "x_0' := level=0" in text
+
+
+def test_printed_states_and_registry_rows():
+    cert = certify(t_operator(1), 1)
+    assert [s.state for s in cert.steps] == [
+        "(\\x x) x_0",
+        "(\\n ((n) \\f (f) \\x f x) \\x y (x) \\z (y) (\\n x f (f) (n) x f) z) v f",
+        "(\\x y (x) \\z (y) (\\n x f (f) (n) x f) z) x_0' f",
+        "(\\f (f) \\x f x) \\z (f) (\\n x f (f) (n) x f) z",
+        "(f) (\\n x f (f) (n) x f) \\x f x",
+    ]
+    assert cert.registry == (
+        (
+            "x_0",
+            0,
+            "(\\n ((n) \\f (f) \\x f x) \\x y (x) \\z (y) (\\n x f (f) (n) x f) z) v f",
+            "\\x x",
+        ),
+        ("x_0'", 0, "\\f (f) \\x f x", "\\x y (x) \\z (y) (\\n x f (f) (n) x f) z"),
+    )
+
+
+# sha256 of the --out text of `certify OP --max-n 40`, recorded before the
+# certificate states were printed lazily through a shared cache.
+CERTIFICATE_DIGESTS = {
+    "@T": "117fc609e29149b2b688b3a0c76e3120cdab6a324c5df696ce96efe6cd4b764f",
+    "@T2": "49387ac8556e288b574d22928c6d48bf5b5aecea52eccc589aa0ef410833d8f1",
+    "@Tp": "645b209e67fcc2730e0b168ee5c4098ff0b673810fc4c8b3d756374665bb7812",
+}
+
+
+@pytest.mark.parametrize("op", sorted(CERTIFICATE_DIGESTS))
+def test_certificate_file_fingerprint(op, tmp_path, capsys):
+    path = tmp_path / "certs.txt"
+    assert main(["certify", op, "--max-n", "40", "--out", str(path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(path.read_text(encoding="utf-8").encode()).hexdigest()
+    assert digest == CERTIFICATE_DIGESTS[op]
 
 
 def test_certify_rejects_negative_values():
@@ -164,6 +207,48 @@ def test_theta_corpus_is_verified_and_varied():
     assert len(printed) >= 6
     for t in corpus:
         assert beta_equiv(t, church(3)) is True
+
+
+@pytest.mark.parametrize("n", [3, 10, 90])
+def test_theta_corpus_prefix_takes_one_term_per_family(n):
+    succ = parse_term("\\n x f (f) ((n) x) f")
+    ident = parse_term("\\x x")
+    numeral, tower, wrap, seeded = theta_corpus(n, limit=4)
+    assert numeral == church(n)
+    assert tower == App(succ, church(n - 1))
+    assert wrap == App(ident, church(n))
+    # the first seeded insertion for seed 0
+    assert seeded == App(ident, App(Abs("d", church(n)), ident))
+
+
+def test_theta_corpus_verifies_only_what_it_returns(monkeypatch):
+    calls = []
+
+    def counting(t, u, fuel):
+        calls.append(t)
+        return beta_equiv(t, u, fuel)
+
+    monkeypatch.setattr(storage, "beta_equiv", counting)
+    assert len(theta_corpus(90, limit=4)) == 4
+    assert len(calls) == 4
+
+
+def test_theta_corpus_reordering_keeps_the_terms():
+    # sha256 of each n's sorted printed corpus, recorded before the families
+    # were interleaved: the same terms, from the same seeded draws
+    rows = []
+    for n in range(0, 7):
+        rows.append(" | ".join(sorted(print_term(t) for t in theta_corpus(n, extra=5, seed=41))))
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "68359db8261cb88671d1fae32e164f1cc70bfb1e1630b415b14e8a76a88c1552"
+
+
+def test_theta_corpus_fuel():
+    # at n=2 the fifth candidate is the succ tower of height 2: six steps
+    assert len(theta_corpus(2, limit=5, fuel=6)) == 5
+    with pytest.raises(CorpusFuelExhausted) as info:
+        theta_corpus(2, limit=5, fuel=5)
+    assert info.value.index == 4
 
 
 def test_theta_corpus_is_seeded():
