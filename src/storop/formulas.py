@@ -16,6 +16,7 @@ Formula equality is alpha-equivalence in all three namespaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from storop.terms import fresh_name
@@ -238,6 +239,9 @@ def neg(a: Formula) -> Formula:
 
 _QUANT_NS = {ForallFo: 0, ForallPred: 1, ForallBot: 2}
 _ATOM_NS = {PredVarApp: 1, BotVarApp: 2}
+# the two second-order namespaces as (atom class, quantifier class)
+_PRED = (PredVarApp, ForallPred)
+_BOT = (BotVarApp, ForallBot)
 
 
 def _fo_alpha(t: FoTerm, u: FoTerm, envt: dict, envu: dict) -> bool:
@@ -360,30 +364,26 @@ def fv_fo(a: Formula) -> frozenset[str]:
     return fv_fo(a.body)
 
 
-def fv_pred(a: Formula) -> frozenset[str]:
+def _fv_second_order(a: Formula, atom_cls: type, quant_cls: type) -> frozenset[str]:
     ta = type(a)
-    if ta is PredVarApp:
+    if ta is atom_cls:
         return frozenset((a.name,))
-    if ta in (Bot, BotVarApp, PredSymApp):
-        return frozenset()
     if ta is Arrow:
-        return fv_pred(a.left) | fv_pred(a.right)
-    if ta is ForallPred:
-        return fv_pred(a.body) - {a.var}
-    return fv_pred(a.body)
+        return _fv_second_order(a.left, atom_cls, quant_cls) | _fv_second_order(
+            a.right, atom_cls, quant_cls
+        )
+    if ta not in _QUANT_NS:
+        return frozenset()
+    out = _fv_second_order(a.body, atom_cls, quant_cls)
+    return out - {a.var} if ta is quant_cls else out
+
+
+def fv_pred(a: Formula) -> frozenset[str]:
+    return _fv_second_order(a, PredVarApp, ForallPred)
 
 
 def fv_bot(a: Formula) -> frozenset[str]:
-    ta = type(a)
-    if ta is BotVarApp:
-        return frozenset((a.name,))
-    if ta in (Bot, PredVarApp, PredSymApp):
-        return frozenset()
-    if ta is Arrow:
-        return fv_bot(a.left) | fv_bot(a.right)
-    if ta is ForallBot:
-        return fv_bot(a.body) - {a.var}
-    return fv_bot(a.body)
+    return _fv_second_order(a, BotVarApp, ForallBot)
 
 
 def _has_bot_vars(a: Formula) -> bool:
@@ -434,12 +434,10 @@ def _subst_fo(a: Formula, m: dict) -> Formula:
     ta = type(a)
     if ta is Bot:
         return a
-    if ta is PredVarApp:
-        return PredVarApp(a.name, tuple(fo_subst(t, m) for t in a.args))
-    if ta is BotVarApp:
-        return BotVarApp(a.name, tuple(fo_subst(t, m) for t in a.args))
     if ta is PredSymApp:
         return PredSymApp(a.sym, tuple(fo_subst(t, m) for t in a.args))
+    if ta in _ATOM_NS:
+        return ta(a.name, tuple(fo_subst(t, m) for t in a.args))
     if ta is Arrow:
         return Arrow(subst_fo(a.left, m), subst_fo(a.right, m))
     if ta is ForallFo:
@@ -454,9 +452,7 @@ def _subst_fo(a: Formula, m: dict) -> Formula:
             live[a.var] = FoVar(nv)
             return ForallFo(nv, _subst_fo(a.body, live))
         return ForallFo(a.var, _subst_fo(a.body, live))
-    if ta is ForallPred:
-        return ForallPred(a.var, subst_fo(a.body, m))
-    return ForallBot(a.var, subst_fo(a.body, m))
+    return ta(a.var, subst_fo(a.body, m))
 
 
 @dataclass(frozen=True)
@@ -485,78 +481,52 @@ class PredAbstraction:
         return fv_fo(self.body) - set(self.params)
 
 
-def _rename_pred(f: Formula, old: str, new: str) -> Formula:
+def _rename(f: Formula, old: str, new: str, atom_cls: type, quant_cls: type) -> Formula:
+    """Rename the free second-order variable old of one namespace to new."""
     tf = type(f)
-    if tf is PredVarApp:
-        return PredVarApp(new, f.args) if f.name == old else f
-    if tf in (Bot, BotVarApp, PredSymApp):
-        return f
+    if tf is atom_cls:
+        return atom_cls(new, f.args) if f.name == old else f
     if tf is Arrow:
-        return Arrow(_rename_pred(f.left, old, new), _rename_pred(f.right, old, new))
-    if tf is ForallPred and f.var == old:
+        return Arrow(
+            _rename(f.left, old, new, atom_cls, quant_cls),
+            _rename(f.right, old, new, atom_cls, quant_cls),
+        )
+    if tf not in _QUANT_NS or (tf is quant_cls and f.var == old):
         return f
-    if tf is ForallFo:
-        return ForallFo(f.var, _rename_pred(f.body, old, new))
-    if tf is ForallPred:
-        return ForallPred(f.var, _rename_pred(f.body, old, new))
-    return ForallBot(f.var, _rename_pred(f.body, old, new))
-
-
-def _rename_bot(f: Formula, old: str, new: str) -> Formula:
-    tf = type(f)
-    if tf is BotVarApp:
-        return BotVarApp(new, f.args) if f.name == old else f
-    if tf in (Bot, PredVarApp, PredSymApp):
-        return f
-    if tf is Arrow:
-        return Arrow(_rename_bot(f.left, old, new), _rename_bot(f.right, old, new))
-    if tf is ForallBot and f.var == old:
-        return f
-    if tf is ForallFo:
-        return ForallFo(f.var, _rename_bot(f.body, old, new))
-    if tf is ForallPred:
-        return ForallPred(f.var, _rename_bot(f.body, old, new))
-    return ForallBot(f.var, _rename_bot(f.body, old, new))
+    return tf(f.var, _rename(f.body, old, new, atom_cls, quant_cls))
 
 
 def _subst_second_order(a: Formula, name: str, abst: PredAbstraction, bottomed: bool) -> Formula:
-    atom_cls = BotVarApp if bottomed else PredVarApp
-    fv_ns = fv_bot if bottomed else fv_pred
+    atom_cls, quant_cls = _BOT if bottomed else _PRED
     body_fo = abst.free_fo()
-    body_pred = fv_pred(abst.body)
-    body_bot = fv_bot(abst.body)
+    # per second-order binder class: its atom class and the names of that
+    # namespace the abstraction brings in, which the binder must not capture
+    brought = {
+        ForallPred: (PredVarApp, fv_pred(abst.body)),
+        ForallBot: (BotVarApp, fv_bot(abst.body)),
+    }
 
     def walk(f: Formula) -> Formula:
         tf = type(f)
         if tf is atom_cls and f.name == name:
             return abst.apply(f.args)
-        if tf in (Bot, PredVarApp, BotVarApp, PredSymApp):
-            return f
         if tf is Arrow:
             return Arrow(walk(f.left), walk(f.right))
-        if name not in fv_ns(f):
+        if tf not in _QUANT_NS or name not in _fv_second_order(f, atom_cls, quant_cls):
             return f
-        if tf is ForallFo:
-            var, body = f.var, f.body
-            if var in body_fo:
-                nv = fresh_name(var, body_fo | fv_fo(body))
-                return ForallFo(nv, walk(subst_fo(body, {var: FoVar(nv)})))
-            return ForallFo(var, walk(body))
-        if tf is ForallPred:
-            var, body = f.var, f.body
-            if var in body_pred:
-                nv = fresh_name(var, body_pred | fv_pred(body))
-                var, body = nv, _rename_pred(body, f.var, nv)
-            return ForallPred(var, walk(body))
-        # ForallBot; shadowing was already handled by the fv_ns prune for
-        # the bottomed case (a ForallBot binding `name` has name not free)
         var, body = f.var, f.body
-        if var in body_bot:
-            nv = fresh_name(var, body_bot | fv_bot(body))
-            var, body = nv, _rename_bot(body, f.var, nv)
-        return ForallBot(var, walk(body))
+        if tf is ForallFo:
+            if var in body_fo:
+                var = fresh_name(var, body_fo | fv_fo(body))
+                body = subst_fo(body, {f.var: FoVar(var)})
+        else:
+            binder_atom, taken = brought[tf]
+            if var in taken:
+                var = fresh_name(var, taken | _fv_second_order(body, binder_atom, tf))
+                body = _rename(body, f.var, var, binder_atom, tf)
+        return tf(var, walk(body))
 
-    if name not in fv_ns(a):
+    if name not in _fv_second_order(a, atom_cls, quant_cls):
         return a
     return walk(a)
 
@@ -639,19 +609,15 @@ def forget_first_order(a: Formula) -> Formula:
     ta = type(a)
     if ta is Bot:
         return a
-    if ta is PredVarApp:
-        return PredVarApp(a.name)
-    if ta is BotVarApp:
-        return BotVarApp(a.name)
     if ta is PredSymApp:
         return PredSymApp(a.sym)
+    if ta in _ATOM_NS:
+        return ta(a.name)
     if ta is Arrow:
         return Arrow(forget_first_order(a.left), forget_first_order(a.right))
     if ta is ForallFo:
         return forget_first_order(a.body)
-    if ta is ForallPred:
-        return ForallPred(a.var, forget_first_order(a.body))
-    return ForallBot(a.var, forget_first_order(a.body))
+    return ta(a.var, forget_first_order(a.body))
 
 
 def polarity(a: Formula, name: str, kind: str = "pred") -> str:
@@ -662,8 +628,7 @@ def polarity(a: Formula, name: str, kind: str = "pred") -> str:
     """
     if kind not in ("pred", "bot"):
         raise ValueError("kind must be 'pred' or 'bot'")
-    atom_cls = PredVarApp if kind == "pred" else BotVarApp
-    quant_cls = ForallPred if kind == "pred" else ForallBot
+    atom_cls, quant_cls = _PRED if kind == "pred" else _BOT
     signs: set[int] = set()
 
     def walk(f: Formula, sign: int) -> None:
@@ -877,7 +842,7 @@ def check_adequacy(eqs: EquationSet, size_bound: int = 4) -> Optional[str]:
             elif arity > 0 and size > 1:
                 for split in _compositions(size - 1, arity):
                     pools = [by_size.get(s, []) for s in split]
-                    for combo in _product(pools):
+                    for combo in product(*pools):
                         layer.append(FoApp(sym, tuple(combo)))
         by_size[size] = layer
     universe: list[FoTerm] = [t for size in range(1, size_bound + 1) for t in by_size[size]]
@@ -898,10 +863,9 @@ def check_adequacy(eqs: EquationSet, size_bound: int = 4) -> Optional[str]:
         parent[ri] = rj
         return True
 
-    ground = [t for t in universe]
     for eq in eqs:
         vars_ = sorted(fo_vars(eq.lhs) | fo_vars(eq.rhs))
-        for combo in _product([ground] * len(vars_)):
+        for combo in product(universe, repeat=len(vars_)):
             sigma = dict(zip(vars_, combo))
             lhs, rhs = fo_subst(eq.lhs, sigma), fo_subst(eq.rhs, sigma)
             if lhs in index and rhs in index:
@@ -946,16 +910,6 @@ def _compositions(total: int, parts: int):
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    head, *rest = pools
-    for h in head:
-        for r in _product(rest):
-            yield (h,) + r
 
 
 # ---------------------------------------------------------------------------
@@ -1048,13 +1002,7 @@ class _FormulaParser:
         if kind != "name":
             raise FormulaError(f"expected a first-order term at offset {at}")
         if self.peek()[0] == "(":
-            self.take()
-            args = [self.foterm()]
-            while self.peek()[0] == ",":
-                self.take()
-                args.append(self.foterm())
-            self.expect(")")
-            return FoApp(val, tuple(args))
+            return FoApp(val, self.atom_args())
         return FoVar(val)
 
     def atom_args(self) -> tuple:
@@ -1067,6 +1015,13 @@ class _FormulaParser:
             args.append(self.foterm())
         self.expect(")")
         return tuple(args)
+
+    def at_end(self, out):
+        """out, once nothing but the end of input is left."""
+        kind, _, at = self.peek()
+        if kind != "end":
+            raise FormulaError(f"unexpected trailing input at offset {at}")
+        return out
 
     # formulas ----------------------------------------------------------
 
@@ -1161,20 +1116,12 @@ class _FormulaParser:
 
 def parse_formula(src: str) -> Formula:
     parser = _FormulaParser(_tokenize_formula(src))
-    out = parser.seq()
-    kind, _, at = parser.peek()
-    if kind != "end":
-        raise FormulaError(f"unexpected trailing input at offset {at}")
-    return out
+    return parser.at_end(parser.seq())
 
 
 def _parse_foterm_src(src: str) -> FoTerm:
     parser = _FormulaParser(_tokenize_formula(src))
-    out = parser.foterm()
-    kind, _, at = parser.peek()
-    if kind != "end":
-        raise FormulaError(f"unexpected trailing input at offset {at}")
-    return out
+    return parser.at_end(parser.foterm())
 
 
 def _flatten_arrows(a: Formula):
@@ -1184,6 +1131,10 @@ def _flatten_arrows(a: Formula):
         premises.append(node.left)
         node = node.right
     return premises, node
+
+
+# printed after a variable name: bottomed names carry "_|"
+_MARK = {PredVarApp: "", ForallFo: "", ForallPred: "", BotVarApp: "_|", ForallBot: "_|"}
 
 
 def _print_args(args) -> str:
@@ -1196,21 +1147,15 @@ def _unit(a: Formula) -> str:
     ta = type(a)
     if ta is Bot:
         return "bot"
-    if ta is PredVarApp:
-        return a.name + _print_args(a.args)
-    if ta is BotVarApp:
-        return a.name + "_|" + _print_args(a.args)
+    if ta in _ATOM_NS:
+        return a.name + _MARK[ta] + _print_args(a.args)
     if ta is PredSymApp:
         return "$" + a.sym + _print_args(a.args)
     if ta is Arrow:
         if type(a.right) is Bot:
             return "~" + _tight(a.left)
         return "(" + _chain(a) + ")"
-    if ta is ForallFo:
-        return "!" + a.var + " " + _qbody(a.body)
-    if ta is ForallPred:
-        return "!" + a.var + " " + _qbody(a.body)
-    return "!" + a.var + "_| " + _qbody(a.body)
+    return "!" + a.var + _MARK[ta] + " " + _qbody(a.body)
 
 
 def _tight(a: Formula) -> str:

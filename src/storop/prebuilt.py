@@ -20,6 +20,7 @@ from storop.formulas import (
     FoApp,
     FoTerm,
     FoVar,
+    ForallBot,
     ForallFo,
     ForallPred,
     Formula,
@@ -37,8 +38,8 @@ from storop.formulas import (
     subst_fo,
     subst_pred,
 )
-from storop.terms import Abs, App, Var
-from storop.typecheck import Context, Derivation, lift_star_to_bot
+from storop.terms import Abs, App, Var, fresh_name
+from storop.typecheck import Context, Derivation, lift_star_to_bot, read_derivation
 
 __all__ = [
     "numeral_derivation",
@@ -92,14 +93,11 @@ def _gen_pred(p: Derivation, var: str) -> Derivation:
     return Derivation("gen-pred", p.ctx, p.term, ForallPred(var, p.type), None, (p,))
 
 
-def _inst_pred(p: Derivation, g: PredAbstraction) -> Derivation:
-    opened = subst_pred(p.type.body, p.type.var, g)
-    return Derivation("inst-pred", p.ctx, p.term, opened, g, (p,))
-
-
-def _inst_bot(p: Derivation, g: PredAbstraction) -> Derivation:
-    opened = subst_bot(p.type.body, p.type.var, g)
-    return Derivation("inst-bot", p.ctx, p.term, opened, g, (p,))
+def _inst(p: Derivation, g: PredAbstraction) -> Derivation:
+    """inst-bot on a bottomed quantification, inst-pred on a predicate one."""
+    bottomed = type(p.type) is ForallBot
+    opened = (subst_bot if bottomed else subst_pred)(p.type.body, p.type.var, g)
+    return Derivation("inst-bot" if bottomed else "inst-pred", p.ctx, p.term, opened, g, (p,))
 
 
 def _eq(p: Derivation, eqs: EquationSet, steps: tuple) -> Derivation:
@@ -113,33 +111,21 @@ def _eq(p: Derivation, eqs: EquationSet, steps: tuple) -> Derivation:
 # freshening
 
 
-def _fresh(base: str, taken) -> str:
-    name = base
-    while name in taken:
-        name += "'"
-    return name
-
 def _fresh_terms(ctx: Context, *bases: str) -> list[str]:
     taken = set(ctx.names())
     out = []
     for b in bases:
-        name = _fresh(b, taken)
+        name = fresh_name(b, taken)
         taken.add(name)
         out.append(name)
     return out
 
 
-def _ambient_fo(ctx: Context) -> set[str]:
+def _ambient(ctx: Context, fv) -> set[str]:
+    """The names free in the context under fv (fv_fo or fv_pred)."""
     out: set[str] = set()
     for _, a in ctx:
-        out |= fv_fo(a)
-    return out
-
-
-def _ambient_pred(ctx: Context) -> set[str]:
-    out: set[str] = set()
-    for _, a in ctx:
-        out |= fv_pred(a)
+        out |= fv(a)
     return out
 
 
@@ -170,7 +156,7 @@ def numeral_derivation(k: int, ctx: Context = Context(), propositional: bool = F
     if k < 0:
         raise ValueError("numeral index must be non-negative")
     x, f = _fresh_terms(ctx, "x", "f")
-    pvar = _fresh("X", _ambient_pred(ctx))
+    pvar = fresh_name("X", _ambient(ctx, fv_pred))
     t = None if propositional else _snum(k)
     first, step, _ = _n_parts(pvar, t)
     c2 = ctx.extended(x, first).extended(f, step)
@@ -186,20 +172,20 @@ def numeral_derivation(k: int, ctx: Context = Context(), propositional: bool = F
 def succ_derivation(ctx: Context = Context(), propositional: bool = False, genvar: str = "x") -> Derivation:
     """Type the successor: !x (N[x] -> N[s(x)]), or N -> N when propositional."""
     n, x, f = _fresh_terms(ctx, "n", "x", "f")
-    pvar = _fresh("X", _ambient_pred(ctx))
+    pvar = fresh_name("X", _ambient(ctx, fv_pred))
     if propositional:
         xv = None
         nty = n_type(None)
         witness = PredAbstraction((), PredVarApp(pvar))
     else:
-        gv = _fresh(genvar, _ambient_fo(ctx))
+        gv = fresh_name(genvar, _ambient(ctx, fv_fo))
         xv = FoVar(gv)
         nty = n_type(xv)
         witness = PredAbstraction(("w",), PredVarApp(pvar, (FoVar("w"),)))
     first, step, _ = _n_parts(pvar, xv)
     c1 = ctx.extended(n, nty)
     c2 = c1.extended(x, first).extended(f, step)
-    dn = _inst_pred(_ax(c2, n), witness)
+    dn = _inst(_ax(c2, n), witness)
     d = _app(dn, _ax(c2, x))
     d = _app(d, _ax(c2, f))
     df = _ax(c2, f)
@@ -228,7 +214,7 @@ def _delta_derivation(ctx: Context) -> Derivation:
 def _g_derivation(ctx: Context) -> Derivation:
     """The iterated step: !y (~~N[y] -> ~~N[s(y)])."""
     a, b, c = _fresh_terms(ctx, "x", "y", "z")
-    gv = _fresh("y", _ambient_fo(ctx))
+    gv = fresh_name("y", _ambient(ctx, fv_fo))
     yv = FoVar(gv)
     n_y = n_type(yv)
     n_sy = n_type(FoApp("s", (yv,)))
@@ -244,11 +230,11 @@ def t1_star_derivation(ctx: Context = Context(), genvar: str = "x") -> Derivatio
     """Storage over iteration against the negative translation:
     !x (N*[x] -> ~~N[x])."""
     (nu,) = _fresh_terms(ctx, "n")
-    gv = _fresh(genvar, _ambient_fo(ctx))
+    gv = fresh_name(genvar, _ambient(ctx, fv_fo))
     xv = FoVar(gv)
     c1 = ctx.extended(nu, n_star_type(xv))
     witness = PredAbstraction(("w",), neg(n_type(FoVar("w"))))
-    dnu = _inst_pred(_ax(c1, nu), witness)
+    dnu = _inst(_ax(c1, nu), witness)
     d = _app(dnu, _delta_derivation(c1))
     d = _app(d, _g_derivation(c1))
     return _gen_fo(_abs(d), gv)
@@ -272,7 +258,7 @@ def t2_fperp_derivation(ctx: Context = Context()) -> Derivation:
     nu, f = _fresh_terms(ctx, "n", "f")
     not_n = neg(n_type(None))
     c2 = ctx.extended(nu, n_bot_type(None)).extended(f, not_n)
-    dnu = _inst_bot(_ax(c2, nu), PredAbstraction((), not_n))
+    dnu = _inst(_ax(c2, nu), PredAbstraction((), not_n))
     d = _app(dnu, _ax(c2, f))
     d = _app(d, _f_derivation(c2))
     d = _app(d, numeral_derivation(0, c2, propositional=True))
@@ -284,7 +270,7 @@ def t2_star_derivation(ctx: Context = Context()) -> Derivation:
     nu, f = _fresh_terms(ctx, "n", "f")
     not_n = neg(n_type(None))
     c2 = ctx.extended(nu, n_star_type(None)).extended(f, not_n)
-    dnu = _inst_pred(_ax(c2, nu), PredAbstraction((), n_type(None)))
+    dnu = _inst(_ax(c2, nu), PredAbstraction((), n_type(None)))
     d = _app(dnu, _ax(c2, f))
     d = _app(d, _f_derivation(c2))
     d = _app(d, numeral_derivation(0, c2, propositional=True))
@@ -298,7 +284,7 @@ def t2_star_derivation(ctx: Context = Context()) -> Derivation:
 def theta0_star_derivation(ctx: Context = Context()) -> Derivation:
     """A non-numeral inhabitant of Nstar[0]."""
     a, b, c, d_, w = _fresh_terms(ctx, "x", "f", "z", "d", "x")
-    pvar = _fresh("X", _ambient_pred(ctx))
+    pvar = fresh_name("X", _ambient(ctx, fv_pred))
     atom0 = PredVarApp(pvar, (FoApp("0"),))
     yv = FoVar("y")
     step = ForallFo(
@@ -320,7 +306,7 @@ def _wrapped_bot(second_arg: str) -> Derivation:
     gv = "x"
     xv = FoVar(gv)
     c2 = ctx.extended(nu, n_bot_type(xv)).extended(f, neg(n_type(xv)))
-    dnu = _inst_bot(_ax(c2, nu), PredAbstraction(("w",), Bot()))
+    dnu = _inst(_ax(c2, nu), PredAbstraction(("w",), Bot()))
 
     def inner_call(cc: Context) -> Derivation:
         dt1 = lift_star_to_bot(t1_star_derivation(cc, genvar="x"))
@@ -334,7 +320,7 @@ def _wrapped_bot(second_arg: str) -> Derivation:
     else:
         (dn,) = _fresh_terms(c2, "d")
         darg = _abs(inner_call(c2.extended(dn, Bot())))
-    darg = _gen_fo(darg, _fresh("y", _ambient_fo(c2)))
+    darg = _gen_fo(darg, fresh_name("y", _ambient(c2, fv_fo)))
     d = _app(d, darg)
     return _gen_fo(_abs(_abs(d)), gv)
 
@@ -410,8 +396,6 @@ def build_prebuilt(name: str) -> Derivation:
 
 def load_prebuilt(name: str) -> Derivation:
     """Read the bundled golden file for a derivation."""
-    from storop.typecheck import read_derivation
-
     if name not in PREBUILT:
         raise KeyError(f"no bundled derivation named {name!r}")
     text = resources.files("storop").joinpath(f"data/derivations/{name}.deriv").read_text()

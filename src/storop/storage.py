@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
-from storop.reduction import DEFAULT_FUEL, beta_equiv, head_reduce, normalize
+from storop.reduction import DEFAULT_FUEL, ReductionOutcome, beta_equiv, head_reduce, normalize
 from storop.terms import (
     Abs,
     App,
@@ -190,6 +190,15 @@ def _apply(t: Term, args: Sequence[Term]) -> Term:
     return t
 
 
+def _reduce_within(run, t: Term, fuel: int) -> ReductionOutcome:
+    """run(t, fuel), where no fuel left is not an error: a term that run
+    leaves alone needs no fuel, any other has run out of it."""
+    if fuel:
+        return run(t, fuel)
+    out = run(t, 1)
+    return out if out.steps == 0 else ReductionOutcome(t, 0, FUEL_EXHAUSTED)
+
+
 def certify(
     op: Term,
     n: int,
@@ -220,7 +229,7 @@ def certify(
     while True:
         if len(steps) >= max_machine_steps:
             return done(STEP_BUDGET_EXHAUSTED, detail=f"more than {max_machine_steps} machine steps")
-        out = head_reduce(term, fuel_left)
+        out = _reduce_within(head_reduce, term, fuel_left)
         total += out.steps
         fuel_left -= out.steps
         term = out.result
@@ -241,7 +250,7 @@ def certify(
                     detail=f"terminal must carry exactly one argument, found {len(args)}",
                 )
             tau = args[0]
-            norm = normalize(tau, fuel_left)
+            norm = _reduce_within(normalize, tau, fuel_left)
             fuel_left -= norm.steps
             if not norm.completed:
                 return done(FUEL_EXHAUSTED, print_term(tau), detail="the output did not normalize in fuel")

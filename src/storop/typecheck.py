@@ -22,6 +22,8 @@ from storop.formulas import (
     BotVarApp,
     EquationSet,
     FormulaError,
+    FoTerm,
+    FoVar,
     ForallBot,
     ForallFo,
     ForallPred,
@@ -29,19 +31,24 @@ from storop.formulas import (
     PredAbstraction,
     PredSymApp,
     PredVarApp,
+    _parse_foterm_src,
     apply_equation,
+    forget_first_order,
     fv_bot,
     fv_fo,
     fv_pred,
     is_bot_type,
+    n_bot_type,
+    n_star_type,
+    neg,
     parse_formula,
     print_formula,
+    print_foterm,
     subst_bot,
     subst_fo,
     subst_pred,
 )
-from storop.formulas import FoTerm, _parse_foterm_src, print_foterm
-from storop.terms import Abs, App, Term, Var, parse_term, print_term
+from storop.terms import Abs, App, Term, Var, fresh_name, parse_term, print_term
 
 __all__ = [
     "Context",
@@ -151,6 +158,13 @@ _ARITY = {
     "gen-bot": 1,
     "inst-bot": 1,
     "eq": 1,
+}
+
+# the namespace a gen-/inst- rule names: its quantifier, free variables, noun
+_QUANTIFIERS = {
+    "fo": (ForallFo, fv_fo, "first-order"),
+    "pred": (ForallPred, fv_pred, "predicate"),
+    "bot": (ForallBot, fv_bot, "bottomed"),
 }
 
 
@@ -276,84 +290,6 @@ def _check_node(node: Derivation, equations, fail, path) -> None:
         fail(path, "premise subject must match")
         return
 
-    if rule == "gen-fo":
-        if type(a) is not ForallFo:
-            fail(path, "gen-fo conclusion must be a first-order quantification")
-            return
-        if p.type != a.body:
-            fail(path, "premise type must be the quantifier body")
-            return
-        for name, b in ctx:
-            if a.var in fv_fo(b):
-                fail(path, f"{a.var} occurs free in the context entry {name}")
-                return
-        return
-
-    if rule == "inst-fo":
-        if type(p.type) is not ForallFo:
-            fail(path, "inst-fo premise must be a first-order quantification")
-            return
-        if not isinstance(node.witness, FoTerm):
-            fail(path, "inst-fo witness must be a first-order term")
-            return
-        expect = subst_fo(p.type.body, {p.type.var: node.witness})
-        if a != expect:
-            fail(path, f"instantiation yields {print_formula(expect)}")
-        return
-
-    if rule == "gen-pred":
-        if type(a) is not ForallPred:
-            fail(path, "gen-pred conclusion must be a predicate quantification")
-            return
-        if p.type != a.body:
-            fail(path, "premise type must be the quantifier body")
-            return
-        for name, b in ctx:
-            if a.var in fv_pred(b):
-                fail(path, f"{a.var} occurs free in the context entry {name}")
-                return
-        return
-
-    if rule == "inst-pred":
-        if type(p.type) is not ForallPred:
-            fail(path, "inst-pred premise must be a predicate quantification")
-            return
-        if not isinstance(node.witness, PredAbstraction):
-            fail(path, "inst-pred witness must be a predicate abstraction")
-            return
-        expect = subst_pred(p.type.body, p.type.var, node.witness)
-        if a != expect:
-            fail(path, f"instantiation yields {print_formula(expect)}")
-        return
-
-    if rule == "gen-bot":
-        if type(a) is not ForallBot:
-            fail(path, "gen-bot conclusion must be a bottomed quantification")
-            return
-        if p.type != a.body:
-            fail(path, "premise type must be the quantifier body")
-            return
-        for name, b in ctx:
-            if a.var in fv_bot(b):
-                fail(path, f"{a.var} occurs free in the context entry {name}")
-                return
-        return
-
-    if rule == "inst-bot":
-        if type(p.type) is not ForallBot:
-            fail(path, "inst-bot premise must be a bottomed quantification")
-            return
-        if not isinstance(node.witness, PredAbstraction):
-            fail(path, "inst-bot witness must be a predicate abstraction")
-            return
-        if not is_bot_type(node.witness.body):
-            fail(path, "inst-bot witness body must be a bottomed type")
-            return
-        expect = subst_bot(p.type.body, p.type.var, node.witness)
-        if a != expect:
-            fail(path, f"instantiation yields {print_formula(expect)}")
-        return
-
     if rule == "eq":
         if equations is None:
             fail(path, "eq rule used but no equations are in scope")
@@ -379,7 +315,40 @@ def _check_node(node: Derivation, equations, fail, path) -> None:
             fail(path, f"rewrites yield {print_formula(cur)}")
         return
 
-    raise AssertionError(f"unhandled rule {rule}")
+    kind, _, ns = rule.partition("-")
+    quant, fv, noun = _QUANTIFIERS[ns]
+    if kind == "gen":
+        if type(a) is not quant:
+            fail(path, f"{rule} conclusion must be a {noun} quantification")
+            return
+        if p.type != a.body:
+            fail(path, "premise type must be the quantifier body")
+            return
+        for name, b in ctx:
+            if a.var in fv(b):
+                fail(path, f"{a.var} occurs free in the context entry {name}")
+                return
+        return
+
+    if type(p.type) is not quant:
+        fail(path, f"{rule} premise must be a {noun} quantification")
+        return
+    body, var, w = p.type.body, p.type.var, node.witness
+    if ns == "fo":
+        if not isinstance(w, FoTerm):
+            fail(path, "inst-fo witness must be a first-order term")
+            return
+        expect = subst_fo(body, {var: w})
+    else:
+        if not isinstance(w, PredAbstraction):
+            fail(path, f"{rule} witness must be a predicate abstraction")
+            return
+        if ns == "bot" and not is_bot_type(w.body):
+            fail(path, "inst-bot witness body must be a bottomed type")
+            return
+        expect = (subst_bot if ns == "bot" else subst_pred)(body, var, w)
+    if a != expect:
+        fail(path, f"instantiation yields {print_formula(expect)}")
 
 
 def check_fperp(d: Derivation) -> CheckReport:
@@ -397,20 +366,18 @@ def forget_derivation(d: Derivation) -> Derivation:
     gen-fo, inst-fo and eq nodes collapse onto their premise; every other
     node keeps its rule with types, contexts and witnesses forgotten.
     """
-    from storop.formulas import forget_first_order as fo
-
     def walk(node: Derivation) -> Derivation:
         if node.rule in ("gen-fo", "inst-fo", "eq"):
             return walk(node.premises[0])
-        ctx = Context(tuple((n, fo(a)) for n, a in node.ctx))
+        ctx = Context(tuple((n, forget_first_order(a)) for n, a in node.ctx))
         witness = node.witness
         if node.rule in ("inst-pred", "inst-bot"):
-            witness = PredAbstraction((), fo(witness.body))
+            witness = PredAbstraction((), forget_first_order(witness.body))
         return Derivation(
             node.rule,
             ctx,
             node.term,
-            fo(node.type),
+            forget_first_order(node.type),
             witness,
             tuple(walk(p) for p in node.premises),
         )
@@ -429,9 +396,6 @@ def lift_star_to_bot(d: Derivation) -> Derivation:
     Each axiom leaf for the abstracted variable is replaced by the
     three-step opening of N_|[x]: ax, inst-bot at ([w], ~X(w)), gen-pred X.
     """
-    from storop.formulas import n_bot_type, n_star_type, neg
-    from storop.formulas import FoVar
-
     if d.rule != "gen-fo" or type(d.type) is not ForallFo:
         raise ValueError("expected a gen-fo root")
     absd = d.premises[0]
@@ -465,9 +429,7 @@ def lift_star_to_bot(d: Derivation) -> Derivation:
             pred_free = set()
             for _, b in ctx:
                 pred_free |= fv_pred(b)
-            gen_name = "X"
-            while gen_name in pred_free:
-                gen_name += "'"
+            gen_name = fresh_name("X", pred_free)
             w = FoVar("w")
             witness = PredAbstraction(("w",), neg(PredVarApp(gen_name, (w,))))
             leaf = Derivation("ax", ctx, node.term, bot)
@@ -610,8 +572,15 @@ def _string(x) -> str:
     raise ValueError(f"expected a string, found {x!r}")
 
 
+def _form(x, shape: str, size: Optional[int] = None) -> list:
+    """x as a list form, of exactly size items when size is given."""
+    if isinstance(x, list) and (size is None or len(x) == size):
+        return x
+    raise ValueError(f"expected {shape}")
+
+
 def _read_node(form) -> Derivation:
-    if not isinstance(form, list) or not form or _atom(form[0]) != "rule":
+    if not isinstance(form, list) or len(form) < 2 or _atom(form[0]) != "rule":
         raise ValueError("expected a (rule ...) form")
     rule = _atom(form[1])
     ctx = Context()
@@ -623,17 +592,20 @@ def _read_node(form) -> Derivation:
         if not isinstance(part, list) or not part:
             raise ValueError("malformed derivation section")
         head = _atom(part[0])
+        if head in ("term", "type", "witness"):
+            _, body = _form(part, f"one item in the {head} section", 2)
         if head == "ctx":
             entries = []
             for entry in part[1:]:
-                entries.append((_atom(entry[0]), parse_formula(_string(entry[1]))))
+                name, src = _form(entry, '(name "formula") in ctx', 2)
+                entries.append((_atom(name), parse_formula(_string(src))))
             ctx = Context(tuple(entries))
         elif head == "term":
-            term = parse_term(_string(part[1]))
+            term = parse_term(_string(body))
         elif head == "type":
-            ftype = parse_formula(_string(part[1]))
+            ftype = parse_formula(_string(body))
         elif head == "witness":
-            witness = _read_witness(rule, part[1])
+            witness = _read_witness(body)
         elif head == "premises":
             premises = [_read_node(p) for p in part[1:]]
         else:
@@ -643,21 +615,24 @@ def _read_node(form) -> Derivation:
     return Derivation(rule, ctx, term, ftype, witness, tuple(premises))
 
 
-def _read_witness(rule: str, form):
+def _read_witness(form):
+    if not isinstance(form, list) or not form:
+        raise ValueError("malformed witness")
     head = _atom(form[0])
     if head == "foterm":
-        return _parse_foterm_src(_string(form[1]))
+        _, src = _form(form, '(foterm "term")', 2)
+        return _parse_foterm_src(_string(src))
     if head == "abst":
-        params = tuple(_atom(p) for p in form[1])
-        return PredAbstraction(params, parse_formula(_string(form[2])))
+        _, params, src = _form(form, '(abst (params) "formula")', 3)
+        params = tuple(_atom(p) for p in _form(params, "(params) in abst"))
+        return PredAbstraction(params, parse_formula(_string(src)))
     if head == "steps":
         steps = []
         for s in form[1:]:
-            if _atom(s[0]) != "step":
+            step, name, direction, spath = _form(s, "(step name direction (path))", 4)
+            if _atom(step) != "step":
                 raise ValueError("expected (step name direction (path))")
-            name = _atom(s[1])
-            direction = _atom(s[2])
-            spath = tuple(int(_atom(i)) for i in s[3])
-            steps.append((name, direction, spath))
+            spath = tuple(int(_atom(i)) for i in _form(spath, "(path) in step"))
+            steps.append((_atom(name), _atom(direction), spath))
         return tuple(steps)
     raise ValueError(f"unknown witness form {head!r}")

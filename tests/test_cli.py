@@ -193,6 +193,16 @@ def test_certify_corpus_verification_obeys_fuel(capsys, monkeypatch, tmp_path):
     assert path.read_text(encoding="utf-8") == certify(BUILTINS["T2"], 0).to_text()
 
 
+def test_certify_fuel_used_up_exactly_is_never_an_internal_error(capsys):
+    for fuel in range(1, 13):
+        code, _, err = run(capsys, "certify", "@T", "--max-n", "1", "--fuel", str(fuel))
+        assert code != 4, (fuel, err)
+    # 4 is the contraction count of the run at n=0, and its tau is normal
+    code, out, _ = run(capsys, "certify", "@T", "--max-n", "0", "--fuel", "4", "--corpus", "0")
+    assert code == 0
+    assert "certify: ok for n <= 0" in out
+
+
 def test_certify_behavioral_catches_the_forwarder(capsys):
     # symbolically fine is not enough; the machine flags tau, so this exits 1
     code, out, _ = run(capsys, "certify", "\\v \\f (f) v", "--max-n", "0")
@@ -254,6 +264,35 @@ def test_check_garbage_file_is_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "does not parse" in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "(rule)",
+        '(rule ax (ctx) (term) (type "bot"))',
+        '(rule ax (ctx) (term "x") (type))',
+        '(rule ax (ctx (x)) (term "x") (type "bot"))',
+        '(rule ax (ctx x) (term "x") (type "bot"))',
+        '(rule ax (ctx) (term "x") (type "bot") (witness))',
+        '(rule ax (ctx) (term "x") (type "bot") (witness ()))',
+        '(rule inst-fo (ctx) (term "x") (type "bot") (witness (foterm)))',
+        '(rule inst-pred (ctx) (term "x") (type "bot") (witness (abst (w))))',
+        '(rule inst-pred (ctx) (term "x") (type "bot") (witness (abst w "bot")))',
+        '(rule eq (ctx) (term "x") (type "bot") (witness (steps (step))))',
+        '(rule eq (ctx) (term "x") (type "bot") (witness (steps x)))',
+        '(rule eq (ctx) (term "x") (type "bot") (witness (steps (step ps lr 0))))',
+    ],
+)
+def test_check_malformed_derivation_is_exit_2(capsys, tmp_path, body):
+    bad = tmp_path / "bad.deriv"
+    bad.write_text(body)
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("storop: error: derivation file does not parse: ")
+    assert "found 'atom'" not in err
 
 
 def test_check_bad_equations_file_is_exit_2(capsys, tmp_path):

@@ -238,6 +238,27 @@ def test_subst_bot():
     assert subst_pred(a, "X", PredAbstraction(("w",), F("Y(w)"))) is a
 
 
+@pytest.mark.parametrize(
+    "src, subst, name, body, expected",
+    [
+        # a bottomed binder captures a bottomed witness
+        ("!Y_| (X_| -> Y_|)", subst_bot, "X", "Y_|", "!Y'_| (Y_| -> Y'_|)"),
+        # a predicate binder captures the witness of a bottomed variable
+        ("!Y (X_| -> Y)", subst_bot, "X", "~Y", "!Y' (~Y -> Y')"),
+        # a bottomed binder captures the witness of a predicate variable
+        ("!Y_| (X -> Y_|)", subst_pred, "X", "Y_|", "!Y'_| (Y_| -> Y'_|)"),
+    ],
+)
+def test_second_order_subst_renames_capturing_binders(src, subst, name, body, expected):
+    out = subst(F(src), name, PredAbstraction((), F(body)))
+    assert print_formula(out) == expected
+
+
+def test_subst_bot_respects_shadowing():
+    a = F("!X_| (X_| -> Y)")
+    assert subst_bot(a, "X", PredAbstraction((), F("bot"))) is a
+
+
 def test_abstraction_validation():
     with pytest.raises(FormulaError):
         PredAbstraction(("w", "w"), F("X"))

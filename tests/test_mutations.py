@@ -2,6 +2,7 @@
 and the first reported failure must sit exactly at the corrupted node."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -130,3 +131,27 @@ def test_mutation_coverage_is_broad():
                 if op(node) is not None:
                     total += 1
     assert total > 400
+
+
+# sha256 over repr(report.failures) of every mutant, one line each, in the
+# order prebuilt name, operator name, node path; recorded before the
+# predicate and bottomed namespaces shared one code path in the checker.
+MUTANT_FAILURES_DIGEST = "18b4cf6369e0abe7a19334d07142830b27a5db265084c5b03fa591b29c60e8ba"
+
+
+def test_mutant_failure_lists_fingerprint():
+    h = hashlib.sha256()
+    count = 0
+    for name in prebuilt_names():
+        d = _BUILT[name]
+        kwargs = prebuilt_check_args(name)
+        for opname in sorted(OPERATORS):
+            for path, node in paths(d):
+                mutated = OPERATORS[opname](node)
+                if mutated is None:
+                    continue
+                rep = check_derivation(rebuild_at(d, path, lambda _n: mutated), **kwargs)
+                h.update(repr(rep.failures).encode() + b"\n")
+                count += 1
+    assert count == 1153
+    assert h.hexdigest() == MUTANT_FAILURES_DIGEST
