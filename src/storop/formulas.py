@@ -146,91 +146,83 @@ class Formula:
             return True
         if not isinstance(other, Formula):
             return NotImplemented
-        return _alpha_eq(self, other, {}, {}, 0)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+        return _alpha_key(self) == _alpha_key(other)
 
     def __hash__(self):
-        h = self._h  # type: ignore[attr-defined]
-        if h is None:
-            h = _alpha_hash(self, {}, 0)
-            self._h = h  # type: ignore[attr-defined]
-        return h
+        return hash(_alpha_key(self))
 
     def __repr__(self):
         return f"<{print_formula(self)}>"
 
 
 class Bot(Formula):
-    __slots__ = ("_h",)
+    __slots__ = ("_k",)
 
     def __init__(self):
-        self._h = None
+        self._k = None
 
 
 class PredVarApp(Formula):
-    __slots__ = ("name", "args", "_h")
+    __slots__ = ("name", "args", "_k")
 
     def __init__(self, name: str, args: Sequence[FoTerm] = ()):
         self.name = name
         self.args = tuple(args)
-        self._h = None
+        self._k = None
 
 
 class BotVarApp(Formula):
-    __slots__ = ("name", "args", "_h")
+    __slots__ = ("name", "args", "_k")
 
     def __init__(self, name: str, args: Sequence[FoTerm] = ()):
         self.name = name
         self.args = tuple(args)
-        self._h = None
+        self._k = None
 
 
 class PredSymApp(Formula):
-    __slots__ = ("sym", "args", "_h")
+    __slots__ = ("sym", "args", "_k")
 
     def __init__(self, sym: str, args: Sequence[FoTerm] = ()):
         self.sym = sym
         self.args = tuple(args)
-        self._h = None
+        self._k = None
 
 
 class Arrow(Formula):
-    __slots__ = ("left", "right", "_h")
+    __slots__ = ("left", "right", "_k")
 
     def __init__(self, left: Formula, right: Formula):
         self.left = left
         self.right = right
-        self._h = None
+        self._k = None
 
 
 class ForallFo(Formula):
-    __slots__ = ("var", "body", "_h")
+    __slots__ = ("var", "body", "_k")
 
     def __init__(self, var: str, body: Formula):
         self.var = var
         self.body = body
-        self._h = None
+        self._k = None
 
 
 class ForallPred(Formula):
-    __slots__ = ("var", "body", "_h")
+    __slots__ = ("var", "body", "_k")
 
     def __init__(self, var: str, body: Formula):
         self.var = var
         self.body = body
-        self._h = None
+        self._k = None
 
 
 class ForallBot(Formula):
-    __slots__ = ("var", "body", "_h")
+    __slots__ = ("var", "body", "_k")
 
     def __init__(self, var: str, body: Formula):
         self.var = var
         self.body = body
-        self._h = None
+        self._k = None
 
 
 def neg(a: Formula) -> Formula:
@@ -244,104 +236,54 @@ _PRED = (PredVarApp, ForallPred)
 _BOT = (BotVarApp, ForallBot)
 
 
-def _fo_alpha(t: FoTerm, u: FoTerm, envt: dict, envu: dict) -> bool:
-    if isinstance(t, FoVar):
-        if not isinstance(u, FoVar):
-            return False
-        bt = envt.get((0, t.name))
-        bu = envu.get((0, u.name))
-        if bt is None and bu is None:
-            return t.name == u.name
-        return bt == bu
-    if not isinstance(u, FoApp):
-        return False
-    return (
-        t.sym == u.sym
-        and len(t.args) == len(u.args)
-        and all(_fo_alpha(a, b, envt, envu) for a, b in zip(t.args, u.args))
-    )
+def _alpha_key(a: Formula) -> tuple:
+    """a in nameless form, cached on a: equal exactly for alpha-equal formulas.
 
-
-def _alpha_eq(a: Formula, b: Formula, envt: dict, envu: dict, depth: int) -> bool:
-    ta, tb = type(a), type(b)
-    if ta is not tb:
-        return False
-    if ta is Bot:
-        return True
-    if ta is PredSymApp:
-        return (
-            a.sym == b.sym
-            and len(a.args) == len(b.args)
-            and all(_fo_alpha(x, y, envt, envu) for x, y in zip(a.args, b.args))
-        )
-    if ta in (PredVarApp, BotVarApp):
-        ns = _ATOM_NS[ta]
-        bt = envt.get((ns, a.name))
-        bu = envu.get((ns, b.name))
-        if (bt is None) != (bu is None):
-            return False
-        if bt is None and a.name != b.name:
-            return False
-        if bt is not None and bt != bu:
-            return False
-        return len(a.args) == len(b.args) and all(
-            _fo_alpha(x, y, envt, envu) for x, y in zip(a.args, b.args)
-        )
-    if ta is Arrow:
-        return _alpha_eq(a.left, b.left, envt, envu, depth) and _alpha_eq(
-            a.right, b.right, envt, envu, depth
-        )
-    ns = _QUANT_NS[ta]
-    ka, kb = (ns, a.var), (ns, b.var)
-    olda, oldb = envt.get(ka), envu.get(kb)
-    envt[ka] = depth
-    envu[kb] = depth
-    try:
-        return _alpha_eq(a.body, b.body, envt, envu, depth + 1)
-    finally:
-        if olda is None:
-            del envt[ka]
+    A flat preorder tuple of node classes, FoApp included; atoms and FoApp
+    add their head and argument count. A bound variable of any namespace is
+    the depth of its binder (an int), a free one its name (a str).
+    """
+    key = a._k  # type: ignore[attr-defined]
+    if key is not None:
+        return key
+    out: list = []
+    envs: tuple[dict, ...] = ({}, {}, {})  # per namespace: name -> binder depth
+    fo = envs[0]
+    depth = 0
+    stack: list = [a]
+    while stack:
+        x = stack.pop()
+        tx = type(x)
+        if tx is FoVar:
+            out.append(fo.get(x.name, x.name))
+        elif tx is tuple:
+            # restore marker of a quantifier, popped after its body
+            env, name, outer = x
+            depth -= 1
+            if outer is None:
+                del env[name]
+            else:
+                env[name] = outer
+        elif tx is Arrow:
+            out.append(Arrow)
+            stack.append(x.right)
+            stack.append(x.left)
+        elif tx in _QUANT_NS:
+            out.append(tx)
+            env = envs[_QUANT_NS[tx]]
+            stack.append((env, x.var, env.get(x.var)))
+            env[x.var] = depth
+            depth += 1
+            stack.append(x.body)
+        elif tx is Bot:
+            out.append(Bot)
         else:
-            envt[ka] = olda
-        if oldb is None:
-            del envu[kb]
-        else:
-            envu[kb] = oldb
-
-
-def _fo_hash(t: FoTerm, env: dict) -> int:
-    if isinstance(t, FoVar):
-        b = env.get((0, t.name))
-        if b is None:
-            return hash(("fo", t.name))
-        return hash(("fob", b))
-    return hash(("foa", t.sym, tuple(_fo_hash(a, env) for a in t.args)))
-
-
-def _alpha_hash(a: Formula, env: dict, depth: int) -> int:
-    ta = type(a)
-    if ta is Bot:
-        return hash("bot")
-    if ta is PredSymApp:
-        return hash(("ps", a.sym, tuple(_fo_hash(x, env) for x in a.args)))
-    if ta in (PredVarApp, BotVarApp):
-        ns = _ATOM_NS[ta]
-        b = env.get((ns, a.name))
-        head = ("pv", ns, a.name) if b is None else ("pvb", ns, b)
-        return hash((head, tuple(_fo_hash(x, env) for x in a.args)))
-    if ta is Arrow:
-        return hash(("ar", _alpha_hash(a.left, env, depth), _alpha_hash(a.right, env, depth)))
-    ns = _QUANT_NS[ta]
-    key = (ns, a.var)
-    old = env.get(key)
-    env[key] = depth
-    try:
-        return hash(("fa", ns, _alpha_hash(a.body, env, depth + 1)))
-    finally:
-        if old is None:
-            del env[key]
-        else:
-            env[key] = old
+            ns = _ATOM_NS.get(tx)
+            head = x.sym if ns is None else envs[ns].get(x.name, x.name)
+            out += (tx, head, len(x.args))
+            stack.extend(reversed(x.args))
+    key = a._k = tuple(out)  # type: ignore[attr-defined]
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +728,7 @@ def apply_equation(
                 )
             return fo_subst(replacement, sigma)
         i, rest = path[0], path[1:]
-        if not isinstance(t, FoApp) or i >= len(t.args):
+        if not isinstance(t, FoApp) or not 0 <= i < len(t.args):
             raise FormulaError("path leaves the term")
         return FoApp(
             t.sym, t.args[:i] + (rewrite_term(t.args[i], rest, bound),) + t.args[i + 1 :]
@@ -798,7 +740,7 @@ def apply_equation(
             if not path:
                 raise FormulaError("path stops at an atom, not at a term position")
             i, rest = path[0], path[1:]
-            if i >= len(f.args):
+            if not 0 <= i < len(f.args):
                 raise FormulaError("no such atom argument")
             args = f.args[:i] + (rewrite_term(f.args[i], rest, bound),) + f.args[i + 1 :]
             if tf is PredSymApp:

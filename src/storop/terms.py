@@ -48,100 +48,82 @@ class Term:
             return True
         if not isinstance(other, Term):
             return NotImplemented
-        return _alpha_eq(self, other, {}, {}, 0)
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+        return _alpha_key(self) == _alpha_key(other)
 
     def __hash__(self) -> int:
-        h = self._h  # type: ignore[attr-defined]
-        if h is None:
-            h = _alpha_hash(self, {}, 0)
-            self._h = h  # type: ignore[attr-defined]
-        return h
+        return hash(_alpha_key(self))
 
     def __repr__(self) -> str:
         return f"<{print_term(self)}>"
 
 
 class Var(Term):
-    __slots__ = ("name", "fv", "_h")
+    __slots__ = ("name", "fv", "_k")
 
     def __init__(self, name: str):
         self.name = name
         self.fv = frozenset((name,))
-        self._h = None
+        self._k = None
 
 
 class Abs(Term):
-    __slots__ = ("binder", "body", "fv", "_h")
+    __slots__ = ("binder", "body", "fv", "_k")
 
     def __init__(self, binder: str, body: Term):
         self.binder = binder
         self.body = body
         self.fv = body.fv - {binder}
-        self._h = None
+        self._k = None
 
 
 class App(Term):
-    __slots__ = ("fn", "arg", "fv", "_h")
+    __slots__ = ("fn", "arg", "fv", "_k")
 
     def __init__(self, fn: Term, arg: Term):
         self.fn = fn
         self.arg = arg
         self.fv = fn.fv | arg.fv
-        self._h = None
+        self._k = None
 
 
-def _alpha_eq(t: Term, u: Term, envt: dict, envu: dict, depth: int) -> bool:
-    if type(t) is not type(u):
-        return False
-    if type(t) is Var:
-        bt = envt.get(t.name)
-        bu = envu.get(u.name)
-        if bt is None and bu is None:
-            return t.name == u.name
-        return bt == bu
-    if type(t) is App:
-        return _alpha_eq(t.fn, u.fn, envt, envu, depth) and _alpha_eq(
-            t.arg, u.arg, envt, envu, depth
-        )
-    # Abs
-    oldt = envt.get(t.binder)
-    oldu = envu.get(u.binder)
-    envt[t.binder] = depth
-    envu[u.binder] = depth
-    try:
-        return _alpha_eq(t.body, u.body, envt, envu, depth + 1)
-    finally:
-        if oldt is None:
-            del envt[t.binder]
+def _alpha_key(t: Term) -> tuple:
+    """t in nameless form, cached on t: equal exactly for alpha-equal terms.
+
+    A flat preorder tuple: App and Abs are their classes, a bound variable
+    is the depth of its binder (an int), a free variable its name (a str).
+    """
+    key = t._k  # type: ignore[attr-defined]
+    if key is not None:
+        return key
+    out: list = []
+    env: dict[str, int] = {}  # binder name -> depth of the innermost one
+    depth = 0
+    stack: list = [t]
+    while stack:
+        cur = stack.pop()
+        tc = type(cur)
+        if tc is App:
+            out.append(App)
+            stack.append(cur.arg)
+            stack.append(cur.fn)
+        elif tc is Var:
+            out.append(env.get(cur.name, cur.name))
+        elif tc is Abs:
+            out.append(Abs)
+            # restore marker: the name's outer binding, put back after the body
+            stack.append((cur.binder, env.get(cur.binder)))
+            env[cur.binder] = depth
+            depth += 1
+            stack.append(cur.body)
         else:
-            envt[t.binder] = oldt
-        if oldu is None:
-            del envu[u.binder]
-        else:
-            envu[u.binder] = oldu
-
-
-def _alpha_hash(t: Term, env: dict, depth: int) -> int:
-    if type(t) is Var:
-        b = env.get(t.name)
-        if b is None:
-            return hash(("fv", t.name))
-        return hash(("bv", depth - b))
-    if type(t) is App:
-        return hash(("ap", _alpha_hash(t.fn, env, depth), _alpha_hash(t.arg, env, depth)))
-    old = env.get(t.binder)
-    env[t.binder] = depth
-    try:
-        return hash(("lm", _alpha_hash(t.body, env, depth + 1)))
-    finally:
-        if old is None:
-            del env[t.binder]
-        else:
-            env[t.binder] = old
+            name, outer = cur
+            depth -= 1
+            if outer is None:
+                del env[name]
+            else:
+                env[name] = outer
+    key = t._k = tuple(out)  # type: ignore[attr-defined]
+    return key
 
 
 def subterms(t: Term) -> Iterator[Term]:

@@ -98,15 +98,7 @@ class Context:
     def __eq__(self, other):
         if not isinstance(other, Context):
             return NotImplemented
-        return (
-            len(self.entries) == len(other.entries)
-            and all(n1 == n2 for (n1, _), (n2, _) in zip(self.entries, other.entries))
-            and all(a1 == a2 for (_, a1), (_, a2) in zip(self.entries, other.entries))
-        )
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+        return self.entries == other.entries
 
     def __len__(self):
         return len(self.entries)

@@ -252,6 +252,21 @@ def test_check_equations_file(capsys, tmp_path):
     assert "no equations are in scope" in out
 
 
+@pytest.mark.parametrize(
+    "path, message",
+    [("0 1 1 -1", "no such atom argument"), ("0 1 1 0 -1", "path leaves the term")],
+)
+def test_check_negative_rewrite_path_is_rejected(capsys, tmp_path, path, message):
+    text = Path(bundled("eq_demo")).read_text()
+    mutated = tmp_path / "neg.deriv"
+    mutated.write_text(text.replace("(0 1 1 0)", f"({path})"))
+    eqs = tmp_path / "eqs.txt"
+    eqs.write_text("p0: p(0) = 0\nps: p(s(x)) = x\n")
+    code, out, _ = run(capsys, "check", str(mutated), "--equations", str(eqs))
+    assert code == 1
+    assert f"at root: {message}" in out
+
+
 def test_check_missing_file_is_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "nope.deriv"))
     assert code == 2

@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import random
+import time
 
 import pytest
 
@@ -41,6 +44,7 @@ from storop.formulas import (
 )
 
 from genformulas import random_formula
+from genterms import random_term
 
 F = parse_formula
 
@@ -162,6 +166,107 @@ def test_hash_agrees_with_alpha():
     a, b = F("!X {X, (X -> X) -> X}"), F("!Y {Y, (Y -> Y) -> Y}")
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
+
+
+_BINDER_OF = {PredVarApp: ForallPred, BotVarApp: ForallBot}
+
+
+def _fo_variant(t, env):
+    if type(t) is FoVar:
+        return FoVar(env.get((ForallFo, t.name), t.name))
+    return FoApp(t.sym, tuple(_fo_variant(u, env) for u in t.args))
+
+
+def _alpha_variant(a, env, counter):
+    """a with every binder renamed to a fresh name of its own namespace."""
+    ta = type(a)
+    if ta is Bot:
+        return Bot()
+    if ta is Arrow:
+        return Arrow(_alpha_variant(a.left, env, counter), _alpha_variant(a.right, env, counter))
+    if ta in (ForallFo, ForallPred, ForallBot):
+        new = f"{'v' if ta is ForallFo else 'V'}{next(counter)}"
+        return ta(new, _alpha_variant(a.body, {**env, (ta, a.var): new}, counter))
+    args = tuple(_fo_variant(t, env) for t in a.args)
+    if ta is PredSymApp:
+        return PredSymApp(a.sym, args)
+    return ta(env.get((_BINDER_OF[ta], a.name), a.name), args)
+
+
+@pytest.mark.parametrize(
+    "a, printed",
+    [
+        (F("!x !X X(x)"), "!v0 !V1 V1(v0)"),
+        (F("!X X_|"), "!V0 X_|"),
+        (F("!X_| (X(x) -> !x X_|(x))"), "!V0_| (X(x) -> !v1 V0_|(v1))"),
+        # one name bound in all three namespaces at once
+        (ForallFo("x", ForallPred("x", ForallBot("x", BotVarApp("x", (FoVar("x"),))))), None),
+    ],
+)
+def test_alpha_variant_across_namespaces(a, printed):
+    b = _alpha_variant(a, {}, itertools.count())
+    if printed is not None:
+        assert print_formula(b) == printed
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+
+
+def test_alpha_variant_is_equal_and_hashes_alike():
+    rng = random.Random(5)
+    for _ in range(500):
+        a = random_formula(rng, depth=5, allow_bot_vars=True)
+        b = _alpha_variant(a, {}, itertools.count())
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+
+def _arrow_chain(n, var):
+    """!var (X(var) -> !var (X(var) -> ... bot)), n arrows deep."""
+    a = Bot()
+    for _ in range(n):
+        a = ForallFo(var, Arrow(PredVarApp("X", (FoVar(var),)), a))
+    return a
+
+
+def test_equality_and_hash_at_depth_100000():
+    # == and hash walk an explicit stack; recursion broke at depth 30000
+    a, b = _arrow_chain(100_000, "x"), _arrow_chain(100_000, "y")
+    shorter = _arrow_chain(99_999, "x")
+    start = time.perf_counter()
+    equal, unequal = a == b, a != shorter
+    same_hash = hash(a) == hash(b)
+    elapsed = time.perf_counter() - start
+    assert equal and unequal and same_hash
+    assert elapsed < 5.0
+
+
+# == and != on every pair (i <= j) of ten seeded pools of 120, 145,200 pairs
+# in all; the digests were recorded when each syntax compared by its own
+# recursive walker, so they pin the relation itself.
+EQUALITY_DIGESTS = {
+    "formulas": "78c7234910eb7ce137afb96517ab1c2ee78877faf16bbfb1096600a1d4e81021",
+    "terms": "db31f68c6d4ade2212881e8ad78c021c32281a48a0cc5eca4c2a3a5ab904b64e",
+}
+_POOL_MEMBER = {
+    "formulas": lambda rng: random_formula(rng, allow_bot_vars=True),
+    "terms": random_term,
+}
+
+
+@pytest.mark.parametrize("family", sorted(EQUALITY_DIGESTS))
+def test_equality_relation_fingerprint(family):
+    bits = []
+    for seed in range(10):
+        rng = random.Random(seed)
+        pool = [_POOL_MEMBER[family](rng) for _ in range(120)]
+        for i, a in enumerate(pool):
+            for b in pool[i:]:
+                eq, ne = a == b, a != b
+                bits.append(f"{eq:d}{ne:d}")
+                if eq:
+                    assert hash(a) == hash(b)
+    digest = hashlib.sha256("".join(bits).encode()).hexdigest()
+    assert digest == EQUALITY_DIGESTS[family]
 
 
 # ------------------------------------------------------------------ free vars

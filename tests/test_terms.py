@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -277,6 +278,17 @@ def test_match_holes_structure_mismatch():
 
 # ---------------------------------------------------------------- misc
 
+
+
+def test_equality_and_hash_at_depth_100000():
+    # == and hash walk an explicit stack; recursion broke at church(30000)
+    a, b, shorter = church(100_000), church(100_000), church(99_999)
+    start = time.perf_counter()
+    equal, unequal = a == b, a != shorter
+    same_hash = hash(a) == hash(b)
+    elapsed = time.perf_counter() - start
+    assert equal and unequal and same_hash
+    assert elapsed < 5.0
 
 def test_term_size():
     assert term_size(Var("x")) == 1
