@@ -104,11 +104,13 @@ def fo_vars(t: FoTerm) -> frozenset[str]:
 
 
 def fo_subst(t: FoTerm, m: Mapping[str, FoTerm]) -> FoTerm:
+    """Substitute inside a first-order term; an unchanged term is returned as it is."""
     if isinstance(t, FoVar):
         return m.get(t.name, t)
-    if not t.args:
+    args = tuple(fo_subst(a, m) for a in t.args)
+    if all(new is old for new, old in zip(args, t.args)):
         return t
-    return FoApp(t.sym, tuple(fo_subst(a, m) for a in t.args))
+    return FoApp(t.sym, args)
 
 
 def print_foterm(t: FoTerm) -> str:
@@ -365,36 +367,36 @@ def pred_arities(a: Formula, out: Optional[dict] = None) -> dict:
 
 
 def subst_fo(a: Formula, m: Mapping[str, FoTerm]) -> Formula:
-    """Capture-avoiding first-order substitution inside a formula."""
-    live = {k: v for k, v in m.items() if k in fv_fo(a)}
-    if not live:
-        return a
-    return _subst_fo(a, live)
+    """Capture-avoiding first-order substitution inside a formula.
 
-
-def _subst_fo(a: Formula, m: dict) -> Formula:
+    A node under which nothing changes is returned as it is.
+    """
     ta = type(a)
     if ta is Bot:
         return a
-    if ta is PredSymApp:
-        return PredSymApp(a.sym, tuple(fo_subst(t, m) for t in a.args))
-    if ta in _ATOM_NS:
-        return ta(a.name, tuple(fo_subst(t, m) for t in a.args))
     if ta is Arrow:
-        return Arrow(subst_fo(a.left, m), subst_fo(a.right, m))
+        left, right = subst_fo(a.left, m), subst_fo(a.right, m)
+        return a if left is a.left and right is a.right else Arrow(left, right)
     if ta is ForallFo:
-        live = {k: v for k, v in m.items() if k != a.var and k in fv_fo(a.body)}
+        body_fv = fv_fo(a.body)
+        live = {k: v for k, v in m.items() if k != a.var and k in body_fv}
         if not live:
             return a
         introduced: set[str] = set()
         for v in live.values():
             introduced |= fo_vars(v)
         if a.var in introduced:
-            nv = fresh_name(a.var, introduced | fv_fo(a.body) | set(live))
+            nv = fresh_name(a.var, introduced | body_fv | set(live))
             live[a.var] = FoVar(nv)
-            return ForallFo(nv, _subst_fo(a.body, live))
-        return ForallFo(a.var, _subst_fo(a.body, live))
-    return ta(a.var, subst_fo(a.body, m))
+            return ForallFo(nv, subst_fo(a.body, live))
+        return ForallFo(a.var, subst_fo(a.body, live))
+    if ta in _QUANT_NS:
+        body = subst_fo(a.body, m)
+        return a if body is a.body else ta(a.var, body)
+    args = tuple(fo_subst(t, m) for t in a.args)
+    if all(new is old for new, old in zip(args, a.args)):
+        return a
+    return PredSymApp(a.sym, args) if ta is PredSymApp else ta(a.name, args)
 
 
 @dataclass(frozen=True)

@@ -253,28 +253,25 @@ def _f_derivation(ctx: Context) -> Derivation:
     return _abs(_abs(d))
 
 
-def t2_fperp_derivation(ctx: Context = Context()) -> Derivation:
-    """Propositional bottomed typing: N_| -> ~~N."""
+def _t2_derivation(ctx: Context, nu_type: Formula, witness: Formula) -> Derivation:
+    """T2 at nu_type -> ~~N, instantiating the iterator's predicate at witness."""
     nu, f = _fresh_terms(ctx, "n", "f")
-    not_n = neg(n_type(None))
-    c2 = ctx.extended(nu, n_bot_type(None)).extended(f, not_n)
-    dnu = _inst(_ax(c2, nu), PredAbstraction((), not_n))
+    c2 = ctx.extended(nu, nu_type).extended(f, neg(n_type(None)))
+    dnu = _inst(_ax(c2, nu), PredAbstraction((), witness))
     d = _app(dnu, _ax(c2, f))
     d = _app(d, _f_derivation(c2))
     d = _app(d, numeral_derivation(0, c2, propositional=True))
     return _abs(_abs(d))
+
+
+def t2_fperp_derivation(ctx: Context = Context()) -> Derivation:
+    """Propositional bottomed typing: N_| -> ~~N."""
+    return _t2_derivation(ctx, n_bot_type(None), neg(n_type(None)))
 
 
 def t2_star_derivation(ctx: Context = Context()) -> Derivation:
     """Propositional star typing: Nstar -> ~~N."""
-    nu, f = _fresh_terms(ctx, "n", "f")
-    not_n = neg(n_type(None))
-    c2 = ctx.extended(nu, n_star_type(None)).extended(f, not_n)
-    dnu = _inst(_ax(c2, nu), PredAbstraction((), n_type(None)))
-    d = _app(dnu, _ax(c2, f))
-    d = _app(d, _f_derivation(c2))
-    d = _app(d, numeral_derivation(0, c2, propositional=True))
-    return _abs(_abs(d))
+    return _t2_derivation(ctx, n_star_type(None), n_type(None))
 
 
 # ---------------------------------------------------------------------------

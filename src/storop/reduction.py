@@ -26,10 +26,8 @@ __all__ = [
     "normal_step",
     "head_reduce",
     "normalize",
-    "is_head_normal",
     "is_normal",
     "beta_equiv",
-    "is_solvable",
 ]
 
 
@@ -193,10 +191,6 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
     return ReductionOutcome(result, fuel - budget.left, status)
 
 
-def is_head_normal(t: Term) -> bool:
-    return head_step(t) is None
-
-
 def is_normal(t: Term) -> bool:
     """True when t contains no beta redex at all."""
     return not any(type(s) is App and type(s.fn) is Abs for s in subterms(t))
@@ -215,14 +209,3 @@ def beta_equiv(t: Term, u: Term, fuel: int = DEFAULT_FUEL) -> Optional[bool]:
         return a.result == b.result
     return None
 
-
-def is_solvable(t: Term, fuel: int = DEFAULT_FUEL) -> Optional[bool]:
-    """True when head reduction terminates within fuel; None otherwise.
-
-    Never returns False: unsolvability is not witnessed by running out of
-    fuel.
-    """
-    _check_fuel(fuel)
-    if head_reduce(t, fuel).completed:
-        return True
-    return None

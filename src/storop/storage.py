@@ -38,15 +38,10 @@ __all__ = [
     "MachineStep",
     "Certificate",
     "certify",
-    "certify_range",
     "theta_corpus",
     "CorpusFuelExhausted",
     "behavioral_check",
     "BehavioralResult",
-    "pair_behavioral",
-    "PairReport",
-    "alpha_normalize",
-    "anti_unify",
     "OK",
     "BAD_HEAD_SHAPE",
     "FUEL_EXHAUSTED",
@@ -296,15 +291,6 @@ def certify(
         return done(BAD_HEAD_SHAPE, detail=f"unexpected head variable {head.name}")
 
 
-def certify_range(
-    op: Term,
-    values: Iterable[int],
-    fuel: int = DEFAULT_FUEL,
-    strict: bool = True,
-) -> list[Certificate]:
-    return [certify(op, n, fuel, strict) for n in values]
-
-
 # ---------------------------------------------------------------------------
 # concrete argument corpus
 
@@ -396,29 +382,22 @@ class BehavioralResult:
         return None if self.tau_term is None else print_term(self.tau_term)
 
 
-def _run_to_tau(op: Term, theta: Term, fuel: int) -> Term | str:
-    """Head-reduce ((op) theta) f for a fresh f; return what f is applied to.
+def behavioral_check(
+    op: Term, theta: Term, n: int, fuel: int = DEFAULT_FUEL, strict: bool = True
+) -> BehavioralResult:
+    """Run the operator on one concrete argument and inspect the output.
 
-    Returns the failure tag FUEL_EXHAUSTED or BAD_HEAD_SHAPE instead when
-    the run does not end as f applied to exactly one argument.
+    Head-reduces ((op) theta) f for a fresh f; the run must end as f applied
+    to exactly one argument, which must normalize to the numeral n.
     """
     f = fresh_name("f", op.fv | theta.fv)
     out = head_reduce(App(App(op, theta), Var(f)), fuel)
     if not out.completed:
-        return FUEL_EXHAUSTED
+        return BehavioralResult(False, FUEL_EXHAUSTED)
     r = out.result
-    if type(r) is App and type(r.fn) is Var and r.fn.name == f:
-        return r.arg
-    return BAD_HEAD_SHAPE
-
-
-def behavioral_check(
-    op: Term, theta: Term, n: int, fuel: int = DEFAULT_FUEL, strict: bool = True
-) -> BehavioralResult:
-    """Run the operator on one concrete argument and inspect the output."""
-    tau = _run_to_tau(op, theta, fuel)
-    if isinstance(tau, str):
-        return BehavioralResult(False, tau)
+    if not (type(r) is App and type(r.fn) is Var and r.fn.name == f):
+        return BehavioralResult(False, BAD_HEAD_SHAPE)
+    tau = r.arg
     norm = normalize(tau, fuel)
     if not norm.completed:
         return BehavioralResult(False, FUEL_EXHAUSTED, tau)
@@ -428,106 +407,3 @@ def behavioral_check(
     if strict and value != n:
         return BehavioralResult(False, TAU_WRONG_VALUE, tau, value)
     return BehavioralResult(True, OK, tau, value)
-
-
-# ---------------------------------------------------------------------------
-# comparing runs on different arguments
-
-
-def alpha_normalize(t: Term) -> Term:
-    """Rename binders to a canonical preorder scheme, keeping free names."""
-    free = t.fv
-    counter = 0
-
-    def walk(u: Term, env: dict[str, str]) -> Term:
-        nonlocal counter
-        tu = type(u)
-        if tu is Var:
-            return Var(env.get(u.name, u.name))
-        if tu is App:
-            return App(walk(u.fn, env), walk(u.arg, env))
-        name = f"_b{counter}"
-        counter += 1
-        while name in free:
-            name += "'"
-        inner = dict(env)
-        inner[u.binder] = name
-        return Abs(name, walk(u.body, inner))
-
-    return walk(t, {})
-
-
-def anti_unify(s: Term, t: Term) -> tuple[Term, int]:
-    """Least general generalization of two terms; mismatches become ?k holes.
-
-    Purely structural, so alpha-normalize both sides first for stable
-    results. Returns the pattern and the number of distinct holes.
-    """
-    table: dict[tuple[str, str], str] = {}
-
-    def walk(a: Term, b: Term) -> Term:
-        ta, tb = type(a), type(b)
-        if ta is Var and tb is Var and a.name == b.name:
-            return a
-        if ta is App and tb is App:
-            return App(walk(a.fn, b.fn), walk(a.arg, b.arg))
-        if ta is Abs and tb is Abs and a.binder == b.binder:
-            return Abs(a.binder, walk(a.body, b.body))
-        key = (print_term(a), print_term(b))
-        if key not in table:
-            table[key] = f"?{len(table)}"
-        return Var(table[key])
-
-    return walk(s, t), len(table)
-
-
-@dataclass(frozen=True)
-class PairReport:
-    tau_left: str
-    tau_right: str
-    identical: bool
-    lgg: str
-    holes: int
-    value_left: Optional[int]
-    value_right: Optional[int]
-    diagnostic: str
-
-
-def pair_behavioral(
-    op: Term, theta_left: Term, theta_right: Term, fuel: int = DEFAULT_FUEL
-) -> Optional[PairReport]:
-    """Compare the raw outputs of one operator on two different arguments.
-
-    A storage operator hands f the same term whatever shape the argument
-    took; an operator that merely forwards its argument shows up here with
-    the argument itself in the output. Returns None when either run fails
-    to reach f with one argument.
-    """
-    tau_l = _run_to_tau(op, theta_left, fuel)
-    tau_r = _run_to_tau(op, theta_right, fuel)
-    if isinstance(tau_l, str) or isinstance(tau_r, str):
-        return None
-    norm_l = normalize(tau_l, fuel)
-    norm_r = normalize(tau_r, fuel)
-    value_l = numeral_of(norm_l.result) if norm_l.completed else None
-    value_r = numeral_of(norm_r.result) if norm_r.completed else None
-    canon_l = alpha_normalize(tau_l)
-    canon_r = alpha_normalize(tau_r)
-    identical = canon_l == canon_r
-    lgg, holes = anti_unify(canon_l, canon_r)
-    if identical:
-        diagnostic = "output does not depend on the argument's shape"
-    elif tau_l == theta_left and tau_r == theta_right:
-        diagnostic = "passes argument unevaluated"
-    else:
-        diagnostic = "output varies with the argument's shape"
-    return PairReport(
-        print_term(tau_l),
-        print_term(tau_r),
-        identical,
-        print_term(lgg),
-        holes,
-        value_l,
-        value_r,
-        diagnostic,
-    )

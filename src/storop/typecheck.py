@@ -56,7 +56,6 @@ __all__ = [
     "CheckReport",
     "FRAGMENTS",
     "check_derivation",
-    "check_fperp",
     "forget_derivation",
     "lift_star_to_bot",
     "write_derivation",
@@ -341,11 +340,6 @@ def _check_node(node: Derivation, equations, fail, path) -> None:
         expect = (subst_bot if ns == "bot" else subst_pred)(body, var, w)
     if a != expect:
         fail(path, f"instantiation yields {print_formula(expect)}")
-
-
-def check_fperp(d: Derivation) -> CheckReport:
-    """Propositional fragment check (no first-order layer, bottomed rules allowed)."""
-    return check_derivation(d, fragment="fperp")
 
 
 # ---------------------------------------------------------------------------

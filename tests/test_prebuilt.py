@@ -17,7 +17,7 @@ from storop.prebuilt import (
     t1_star_derivation,
 )
 from storop.terms import church
-from storop.typecheck import Context, check_derivation, check_fperp, write_derivation
+from storop.typecheck import Context, check_derivation, write_derivation
 
 NAMES = prebuilt_names()
 
@@ -115,13 +115,13 @@ def test_eq_demo_needs_its_equations():
 
 def test_propositional_derivations_pass_the_fperp_check():
     for name in ("zero_prop", "succ_prop", "t2_star", "t2_fperp"):
-        assert check_fperp(build_prebuilt(name)).ok
+        assert check_derivation(build_prebuilt(name), fragment="fperp").ok
 
 
 def test_first_order_derivations_fail_the_fperp_check():
-    assert not check_fperp(build_prebuilt("succ")).ok
-    assert not check_fperp(build_prebuilt("t1_star")).ok
-    assert not check_fperp(build_prebuilt("theta0_star")).ok
+    assert not check_derivation(build_prebuilt("succ"), fragment="fperp").ok
+    assert not check_derivation(build_prebuilt("t1_star"), fragment="fperp").ok
+    assert not check_derivation(build_prebuilt("theta0_star"), fragment="fperp").ok
 
 
 def test_builders_freshen_against_ambient_contexts():

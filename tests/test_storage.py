@@ -19,7 +19,6 @@ from storop.storage import (
     IndexedVarRegistry,
     behavioral_check,
     certify,
-    certify_range,
     theta_corpus,
 )
 from storop.terms import Abs, App, Var, church, numeral_of, parse_term, print_term
@@ -40,7 +39,8 @@ def test_registry_freshness_and_flags():
 @pytest.mark.parametrize("make,arity", [(t_operator, 1), (t_operator, 2), (tp_operator, 1), (tp_operator, 2)])
 def test_wrapped_operators_certify_small_values(make, arity):
     op = make(arity)
-    for cert in certify_range(op, range(0, 5)):
+    for n in range(0, 5):
+        cert = certify(op, n)
         assert cert.ok, cert.to_text()
         assert cert.tau_value == cert.n
         # the recorded output really is the numeral
@@ -50,7 +50,8 @@ def test_wrapped_operators_certify_small_values(make, arity):
 
 @pytest.mark.parametrize("name", ["T1", "T2"])
 def test_raw_operators_certify_symbolically(name):
-    for cert in certify_range(BUILTINS[name], range(0, 4)):
+    for n in range(0, 4):
+        cert = certify(BUILTINS[name], n)
         assert cert.ok
         assert cert.tau_value == cert.n
 
@@ -67,7 +68,7 @@ def test_certify_t_at_one_exact_trace():
 
 
 def test_certify_step_counts_grow_linearly():
-    certs = certify_range(t_operator(1), range(0, 5))
+    certs = [certify(t_operator(1), n) for n in range(0, 5)]
     assert [len(c.steps) for c in certs] == [2 * n + 3 for n in range(0, 5)]
     assert [c.total_contractions for c in certs] == [4 * n + 4 for n in range(0, 5)]
 
@@ -294,6 +295,14 @@ def test_behavioral_check_flags_wrong_values():
 def test_behavioral_check_fuel():
     res = behavioral_check(parse_term("\\v f (\\x (x) x) \\x (x) x"), church(1), 1, fuel=300)
     assert not res.ok and res.status == FUEL_EXHAUSTED
+
+
+@pytest.mark.parametrize("src", ["\\v f v", "\\v f (f) v v"])
+def test_behavioral_check_needs_f_with_exactly_one_argument(src):
+    # one run never reaches f, the other hands it two arguments
+    res = behavioral_check(parse_term(src), church(1), 1)
+    assert not res.ok and res.status == BAD_HEAD_SHAPE
+    assert res.tau is None and res.value is None
 
 
 def test_concrete_head_reduction_step_counts():

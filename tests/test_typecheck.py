@@ -21,7 +21,6 @@ from storop.typecheck import (
     Context,
     Derivation,
     check_derivation,
-    check_fperp,
     forget_derivation,
     lift_star_to_bot,
     read_derivation,
@@ -203,7 +202,7 @@ def test_inst_pred_arity_mismatch_is_reported():
 def test_bot_rules_and_fragments():
     d = build_prebuilt("t2_fperp")
     assert check_derivation(d).ok
-    assert check_fperp(d).ok
+    assert check_derivation(d, fragment="fperp").ok
     rep = check_derivation(d, fragment="af2")
     assert not rep.ok
     assert "not part of the af2 fragment" in rep.first_message()
@@ -235,7 +234,7 @@ def test_inst_bot_requires_bottomed_witness_body():
 
 def test_fperp_rejects_first_order_content():
     d = build_prebuilt("succ")
-    rep = check_fperp(d)
+    rep = check_derivation(d, fragment="fperp")
     assert not rep.ok
     msgs = " ".join(m for _, m in rep.failures)
     assert "propositional fragment" in msgs
@@ -331,7 +330,7 @@ def test_forget_collapses_first_order_nodes():
     assert f.term == d.term
     assert f.type == F("(!X {X, (X -> X) -> X}) -> !X {X, (X -> X) -> X}")
     assert f.node_count() < d.node_count()
-    assert check_fperp(f).ok
+    assert check_derivation(f, fragment="fperp").ok
 
     def rules(node):
         yield node.rule
@@ -347,13 +346,13 @@ def test_forget_drops_eq_nodes():
     f = forget_derivation(d)
     assert f.rule == "ax"
     assert f.type == F("!X {X, (X -> X) -> X}")
-    assert check_fperp(f).ok
+    assert check_derivation(f, fragment="fperp").ok
 
 
 def test_forget_commutes_with_checking_on_the_star_derivation():
     d = build_prebuilt("t1_star")
     f = forget_derivation(d)
-    assert check_fperp(f).ok
+    assert check_derivation(f, fragment="fperp").ok
     want = F("(!X {~X, (~X -> ~X) -> ~X}) -> ~~(!X {X, (X -> X) -> X})")
     assert f.type == want
 
