@@ -11,6 +11,12 @@ available as the macro ``N[t]`` (with ``N``, ``Nstar``/``N*``, ``Nbot``/
 ``N_|`` variants; those names are reserved).
 
 Formula equality is alpha-equivalence in all three namespaces.
+
+Formula nodes are immutable and carry caches that stay None until first
+asked for: the alpha-key behind ``==`` and ``hash`` (``_k``), the free
+variables that ``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``,
+``_pred``, ``_bot``) and the typecheck module's propositional-fragment test
+(``_prop``). A node built by substitution starts with empty caches.
 """
 
 from __future__ import annotations
@@ -141,90 +147,97 @@ def _match_fo(pattern: FoTerm, target: FoTerm, sigma: dict) -> bool:
 
 
 class Formula:
-    __slots__ = ()
+    # the lazily filled caches named in the module docstring
+    __slots__ = ("_k", "_fo", "_pred", "_bot", "_prop")
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Formula):
             return NotImplemented
-        return _alpha_key(self) == _alpha_key(other)
+        mine, theirs = self._k, other._k
+        if mine is None:
+            mine = _alpha_key(self)
+        if theirs is None:
+            theirs = _alpha_key(other)
+        return mine == theirs
 
     def __hash__(self):
-        return hash(_alpha_key(self))
+        key = self._k
+        return hash(_alpha_key(self) if key is None else key)
 
     def __repr__(self):
         return f"<{print_formula(self)}>"
 
 
 class Bot(Formula):
-    __slots__ = ("_k",)
+    __slots__ = ()
 
     def __init__(self):
-        self._k = None
+        self._k = self._fo = self._pred = self._bot = self._prop = None
 
 
 class PredVarApp(Formula):
-    __slots__ = ("name", "args", "_k")
+    __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: Sequence[FoTerm] = ()):
         self.name = name
         self.args = tuple(args)
-        self._k = None
+        self._k = self._fo = self._pred = self._bot = self._prop = None
 
 
 class BotVarApp(Formula):
-    __slots__ = ("name", "args", "_k")
+    __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: Sequence[FoTerm] = ()):
         self.name = name
         self.args = tuple(args)
-        self._k = None
+        self._k = self._fo = self._pred = self._bot = self._prop = None
 
 
 class PredSymApp(Formula):
-    __slots__ = ("sym", "args", "_k")
+    __slots__ = ("sym", "args")
 
     def __init__(self, sym: str, args: Sequence[FoTerm] = ()):
         self.sym = sym
         self.args = tuple(args)
-        self._k = None
+        self._k = self._fo = self._pred = self._bot = self._prop = None
 
 
 class Arrow(Formula):
-    __slots__ = ("left", "right", "_k")
+    __slots__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
         self.left = left
         self.right = right
-        self._k = None
+        self._k = self._fo = self._pred = self._bot = self._prop = None
 
 
 class ForallFo(Formula):
-    __slots__ = ("var", "body", "_k")
+    __slots__ = ("var", "body")
 
     def __init__(self, var: str, body: Formula):
         self.var = var
         self.body = body
-        self._k = None
+        self._k = self._fo = self._pred = self._bot = self._prop = None
 
 
 class ForallPred(Formula):
-    __slots__ = ("var", "body", "_k")
+    __slots__ = ("var", "body")
 
     def __init__(self, var: str, body: Formula):
         self.var = var
         self.body = body
-        self._k = None
+        self._k = self._fo = self._pred = self._bot = self._prop = None
 
 
 class ForallBot(Formula):
-    __slots__ = ("var", "body", "_k")
+    __slots__ = ("var", "body")
 
     def __init__(self, var: str, body: Formula):
         self.var = var
         self.body = body
-        self._k = None
+        self._k = self._fo = self._pred = self._bot = self._prop = None
 
 
 def neg(a: Formula) -> Formula:
@@ -292,42 +305,62 @@ def _alpha_key(a: Formula) -> tuple:
 # free variables
 
 
+_EMPTY: frozenset[str] = frozenset()
+# per namespace, in _QUANT_NS order: the slot caching its free variables
+_FV_SLOTS = ("_fo", "_pred", "_bot")
+
+
+def _free_vars(a: Formula, ns: int) -> frozenset[str]:
+    """The free variables of namespace ns in a, cached on a and every subformula below.
+
+    A node is finished, and popped, once its children's slots are filled.
+    Where a node's set equals a child's, it reuses the child's set object.
+    """
+    slot = _FV_SLOTS[ns]
+    stack = [a]
+    while stack:
+        x = stack[-1]
+        if getattr(x, slot) is not None:
+            stack.pop()
+            continue
+        tx = type(x)
+        if tx is Arrow:
+            left, right = getattr(x.left, slot), getattr(x.right, slot)
+            if left is None or right is None:
+                stack += (x.left, x.right)
+                continue
+            out = left | right if left and right else left or right
+        elif tx in _QUANT_NS:
+            out = getattr(x.body, slot)
+            if out is None:
+                stack.append(x.body)
+                continue
+            if _QUANT_NS[tx] == ns and x.var in out:
+                out = out - {x.var} or _EMPTY
+        elif tx is Bot:
+            out = _EMPTY
+        elif ns == 0:
+            out = _EMPTY.union(*map(fo_vars, x.args)) or _EMPTY
+        else:
+            out = frozenset((x.name,)) if _ATOM_NS.get(tx) == ns else _EMPTY
+        setattr(x, slot, out)
+        stack.pop()
+    return getattr(a, slot)
+
+
 def fv_fo(a: Formula) -> frozenset[str]:
-    ta = type(a)
-    if ta is Bot:
-        return frozenset()
-    if ta in (PredVarApp, BotVarApp, PredSymApp):
-        out: frozenset[str] = frozenset()
-        for t in a.args:
-            out |= fo_vars(t)
-        return out
-    if ta is Arrow:
-        return fv_fo(a.left) | fv_fo(a.right)
-    if ta is ForallFo:
-        return fv_fo(a.body) - {a.var}
-    return fv_fo(a.body)
-
-
-def _fv_second_order(a: Formula, atom_cls: type, quant_cls: type) -> frozenset[str]:
-    ta = type(a)
-    if ta is atom_cls:
-        return frozenset((a.name,))
-    if ta is Arrow:
-        return _fv_second_order(a.left, atom_cls, quant_cls) | _fv_second_order(
-            a.right, atom_cls, quant_cls
-        )
-    if ta not in _QUANT_NS:
-        return frozenset()
-    out = _fv_second_order(a.body, atom_cls, quant_cls)
-    return out - {a.var} if ta is quant_cls else out
+    out = a._fo
+    return _free_vars(a, 0) if out is None else out
 
 
 def fv_pred(a: Formula) -> frozenset[str]:
-    return _fv_second_order(a, PredVarApp, ForallPred)
+    out = a._pred
+    return _free_vars(a, 1) if out is None else out
 
 
 def fv_bot(a: Formula) -> frozenset[str]:
-    return _fv_second_order(a, BotVarApp, ForallBot)
+    out = a._bot
+    return _free_vars(a, 2) if out is None else out
 
 
 def _has_bot_vars(a: Formula) -> bool:
@@ -441,13 +474,15 @@ def _rename(f: Formula, old: str, new: str, atom_cls: type, quant_cls: type) -> 
 
 
 def _subst_second_order(a: Formula, name: str, abst: PredAbstraction, bottomed: bool) -> Formula:
-    atom_cls, quant_cls = _BOT if bottomed else _PRED
+    atom_cls = BotVarApp if bottomed else PredVarApp
+    fv = fv_bot if bottomed else fv_pred
     body_fo = abst.free_fo()
-    # per second-order binder class: its atom class and the names of that
-    # namespace the abstraction brings in, which the binder must not capture
+    # per second-order binder class: its atom class, its free variables and
+    # the names of that namespace the abstraction brings in, which the
+    # binder must not capture
     brought = {
-        ForallPred: (PredVarApp, fv_pred(abst.body)),
-        ForallBot: (BotVarApp, fv_bot(abst.body)),
+        ForallPred: (PredVarApp, fv_pred, fv_pred(abst.body)),
+        ForallBot: (BotVarApp, fv_bot, fv_bot(abst.body)),
     }
 
     def walk(f: Formula) -> Formula:
@@ -456,7 +491,7 @@ def _subst_second_order(a: Formula, name: str, abst: PredAbstraction, bottomed: 
             return abst.apply(f.args)
         if tf is Arrow:
             return Arrow(walk(f.left), walk(f.right))
-        if tf not in _QUANT_NS or name not in _fv_second_order(f, atom_cls, quant_cls):
+        if tf not in _QUANT_NS or name not in fv(f):
             return f
         var, body = f.var, f.body
         if tf is ForallFo:
@@ -464,13 +499,13 @@ def _subst_second_order(a: Formula, name: str, abst: PredAbstraction, bottomed: 
                 var = fresh_name(var, body_fo | fv_fo(body))
                 body = subst_fo(body, {f.var: FoVar(var)})
         else:
-            binder_atom, taken = brought[tf]
+            binder_atom, binder_fv, taken = brought[tf]
             if var in taken:
-                var = fresh_name(var, taken | _fv_second_order(body, binder_atom, tf))
+                var = fresh_name(var, taken | binder_fv(body))
                 body = _rename(body, f.var, var, binder_atom, tf)
         return tf(var, walk(body))
 
-    if name not in _fv_second_order(a, atom_cls, quant_cls):
+    if name not in fv(a):
         return a
     return walk(a)
 

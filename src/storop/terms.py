@@ -48,10 +48,16 @@ class Term:
             return True
         if not isinstance(other, Term):
             return NotImplemented
-        return _alpha_key(self) == _alpha_key(other)
+        mine, theirs = self._k, other._k  # type: ignore[attr-defined]
+        if mine is None:
+            mine = _alpha_key(self)
+        if theirs is None:
+            theirs = _alpha_key(other)
+        return mine == theirs
 
     def __hash__(self) -> int:
-        return hash(_alpha_key(self))
+        key = self._k  # type: ignore[attr-defined]
+        return hash(_alpha_key(self) if key is None else key)
 
     def __repr__(self) -> str:
         return f"<{print_term(self)}>"

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 from storop.formulas import (
     Arrow,
     Bot,
-    BotVarApp,
     EquationSet,
     FormulaError,
     FoTerm,
@@ -160,16 +159,35 @@ _QUANTIFIERS = {
 
 
 def _is_propositional(a: Formula) -> bool:
-    ta = type(a)
-    if ta is Bot:
-        return True
-    if ta in (PredVarApp, BotVarApp, PredSymApp):
-        return not a.args
-    if ta is Arrow:
-        return _is_propositional(a.left) and _is_propositional(a.right)
-    if ta is ForallFo:
-        return False
-    return _is_propositional(a.body)
+    """No atom arguments and no first-order quantifier; cached on a and below.
+
+    A node is finished, and popped, once its children's caches are filled.
+    """
+    stack = [a]
+    while stack:
+        x = stack[-1]
+        if x._prop is not None:
+            stack.pop()
+            continue
+        tx = type(x)
+        if tx is Arrow:
+            left, right = x.left._prop, x.right._prop
+            if left is None or right is None:
+                stack += (x.left, x.right)
+                continue
+            out = left and right
+        elif tx in (ForallPred, ForallBot):
+            out = x.body._prop
+            if out is None:
+                stack.append(x.body)
+                continue
+        elif tx is ForallFo:
+            out = False
+        else:
+            out = tx is Bot or not x.args
+        x._prop = out
+        stack.pop()
+    return a._prop
 
 
 def check_derivation(
@@ -540,10 +558,70 @@ def _sexp_parse(src: str):
 
 
 def read_derivation(src: str) -> Derivation:
+    """Read the text write_derivation produces.
+
+    Every formula read from one text is interned in a table built for the
+    call: contexts, types and witness bodies share one object per exact
+    named structure, subformulas included, so the checker compares
+    unchanged formulas by identity. These shared nodes must be treated as
+    immutable. Alpha-variants such as ``!x X(x)`` and ``!y X(y)`` stay
+    distinct objects, each printing its own binder.
+    """
     forms = _sexp_parse(src)
     if len(forms) != 1:
         raise ValueError("expected exactly one derivation form")
-    return _read_node(forms[0])
+    return _read_node(forms[0], {})
+
+
+def _read_formula(src: str, table: dict) -> Formula:
+    """parse_formula(src) interned in table, which also maps each text read to its formula."""
+    a = table.get(src)
+    if a is None:
+        a = table[src] = _intern(parse_formula(src), table)
+    return a
+
+
+def _intern(a: Formula, table: dict) -> Formula:
+    """table's object for the exact named structure of a, subformulas interned first.
+
+    A node's key is its class, its name, var or sym, its first-order
+    arguments and the identities of its interned children; the table keeps
+    those children alive, so no identity is reused while it lives. A node
+    whose children are already the interned ones is itself kept.
+    """
+    done: list[Formula] = []  # interned subformulas, each after its children
+    stack: list = [a]
+    while stack:
+        x = stack.pop()
+        tx = type(x)
+        if tx is Arrow:
+            stack += ((x,), x.right, x.left)
+            continue
+        if tx in (ForallFo, ForallPred, ForallBot):
+            stack += ((x,), x.body)
+            continue
+        if tx is tuple:  # (node,), once its children are interned
+            (x,) = x
+            tx = type(x)
+            if tx is Arrow:
+                right, left = done.pop(), done.pop()
+                key = (tx, id(left), id(right))
+                if key not in table:
+                    same = left is x.left and right is x.right
+                    table[key] = x if same else Arrow(left, right)
+            else:
+                body = done.pop()
+                key = (tx, x.var, id(body))
+                if key not in table:
+                    table[key] = x if body is x.body else tx(x.var, body)
+        elif tx is Bot:
+            key = (tx,)
+            table.setdefault(key, x)
+        else:
+            key = (tx, x.sym if tx is PredSymApp else x.name, x.args)
+            table.setdefault(key, x)
+        done.append(table[key])
+    return done.pop()
 
 
 def _atom(x) -> str:
@@ -565,7 +643,7 @@ def _form(x, shape: str, size: Optional[int] = None) -> list:
     raise ValueError(f"expected {shape}")
 
 
-def _read_node(form) -> Derivation:
+def _read_node(form, table: dict) -> Derivation:
     if not isinstance(form, list) or len(form) < 2 or _atom(form[0]) != "rule":
         raise ValueError("expected a (rule ...) form")
     rule = _atom(form[1])
@@ -584,16 +662,16 @@ def _read_node(form) -> Derivation:
             entries = []
             for entry in part[1:]:
                 name, src = _form(entry, '(name "formula") in ctx', 2)
-                entries.append((_atom(name), parse_formula(_string(src))))
+                entries.append((_atom(name), _read_formula(_string(src), table)))
             ctx = Context(tuple(entries))
         elif head == "term":
             term = parse_term(_string(body))
         elif head == "type":
-            ftype = parse_formula(_string(body))
+            ftype = _read_formula(_string(body), table)
         elif head == "witness":
-            witness = _read_witness(body)
+            witness = _read_witness(body, table)
         elif head == "premises":
-            premises = [_read_node(p) for p in part[1:]]
+            premises = [_read_node(p, table) for p in part[1:]]
         else:
             raise ValueError(f"unknown section {head!r}")
     if term is None or ftype is None:
@@ -601,7 +679,7 @@ def _read_node(form) -> Derivation:
     return Derivation(rule, ctx, term, ftype, witness, tuple(premises))
 
 
-def _read_witness(form):
+def _read_witness(form, table: dict):
     if not isinstance(form, list) or not form:
         raise ValueError("malformed witness")
     head = _atom(form[0])
@@ -611,7 +689,7 @@ def _read_witness(form):
     if head == "abst":
         _, params, src = _form(form, '(abst (params) "formula")', 3)
         params = tuple(_atom(p) for p in _form(params, "(params) in abst"))
-        return PredAbstraction(params, parse_formula(_string(src)))
+        return PredAbstraction(params, _read_formula(_string(src), table))
     if head == "steps":
         steps = []
         for s in form[1:]:

@@ -12,7 +12,7 @@ from storop.cli import main
 from storop.builtins import BUILTINS
 from storop.reduction import normalize
 from storop.storage import certify
-from storop.terms import church, parse_term, print_term
+from storop.terms import church, parse_term
 
 SUCC2_PRINT = "(f) (\\n x f (f) (n) x f) (\\n x f (f) (n) x f) \\x f x"
 

@@ -43,6 +43,8 @@ from storop.formulas import (
     subst_pred,
 )
 
+from storop.typecheck import _is_propositional
+
 from genformulas import random_formula
 from genterms import random_term
 
@@ -279,6 +281,97 @@ def test_free_variable_sets():
     assert fv_bot(a) == {"X"}
     assert fv_pred(F("!X X(x)")) == frozenset()
     assert fv_fo(F("N[x]")) == {"x"}
+
+
+# uncached reference walkers for the free-variable and propositional caches
+
+
+def ref_term_vars(t):
+    if isinstance(t, FoVar):
+        return frozenset((t.name,))
+    return frozenset().union(*map(ref_term_vars, t.args))
+
+
+REF_QUANT = {ForallFo: "fo", ForallPred: "pred", ForallBot: "bot"}
+REF_ATOM = {PredVarApp: "pred", BotVarApp: "bot"}
+
+
+def ref_fv(a, ns):
+    ta = type(a)
+    if ta is Arrow:
+        return ref_fv(a.left, ns) | ref_fv(a.right, ns)
+    if ta in REF_QUANT:
+        out = ref_fv(a.body, ns)
+        return out - {a.var} if REF_QUANT[ta] == ns else out
+    if ta is Bot:
+        return frozenset()
+    if ns == "fo":
+        return frozenset().union(*map(ref_term_vars, a.args))
+    return frozenset((a.name,)) if REF_ATOM.get(ta) == ns else frozenset()
+
+
+def ref_is_propositional(a):
+    ta = type(a)
+    if ta is Arrow:
+        return ref_is_propositional(a.left) and ref_is_propositional(a.right)
+    if ta is ForallFo:
+        return False
+    if ta in REF_QUANT:
+        return ref_is_propositional(a.body)
+    return ta is Bot or not a.args
+
+
+def subformulas(a):
+    out, stack = [], [a]
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        if type(x) is Arrow:
+            stack += (x.left, x.right)
+        elif type(x) in REF_QUANT:
+            stack.append(x.body)
+    return out
+
+
+def cached_answers(a):
+    return (fv_fo(a), fv_pred(a), fv_bot(a), _is_propositional(a))
+
+
+def reference_answers(a):
+    return (ref_fv(a, "fo"), ref_fv(a, "pred"), ref_fv(a, "bot"), ref_is_propositional(a))
+
+
+def test_cached_free_variables_match_an_uncached_walk():
+    rng = random.Random(0)
+    changed = 0
+    for _ in range(500):
+        a = random_formula(rng, allow_bot_vars=True)
+        nodes = subformulas(a)
+        rng.shuffle(nodes)  # some nodes are asked before, some after, their parents
+        first = [cached_answers(x) for x in nodes]
+        assert first == [reference_answers(x) for x in nodes]
+        results = [subst_fo(a, {"x": FoApp("s", (FoVar("y"),)), "z": FoVar("x")})]
+        # X may occur with any arity up to 2; only a matching abstraction applies
+        for params in ((), ("z",), ("z", "w")):
+            try:
+                results.append(subst_pred(a, "X", PredAbstraction(params, F("!y Y(y, x) -> X(z)"))))
+            except FormulaError:
+                pass
+        assert [cached_answers(x) for x in nodes] == first
+        for b in results:
+            changed += b is not a
+            fresh = subformulas(b)
+            assert [cached_answers(x) for x in fresh] == [reference_answers(x) for x in fresh]
+    assert changed > 200
+
+
+def test_free_variables_at_depth_100000():
+    a = PredVarApp("X", (FoVar("z"),))
+    for _ in range(100_000):
+        a = ForallPred("Y", Arrow(PredVarApp("Y", (FoVar("x"),)), a))
+    start = time.perf_counter()
+    assert cached_answers(a) == (frozenset("xz"), frozenset("X"), frozenset(), False)
+    assert time.perf_counter() - start < 5
 
 
 def test_pred_arities():

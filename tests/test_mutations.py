@@ -16,8 +16,8 @@ from storop.formulas import (
     subst_fo,
     subst_pred,
 )
-from storop.prebuilt import PREBUILT, build_prebuilt, prebuilt_check_args, prebuilt_names
-from storop.typecheck import Context, Derivation, check_derivation
+from storop.prebuilt import build_prebuilt, prebuilt_check_args, prebuilt_names
+from storop.typecheck import Context, check_derivation
 
 _BUILT = {name: build_prebuilt(name) for name in prebuilt_names()}
 

@@ -5,8 +5,6 @@ import pytest
 from storop.builtins import BUILTINS
 from storop.formulas import parse_formula, print_formula
 from storop.prebuilt import (
-    EQ_DEMO_EQUATIONS,
-    PREBUILT,
     build_prebuilt,
     eq_demo_derivation,
     load_prebuilt,

@@ -10,11 +10,9 @@ from storop.storage import (
     BAD_HEAD_SHAPE,
     FUEL_EXHAUSTED,
     INDEXED_REUSE,
-    OK,
     STEP_BUDGET_EXHAUSTED,
     TAU_NOT_NUMERAL,
     TAU_WRONG_VALUE,
-    Certificate,
     CorpusFuelExhausted,
     IndexedVarRegistry,
     behavioral_check,

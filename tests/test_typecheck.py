@@ -2,7 +2,6 @@ import pytest
 
 from storop.formulas import (
     Arrow,
-    Bot,
     FoApp,
     FoVar,
     ForallFo,
@@ -10,14 +9,12 @@ from storop.formulas import (
     PredAbstraction,
     PredVarApp,
     n_type,
-    neg,
     parse_equations,
     parse_formula,
     print_formula,
 )
-from storop.terms import Abs, App, Var, parse_term
+from storop.terms import Abs, App, Var
 from storop.typecheck import (
-    CheckReport,
     Context,
     Derivation,
     check_derivation,
@@ -26,7 +23,7 @@ from storop.typecheck import (
     read_derivation,
     write_derivation,
 )
-from storop.prebuilt import build_prebuilt, prebuilt_check_args
+from storop.prebuilt import build_prebuilt, load_prebuilt, prebuilt_names
 
 
 def F(src):
@@ -319,6 +316,74 @@ def test_serialized_strings_are_escaped():
     d = identity_derivation()
     txt = write_derivation(d)
     assert '"\\\\x x"' in txt
+
+
+def derivation_nodes(d):
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.premises)
+
+
+def formula_nodes(d):
+    """Every formula node a derivation holds: contexts, types, witness bodies."""
+    stack = []
+    for node in derivation_nodes(d):
+        stack += node.ctx.formulas() + (node.type,)
+        if isinstance(node.witness, PredAbstraction):
+            stack.append(node.witness.body)
+    while stack:
+        a = stack.pop()
+        yield a
+        if type(a) is Arrow:
+            stack += (a.left, a.right)
+        elif hasattr(a, "body"):
+            stack.append(a.body)
+
+
+@pytest.mark.parametrize("name", prebuilt_names())
+def test_read_shares_one_object_per_formula_text(name):
+    d = load_prebuilt(name)
+    by_text = {}
+    for node in derivation_nodes(d):
+        for a in node.ctx.formulas() + (node.type,):
+            by_text.setdefault(print_formula(a), set()).add(id(a))
+    assert all(len(ids) == 1 for ids in by_text.values())
+    entries = [a for node in derivation_nodes(d) for a in node.ctx.formulas()]
+    if entries:
+        assert len({id(a) for a in entries}) < len(entries)
+
+
+def test_read_shares_quantifier_bodies_with_gen_premises():
+    gens = [
+        node
+        for name in prebuilt_names()
+        for node in derivation_nodes(load_prebuilt(name))
+        if node.rule.startswith("gen-")
+    ]
+    assert {node.rule for node in gens} >= {"gen-fo", "gen-pred"}
+    assert all(node.premises[0].type is node.type.body for node in gens)
+
+
+def test_read_keeps_alpha_variants_apart():
+    src = '(rule ax (ctx (a "!x X(x)") (b "!y X(y)")) (term "a") (type "!y X(y)"))'
+    d = read_derivation(src)
+    a, b = d.ctx.lookup("a"), d.ctx.lookup("b")
+    assert a == b and a is not b
+    assert (print_formula(a), print_formula(b)) == ("!x X(x)", "!y X(y)")
+    assert d.type is b
+    assert check_derivation(d).ok
+    bad = read_derivation(src.replace('(type "!y X(y)")', '(type "!y X(y) -> !x X(x)")'))
+    assert check_derivation(bad).first_message() == (
+        "at []: context gives a : !x X(x), node says !y X(y) -> !x X(x)"
+    )
+
+
+def test_reads_share_no_formula_node():
+    text = write_derivation(load_prebuilt("t2_star"))
+    first, second = read_derivation(text), read_derivation(text)
+    assert not {id(a) for a in formula_nodes(first)} & {id(a) for a in formula_nodes(second)}
 
 
 # forgetting
