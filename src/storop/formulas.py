@@ -12,6 +12,13 @@ available as the macro ``N[t]`` (with ``N``, ``Nstar``/``N*``, ``Nbot``/
 
 Formula equality is alpha-equivalence in all three namespaces.
 
+Besides ``Bot`` and ``Arrow``, a node is an ``Atom`` (``name`` applied to
+``args``) or a ``Quantifier`` (``var`` bound over ``body``). Its class
+attribute ``ns`` names its namespace: 0 first-order, 1 predicate, 2
+bottomed, 3 predicate symbols (bound by no quantifier); ``mark`` is printed
+after a variable's name, ``"_|"`` in the bottomed namespace. Walkers branch
+on shape and compare ``ns``, one code path for every namespace.
+
 Formula nodes are immutable and carry caches that stay None until first
 asked for: the alpha-key behind ``==`` and ``hash`` (``_k``), the free
 variables that ``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``,
@@ -35,6 +42,8 @@ __all__ = [
     "fo_subst",
     "print_foterm",
     "Formula",
+    "Atom",
+    "Quantifier",
     "Bot",
     "PredVarApp",
     "BotVarApp",
@@ -177,8 +186,9 @@ class Bot(Formula):
         self._k = self._fo = self._pred = self._bot = self._prop = None
 
 
-class PredVarApp(Formula):
+class Atom(Formula):
     __slots__ = ("name", "args")
+    mark = ""
 
     def __init__(self, name: str, args: Sequence[FoTerm] = ()):
         self.name = name
@@ -186,22 +196,21 @@ class PredVarApp(Formula):
         self._k = self._fo = self._pred = self._bot = self._prop = None
 
 
-class BotVarApp(Formula):
-    __slots__ = ("name", "args")
-
-    def __init__(self, name: str, args: Sequence[FoTerm] = ()):
-        self.name = name
-        self.args = tuple(args)
-        self._k = self._fo = self._pred = self._bot = self._prop = None
+class PredVarApp(Atom):
+    __slots__ = ()
+    ns = 1
 
 
-class PredSymApp(Formula):
-    __slots__ = ("sym", "args")
+class BotVarApp(Atom):
+    __slots__ = ()
+    ns = 2
+    mark = "_|"
 
-    def __init__(self, sym: str, args: Sequence[FoTerm] = ()):
-        self.sym = sym
-        self.args = tuple(args)
-        self._k = self._fo = self._pred = self._bot = self._prop = None
+
+class PredSymApp(Atom):
+    __slots__ = ()
+    ns = 3
+    sym = property(lambda self: self.name)  # read-only: the symbol is name
 
 
 class Arrow(Formula):
@@ -213,8 +222,9 @@ class Arrow(Formula):
         self._k = self._fo = self._pred = self._bot = self._prop = None
 
 
-class ForallFo(Formula):
+class Quantifier(Formula):
     __slots__ = ("var", "body")
+    mark = ""
 
     def __init__(self, var: str, body: Formula):
         self.var = var
@@ -222,33 +232,24 @@ class ForallFo(Formula):
         self._k = self._fo = self._pred = self._bot = self._prop = None
 
 
-class ForallPred(Formula):
-    __slots__ = ("var", "body")
-
-    def __init__(self, var: str, body: Formula):
-        self.var = var
-        self.body = body
-        self._k = self._fo = self._pred = self._bot = self._prop = None
+class ForallFo(Quantifier):
+    __slots__ = ()
+    ns = 0
 
 
-class ForallBot(Formula):
-    __slots__ = ("var", "body")
+class ForallPred(Quantifier):
+    __slots__ = ()
+    ns = 1
 
-    def __init__(self, var: str, body: Formula):
-        self.var = var
-        self.body = body
-        self._k = self._fo = self._pred = self._bot = self._prop = None
+
+class ForallBot(Quantifier):
+    __slots__ = ()
+    ns = 2
+    mark = "_|"
 
 
 def neg(a: Formula) -> Formula:
     return Arrow(a, Bot())
-
-
-_QUANT_NS = {ForallFo: 0, ForallPred: 1, ForallBot: 2}
-_ATOM_NS = {PredVarApp: 1, BotVarApp: 2}
-# the two second-order namespaces as (atom class, quantifier class)
-_PRED = (PredVarApp, ForallPred)
-_BOT = (BotVarApp, ForallBot)
 
 
 def _alpha_key(a: Formula) -> tuple:
@@ -262,7 +263,7 @@ def _alpha_key(a: Formula) -> tuple:
     if key is not None:
         return key
     out: list = []
-    envs: tuple[dict, ...] = ({}, {}, {})  # per namespace: name -> binder depth
+    envs: tuple[dict, ...] = ({}, {}, {}, {})  # per namespace: name -> binder depth
     fo = envs[0]
     depth = 0
     stack: list = [a]
@@ -283,18 +284,17 @@ def _alpha_key(a: Formula) -> tuple:
             out.append(Arrow)
             stack.append(x.right)
             stack.append(x.left)
-        elif tx in _QUANT_NS:
+        elif tx is Bot:
+            out.append(Bot)
+        elif isinstance(x, Quantifier):
             out.append(tx)
-            env = envs[_QUANT_NS[tx]]
+            env = envs[x.ns]
             stack.append((env, x.var, env.get(x.var)))
             env[x.var] = depth
             depth += 1
             stack.append(x.body)
-        elif tx is Bot:
-            out.append(Bot)
         else:
-            ns = _ATOM_NS.get(tx)
-            head = x.sym if ns is None else envs[ns].get(x.name, x.name)
+            head = x.sym if tx is FoApp else envs[x.ns].get(x.name, x.name)
             out += (tx, head, len(x.args))
             stack.extend(reversed(x.args))
     key = a._k = tuple(out)  # type: ignore[attr-defined]
@@ -306,7 +306,7 @@ def _alpha_key(a: Formula) -> tuple:
 
 
 _EMPTY: frozenset[str] = frozenset()
-# per namespace, in _QUANT_NS order: the slot caching its free variables
+# per namespace: the slot caching its free variables
 _FV_SLOTS = ("_fo", "_pred", "_bot")
 
 
@@ -330,19 +330,19 @@ def _free_vars(a: Formula, ns: int) -> frozenset[str]:
                 stack += (x.left, x.right)
                 continue
             out = left | right if left and right else left or right
-        elif tx in _QUANT_NS:
+        elif tx is Bot:
+            out = _EMPTY
+        elif isinstance(x, Quantifier):
             out = getattr(x.body, slot)
             if out is None:
                 stack.append(x.body)
                 continue
-            if _QUANT_NS[tx] == ns and x.var in out:
+            if x.ns == ns and x.var in out:
                 out = out - {x.var} or _EMPTY
-        elif tx is Bot:
-            out = _EMPTY
         elif ns == 0:
             out = _EMPTY.union(*map(fo_vars, x.args)) or _EMPTY
         else:
-            out = frozenset((x.name,)) if _ATOM_NS.get(tx) == ns else _EMPTY
+            out = frozenset((x.name,)) if x.ns == ns else _EMPTY
         setattr(x, slot, out)
         stack.pop()
     return getattr(a, slot)
@@ -365,13 +365,11 @@ def fv_bot(a: Formula) -> frozenset[str]:
 
 def _has_bot_vars(a: Formula) -> bool:
     ta = type(a)
-    if ta is BotVarApp or ta is ForallBot:
-        return True
     if ta is Arrow:
         return _has_bot_vars(a.left) or _has_bot_vars(a.right)
-    if ta in (ForallFo, ForallPred):
-        return _has_bot_vars(a.body)
-    return False
+    if ta is Bot:
+        return False
+    return a.ns == 2 or (isinstance(a, Quantifier) and _has_bot_vars(a.body))
 
 
 def pred_arities(a: Formula, out: Optional[dict] = None) -> dict:
@@ -379,19 +377,16 @@ def pred_arities(a: Formula, out: Optional[dict] = None) -> dict:
     if out is None:
         out = {}
     ta = type(a)
-    if ta in (PredVarApp, BotVarApp, PredSymApp):
-        key = (
-            "sym" if ta is PredSymApp else ("bot" if ta is BotVarApp else "pred"),
-            a.sym if ta is PredSymApp else a.name,
-        )
+    if ta is Arrow:
+        pred_arities(a.left, out)
+        pred_arities(a.right, out)
+    elif isinstance(a, Quantifier):
+        pred_arities(a.body, out)
+    elif ta is not Bot:
+        key = (("pred", "bot", "sym")[a.ns - 1], a.name)
         arity = len(a.args)
         if out.setdefault(key, arity) != arity:
             raise FormulaError(f"{key[1]} used with arities {out[key]} and {arity}")
-    elif ta is Arrow:
-        pred_arities(a.left, out)
-        pred_arities(a.right, out)
-    elif ta in (ForallFo, ForallPred, ForallBot):
-        pred_arities(a.body, out)
     return out
 
 
@@ -410,26 +405,26 @@ def subst_fo(a: Formula, m: Mapping[str, FoTerm]) -> Formula:
     if ta is Arrow:
         left, right = subst_fo(a.left, m), subst_fo(a.right, m)
         return a if left is a.left and right is a.right else Arrow(left, right)
-    if ta is ForallFo:
-        body_fv = fv_fo(a.body)
-        live = {k: v for k, v in m.items() if k != a.var and k in body_fv}
-        if not live:
+    if isinstance(a, Atom):
+        args = tuple(fo_subst(t, m) for t in a.args)
+        if all(new is old for new, old in zip(args, a.args)):
             return a
-        introduced: set[str] = set()
-        for v in live.values():
-            introduced |= fo_vars(v)
-        if a.var in introduced:
-            nv = fresh_name(a.var, introduced | body_fv | set(live))
-            live[a.var] = FoVar(nv)
-            return ForallFo(nv, subst_fo(a.body, live))
-        return ForallFo(a.var, subst_fo(a.body, live))
-    if ta in _QUANT_NS:
+        return ta(a.name, args)
+    if a.ns != 0:
         body = subst_fo(a.body, m)
         return a if body is a.body else ta(a.var, body)
-    args = tuple(fo_subst(t, m) for t in a.args)
-    if all(new is old for new, old in zip(args, a.args)):
+    body_fv = fv_fo(a.body)
+    live = {k: v for k, v in m.items() if k != a.var and k in body_fv}
+    if not live:
         return a
-    return PredSymApp(a.sym, args) if ta is PredSymApp else ta(a.name, args)
+    introduced: set[str] = set()
+    for v in live.values():
+        introduced |= fo_vars(v)
+    if a.var in introduced:
+        nv = fresh_name(a.var, introduced | body_fv | set(live))
+        live[a.var] = FoVar(nv)
+        return ForallFo(nv, subst_fo(a.body, live))
+    return ForallFo(a.var, subst_fo(a.body, live))
 
 
 @dataclass(frozen=True)
@@ -458,66 +453,53 @@ class PredAbstraction:
         return fv_fo(self.body) - set(self.params)
 
 
-def _rename(f: Formula, old: str, new: str, atom_cls: type, quant_cls: type) -> Formula:
-    """Rename the free second-order variable old of one namespace to new."""
+def _rename(f: Formula, old: str, new: str, ns: int) -> Formula:
+    """Rename the free variable old of namespace ns to new."""
+    if ns == 0:
+        return subst_fo(f, {old: FoVar(new)})
     tf = type(f)
-    if tf is atom_cls:
-        return atom_cls(new, f.args) if f.name == old else f
     if tf is Arrow:
-        return Arrow(
-            _rename(f.left, old, new, atom_cls, quant_cls),
-            _rename(f.right, old, new, atom_cls, quant_cls),
-        )
-    if tf not in _QUANT_NS or (tf is quant_cls and f.var == old):
+        return Arrow(_rename(f.left, old, new, ns), _rename(f.right, old, new, ns))
+    if tf is Bot:
         return f
-    return tf(f.var, _rename(f.body, old, new, atom_cls, quant_cls))
+    if isinstance(f, Atom):
+        return tf(new, f.args) if f.ns == ns and f.name == old else f
+    if f.ns == ns and f.var == old:
+        return f
+    return tf(f.var, _rename(f.body, old, new, ns))
 
 
-def _subst_second_order(a: Formula, name: str, abst: PredAbstraction, bottomed: bool) -> Formula:
-    atom_cls = BotVarApp if bottomed else PredVarApp
-    fv = fv_bot if bottomed else fv_pred
-    body_fo = abst.free_fo()
-    # per second-order binder class: its atom class, its free variables and
-    # the names of that namespace the abstraction brings in, which the
-    # binder must not capture
-    brought = {
-        ForallPred: (PredVarApp, fv_pred, fv_pred(abst.body)),
-        ForallBot: (BotVarApp, fv_bot, fv_bot(abst.body)),
-    }
+def _subst_second_order(a: Formula, name: str, abst: PredAbstraction, ns: int) -> Formula:
+    """Substitute abst for the free variable name of second-order namespace ns."""
+    # per quantified namespace, the names the abstraction brings in, which
+    # a binder of that namespace must not capture
+    brought = (abst.free_fo(), fv_pred(abst.body), fv_bot(abst.body))
 
     def walk(f: Formula) -> Formula:
         tf = type(f)
-        if tf is atom_cls and f.name == name:
-            return abst.apply(f.args)
         if tf is Arrow:
             return Arrow(walk(f.left), walk(f.right))
-        if tf not in _QUANT_NS or name not in fv(f):
+        if isinstance(f, Atom):
+            return abst.apply(f.args) if f.ns == ns and f.name == name else f
+        if tf is Bot or name not in _free_vars(f, ns):
             return f
-        var, body = f.var, f.body
-        if tf is ForallFo:
-            if var in body_fo:
-                var = fresh_name(var, body_fo | fv_fo(body))
-                body = subst_fo(body, {f.var: FoVar(var)})
-        else:
-            binder_atom, binder_fv, taken = brought[tf]
-            if var in taken:
-                var = fresh_name(var, taken | binder_fv(body))
-                body = _rename(body, f.var, var, binder_atom, tf)
+        var, body, taken = f.var, f.body, brought[f.ns]
+        if var in taken:
+            var = fresh_name(var, taken | _free_vars(body, f.ns))
+            body = _rename(body, f.var, var, f.ns)
         return tf(var, walk(body))
 
-    if name not in fv(a):
-        return a
-    return walk(a)
+    return walk(a) if name in _free_vars(a, ns) else a
 
 
 def subst_pred(a: Formula, name: str, abst: PredAbstraction) -> Formula:
     """Substitute a predicate abstraction for a free predicate variable."""
-    return _subst_second_order(a, name, abst, bottomed=False)
+    return _subst_second_order(a, name, abst, 1)
 
 
 def subst_bot(a: Formula, name: str, abst: PredAbstraction) -> Formula:
     """Substitute a predicate abstraction for a free bottomed variable."""
-    return _subst_second_order(a, name, abst, bottomed=True)
+    return _subst_second_order(a, name, abst, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +509,11 @@ def subst_bot(a: Formula, name: str, abst: PredAbstraction) -> Formula:
 def is_bot_type(a: Formula) -> bool:
     """Bottomed types: bot, bottomed atoms, arrows into them, quantifications."""
     ta = type(a)
-    if ta is Bot or ta is BotVarApp:
-        return True
     if ta is Arrow:
         return is_bot_type(a.right)
-    if ta in (ForallFo, ForallPred, ForallBot):
+    if isinstance(a, Quantifier):
         return is_bot_type(a.body)
-    return False
+    return ta is Bot or a.ns == 2
 
 
 def godel_star(a: Formula) -> Formula:
@@ -548,13 +528,11 @@ def godel_star(a: Formula) -> Formula:
         tf = type(f)
         if tf is Bot:
             return f
-        if tf in (PredVarApp, PredSymApp):
-            return neg(f)
         if tf is Arrow:
             return Arrow(walk(f.left), walk(f.right))
-        if tf is ForallFo:
-            return ForallFo(f.var, walk(f.body))
-        return ForallPred(f.var, walk(f.body))
+        if isinstance(f, Atom):
+            return neg(f)
+        return tf(f.var, walk(f.body))
 
     return walk(a)
 
@@ -570,15 +548,13 @@ def bot_transform(a: Formula) -> Formula:
 
     def walk(f: Formula) -> Formula:
         tf = type(f)
-        if tf in (Bot, PredSymApp):
+        if tf is Bot:
             return f
-        if tf is PredVarApp:
-            return BotVarApp(f.name, f.args)
         if tf is Arrow:
             return Arrow(walk(f.left), walk(f.right))
-        if tf is ForallFo:
-            return ForallFo(f.var, walk(f.body))
-        return ForallBot(f.var, walk(f.body))
+        if isinstance(f, Atom):
+            return BotVarApp(f.name, f.args) if f.ns == 1 else f
+        return (ForallBot if f.ns == 1 else tf)(f.var, walk(f.body))
 
     return walk(a)
 
@@ -588,13 +564,11 @@ def forget_first_order(a: Formula) -> Formula:
     ta = type(a)
     if ta is Bot:
         return a
-    if ta is PredSymApp:
-        return PredSymApp(a.sym)
-    if ta in _ATOM_NS:
-        return ta(a.name)
     if ta is Arrow:
         return Arrow(forget_first_order(a.left), forget_first_order(a.right))
-    if ta is ForallFo:
+    if isinstance(a, Atom):
+        return ta(a.name)
+    if a.ns == 0:
         return forget_first_order(a.body)
     return ta(a.var, forget_first_order(a.body))
 
@@ -607,20 +581,17 @@ def polarity(a: Formula, name: str, kind: str = "pred") -> str:
     """
     if kind not in ("pred", "bot"):
         raise ValueError("kind must be 'pred' or 'bot'")
-    atom_cls, quant_cls = _PRED if kind == "pred" else _BOT
+    ns = 1 if kind == "pred" else 2
     signs: set[int] = set()
 
     def walk(f: Formula, sign: int) -> None:
-        tf = type(f)
-        if tf is atom_cls and f.name == name:
-            signs.add(sign)
-        elif tf is Arrow:
+        if type(f) is Arrow:
             walk(f.left, -sign)
             walk(f.right, sign)
-        elif tf is quant_cls:
-            if f.var != name:
-                walk(f.body, sign)
-        elif tf in (ForallFo, ForallPred, ForallBot):
+        elif isinstance(f, Atom):
+            if f.ns == ns and f.name == name:
+                signs.add(sign)
+        elif isinstance(f, Quantifier) and (f.ns != ns or f.var != name):
             walk(f.body, sign)
 
     walk(a, +1)
@@ -773,15 +744,13 @@ def apply_equation(
 
     def rewrite(f: Formula, path: Sequence[int], bound: frozenset[str]) -> Formula:
         tf = type(f)
-        if tf in (PredVarApp, BotVarApp, PredSymApp):
+        if isinstance(f, Atom):
             if not path:
                 raise FormulaError("path stops at an atom, not at a term position")
             i, rest = path[0], path[1:]
             if not 0 <= i < len(f.args):
                 raise FormulaError("no such atom argument")
             args = f.args[:i] + (rewrite_term(f.args[i], rest, bound),) + f.args[i + 1 :]
-            if tf is PredSymApp:
-                return PredSymApp(f.sym, args)
             return tf(f.name, args)
         if not path:
             raise FormulaError("path stops before reaching an atom")
@@ -792,10 +761,10 @@ def apply_equation(
             if i == 1:
                 return Arrow(f.left, rewrite(f.right, rest, bound))
             raise FormulaError("arrow children are 0 and 1")
-        if tf in (ForallFo, ForallPred, ForallBot):
+        if isinstance(f, Quantifier):
             if i != 0:
                 raise FormulaError("quantifier child is 0")
-            inner = bound | {f.var} if tf is ForallFo else bound
+            inner = bound | {f.var} if f.ns == 0 else bound
             return tf(f.var, rewrite(f.body, rest, inner))
         raise FormulaError("path leaves the formula")
 
@@ -1027,16 +996,14 @@ class _FormulaParser:
             self.take()
             bkind, bval, bat = self.take()
             if bkind == "botname":
-                if bval in _RESERVED:
-                    raise FormulaError(f"{bval!r} is reserved (offset {bat})")
-                return ForallBot(bval, self.un())
-            if bkind != "name":
+                quant = ForallBot
+            elif bkind != "name":
                 raise FormulaError(f"expected a quantifier variable at offset {bat}")
-            if _is_fo_name(bval):
-                return ForallFo(bval, self.un())
+            else:
+                quant = ForallFo if _is_fo_name(bval) else ForallPred
             if bval in _RESERVED:
                 raise FormulaError(f"{bval!r} is reserved (offset {bat})")
-            return ForallPred(bval, self.un())
+            return quant(bval, self.un())
         return self.atom()
 
     def _macro(self, variant: str) -> Formula:
@@ -1112,10 +1079,6 @@ def _flatten_arrows(a: Formula):
     return premises, node
 
 
-# printed after a variable name: bottomed names carry "_|"
-_MARK = {PredVarApp: "", ForallFo: "", ForallPred: "", BotVarApp: "_|", ForallBot: "_|"}
-
-
 def _print_args(args) -> str:
     if not args:
         return ""
@@ -1126,22 +1089,19 @@ def _unit(a: Formula) -> str:
     ta = type(a)
     if ta is Bot:
         return "bot"
-    if ta in _ATOM_NS:
-        return a.name + _MARK[ta] + _print_args(a.args)
-    if ta is PredSymApp:
-        return "$" + a.sym + _print_args(a.args)
     if ta is Arrow:
         if type(a.right) is Bot:
             return "~" + _tight(a.left)
         return "(" + _chain(a) + ")"
-    return "!" + a.var + _MARK[ta] + " " + _qbody(a.body)
+    if isinstance(a, Atom):
+        sigil = "$" if ta is PredSymApp else ""
+        return sigil + a.name + a.mark + _print_args(a.args)
+    return "!" + a.var + a.mark + " " + _qbody(a.body)
 
 
 def _tight(a: Formula) -> str:
     ta = type(a)
-    if ta in (Bot, PredVarApp, BotVarApp, PredSymApp):
-        return _unit(a)
-    if ta is Arrow and type(a.right) is Bot:
+    if ta is Bot or isinstance(a, Atom) or (ta is Arrow and type(a.right) is Bot):
         return _unit(a)
     return "(" + _chain(a) + ")"
 

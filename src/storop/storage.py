@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
-from storop.reduction import DEFAULT_FUEL, ReductionOutcome, beta_equiv, head_reduce, normalize
+from storop.reduction import (
+    DEFAULT_FUEL,
+    FUEL_EXHAUSTED,
+    ReductionOutcome,
+    beta_equiv,
+    head_reduce,
+    normalize,
+)
 from storop.terms import (
     Abs,
     App,
@@ -108,7 +115,6 @@ class MachineStep:
 # failure tags are stable strings; tests and the command line rely on them
 OK = "ok"
 BAD_HEAD_SHAPE = "bad-head-shape"
-FUEL_EXHAUSTED = "fuel-exhausted"
 STEP_BUDGET_EXHAUSTED = "step-budget-exhausted"
 INDEXED_REUSE = "indexed-variable-reused"
 TAU_NOT_NUMERAL = "tau-not-numeral"

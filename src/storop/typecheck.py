@@ -28,8 +28,8 @@ from storop.formulas import (
     ForallPred,
     Formula,
     PredAbstraction,
-    PredSymApp,
     PredVarApp,
+    Quantifier,
     _parse_foterm_src,
     apply_equation,
     forget_first_order,
@@ -176,13 +176,11 @@ def _is_propositional(a: Formula) -> bool:
                 stack += (x.left, x.right)
                 continue
             out = left and right
-        elif tx in (ForallPred, ForallBot):
-            out = x.body._prop
+        elif isinstance(x, Quantifier):
+            out = x.ns != 0 and x.body._prop
             if out is None:
                 stack.append(x.body)
                 continue
-        elif tx is ForallFo:
-            out = False
         else:
             out = tx is Bot or not x.args
         x._prop = out
@@ -584,7 +582,7 @@ def _read_formula(src: str, table: dict) -> Formula:
 def _intern(a: Formula, table: dict) -> Formula:
     """table's object for the exact named structure of a, subformulas interned first.
 
-    A node's key is its class, its name, var or sym, its first-order
+    A node's key is its class, its name or var, its first-order
     arguments and the identities of its interned children; the table keeps
     those children alive, so no identity is reused while it lives. A node
     whose children are already the interned ones is itself kept.
@@ -597,7 +595,7 @@ def _intern(a: Formula, table: dict) -> Formula:
         if tx is Arrow:
             stack += ((x,), x.right, x.left)
             continue
-        if tx in (ForallFo, ForallPred, ForallBot):
+        if isinstance(x, Quantifier):
             stack += ((x,), x.body)
             continue
         if tx is tuple:  # (node,), once its children are interned
@@ -618,7 +616,7 @@ def _intern(a: Formula, table: dict) -> Formula:
             key = (tx,)
             table.setdefault(key, x)
         else:
-            key = (tx, x.sym if tx is PredSymApp else x.name, x.args)
+            key = (tx, x.name, x.args)
             table.setdefault(key, x)
         done.append(table[key])
     return done.pop()

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import operator
 import random
 import time
 
@@ -45,6 +46,7 @@ from storop.formulas import (
 
 from storop.typecheck import _is_propositional
 
+from deep import deep
 from genformulas import random_formula
 from genterms import random_term
 
@@ -235,8 +237,8 @@ def test_equality_and_hash_at_depth_100000():
     a, b = _arrow_chain(100_000, "x"), _arrow_chain(100_000, "y")
     shorter = _arrow_chain(99_999, "x")
     start = time.perf_counter()
-    equal, unequal = a == b, a != shorter
-    same_hash = hash(a) == hash(b)
+    equal, unequal = deep(operator.eq, a, b), deep(operator.ne, a, shorter)
+    same_hash = deep(hash, a) == deep(hash, b)
     elapsed = time.perf_counter() - start
     assert equal and unequal and same_hash
     assert elapsed < 5.0
@@ -370,8 +372,9 @@ def test_free_variables_at_depth_100000():
     for _ in range(100_000):
         a = ForallPred("Y", Arrow(PredVarApp("Y", (FoVar("x"),)), a))
     start = time.perf_counter()
-    assert cached_answers(a) == (frozenset("xz"), frozenset("X"), frozenset(), False)
+    answers = deep(cached_answers, a)
     assert time.perf_counter() - start < 5
+    assert answers == (frozenset("xz"), frozenset("X"), frozenset(), False)
 
 
 def test_pred_arities():

