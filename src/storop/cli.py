@@ -31,11 +31,7 @@ from storop.formulas import (
 from storop.reduction import (
     DEFAULT_FUEL,
     FUEL_EXHAUSTED,
-    HEAD_NORMAL_FORM,
-    NORMAL_FORM,
     head_reduce,
-    head_step,
-    normal_step,
     normalize,
 )
 from storop.storage import (
@@ -93,23 +89,19 @@ def _fuel_from(args) -> int:
 def cmd_reduce(args) -> int:
     term = _parse_args_term(args.term)
     fuel = _fuel_from(args)
-    if args.strategy == "head":
-        stepper, done_status = head_step, HEAD_NORMAL_FORM
-    else:
-        stepper, done_status = normal_step, NORMAL_FORM
+    run = head_reduce if args.strategy == "head" else normalize
     if args.trace:
-        cur, steps = term, 0
-        print(f"0: {print_term(cur)}")
-        while steps < fuel:
-            nxt = stepper(cur)
-            if nxt is None:
-                break
-            cur, steps = nxt, steps + 1
-            print(f"{steps}: {print_term(cur)}")
-        result = cur
-        status = done_status if stepper(cur) is None else FUEL_EXHAUSTED
+        # one kernel step per line; a completed status means no step follows
+        result, steps, status = term, 0, FUEL_EXHAUSTED
+        print(f"0: {print_term(result)}")
+        while steps < fuel and status == FUEL_EXHAUSTED:
+            out = run(result, 1)
+            status = out.status
+            if out.steps:
+                result, steps = out.result, steps + 1
+                print(f"{steps}: {print_term(result)}")
     else:
-        out = head_reduce(term, fuel) if args.strategy == "head" else normalize(term, fuel)
+        out = run(term, fuel)
         result, steps, status = out.result, out.steps, out.status
     print(f"result: {print_term(result)}")
     print(f"steps: {steps}")

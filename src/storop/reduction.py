@@ -6,6 +6,11 @@ result (substitution renames a capturing binder by priming it). normalize
 counts every head step it takes, at the root and inside arguments, in
 normal (leftmost-outermost) order. On fuel exhaustion the result is the
 partial reduct.
+
+One spine loop serves both: it keeps the binders, the head and the argument
+stack of a term across steps, so nothing is rebuilt between contractions.
+head_reduce runs it once; normalize runs it on the root, then on each
+argument of every head normal form. A single step is a call with fuel=1.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ __all__ = [
     "FUEL_EXHAUSTED",
     "ReductionOutcome",
     "backend_name",
-    "head_step",
-    "normal_step",
     "head_reduce",
     "normalize",
     "is_normal",
@@ -89,44 +92,42 @@ def _subst1(t, name, value):
     return Abs(binder, _subst1(t.body, name, value))
 
 
-def head_step(t: Term) -> Optional[Term]:
-    """One head reduction step, or None when t is already in head normal form."""
-    binders = []
-    while type(t) is Abs:
-        binders.append(t.binder)
-        t = t.body
-    rev_args = []
-    while type(t) is App:
-        rev_args.append(t.arg)
-        t = t.fn
-    if type(t) is not Abs or not rev_args:
-        return None
-    core = _subst1(t.body, t.binder, rev_args.pop())
-    for a in reversed(rev_args):
-        core = App(core, a)
-    for b in reversed(binders):
-        core = Abs(b, core)
-    return core
+def _spine(t, fuel):
+    """Head-reduce t with at most fuel contractions, keeping the spine.
 
-
-def normal_step(t: Term) -> Optional[Term]:
-    """One normal-order (leftmost-outermost) step, or None when t is normal.
-
-    Iterating this matches normalize step for step, including variable names.
+    Pushes the argument at an application, enters the binder of an
+    abstraction that has no argument, and contracts an abstraction that has
+    one. Returns (binders, head, args, steps) with args left to right; head
+    is an abstraction exactly when the fuel ran out before a head normal form.
     """
-    nxt = head_step(t)
-    if nxt is not None:
-        return nxt
-    if type(t) is Abs:
-        body = normal_step(t.body)
-        return None if body is None else Abs(t.binder, body)
-    if type(t) is App:
-        fn = normal_step(t.fn)
-        if fn is not None:
-            return App(fn, t.arg)
-        arg = normal_step(t.arg)
-        return None if arg is None else App(t.fn, arg)
-    return None
+    binders = []
+    args = []  # the first argument on top
+    steps = 0
+    while True:
+        tt = type(t)
+        if tt is App:
+            args.append(t.arg)
+            t = t.fn
+        elif tt is not Abs:
+            break
+        elif not args:
+            binders.append(t.binder)
+            t = t.body
+        elif steps == fuel:
+            break
+        else:
+            t = _subst1(t.body, t.binder, args.pop())
+            steps += 1
+    args.reverse()
+    return binders, t, args, steps
+
+
+def _rebuild(binders, head, args):
+    for a in args:
+        head = App(head, a)
+    for b in reversed(binders):
+        head = Abs(b, head)
+    return head
 
 
 def head_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
@@ -135,60 +136,40 @@ def head_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
     steps is the exact number of head reductions performed.
     """
     _check_fuel(fuel)
-    steps = 0
-    while steps < fuel:
-        nxt = head_step(t)
-        if nxt is None:
-            return ReductionOutcome(t, steps, HEAD_NORMAL_FORM)
-        t = nxt
-        steps += 1
-    status = HEAD_NORMAL_FORM if head_step(t) is None else FUEL_EXHAUSTED
-    return ReductionOutcome(t, steps, status)
-
-
-class _Budget:
-    __slots__ = ("left", "dead")
-
-    def __init__(self, left):
-        self.left = left
-        self.dead = False
-
-
-def _norm(t, budget):
-    if budget.dead:
-        return t
-    while True:
-        nxt = head_step(t)
-        if nxt is None:
-            break
-        if budget.left == 0:
-            budget.dead = True
-            return t
-        t = nxt
-        budget.left -= 1
-    binders = []
-    while type(t) is Abs:
-        binders.append(t.binder)
-        t = t.body
-    rev_args = []
-    while type(t) is App:
-        rev_args.append(t.arg)
-        t = t.fn
-    core = t
-    for a in reversed(rev_args):
-        core = App(core, a if budget.dead else _norm(a, budget))
-    for b in reversed(binders):
-        core = Abs(b, core)
-    return core
+    binders, head, args, steps = _spine(t, fuel)
+    status = FUEL_EXHAUSTED if type(head) is Abs else HEAD_NORMAL_FORM
+    return ReductionOutcome(_rebuild(binders, head, args), steps, status)
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
-    """Normal-order normalization; on exhaustion result is the partial reduct."""
+    """Normal-order normalization; on exhaustion result is the partial reduct.
+
+    Head-reduces t, then each argument of its head normal form, left to
+    right, over an explicit stack of the spines still waiting for one.
+    """
     _check_fuel(fuel)
-    budget = _Budget(fuel)
-    result = _norm(t, budget)
-    status = FUEL_EXHAUSTED if budget.dead else NORMAL_FORM
-    return ReductionOutcome(result, fuel - budget.left, status)
+    steps = 0
+    waiting = []  # (binders, head, args, i): argument i is being normalized
+    while True:
+        binders, head, args, n = _spine(t, fuel - steps)
+        steps += n
+        if type(head) is Abs:
+            t = _rebuild(binders, head, args)
+            while waiting:
+                binders, head, args, i = waiting.pop()
+                args[i] = t
+                t = _rebuild(binders, head, args)
+            return ReductionOutcome(t, steps, FUEL_EXHAUSTED)
+        i = 0
+        while i == len(args):
+            t = _rebuild(binders, head, args)
+            if not waiting:
+                return ReductionOutcome(t, steps, NORMAL_FORM)
+            binders, head, args, i = waiting.pop()
+            args[i] = t
+            i += 1
+        waiting.append((binders, head, args, i))
+        t = args[i]
 
 
 def is_normal(t: Term) -> bool:
@@ -204,8 +185,8 @@ def beta_equiv(t: Term, u: Term, fuel: int = DEFAULT_FUEL) -> Optional[bool]:
     """
     _check_fuel(fuel)
     a = normalize(t, fuel)
+    if not a.completed:
+        return None
     b = normalize(u, fuel)
-    if a.completed and b.completed:
-        return a.result == b.result
-    return None
+    return a.result == b.result if b.completed else None
 

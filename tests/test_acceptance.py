@@ -37,7 +37,6 @@ from storop.prebuilt import (
 from storop.reduction import (
     beta_equiv,
     head_reduce,
-    head_step,
     normalize,
 )
 from storop.storage import (
@@ -146,10 +145,10 @@ def test_criterion_04_head_step_count_identities():
         u = random_term(rng, depth=5)
         path = [u]
         while len(path) <= 14:
-            nxt = head_step(path[-1])
-            if nxt is None:
+            out = head_reduce(path[-1], 1)
+            if out.steps == 0:
                 break
-            path.append(nxt)
+            path.append(out.result)
         if len(path) < 2 or not u.fv:
             continue
         k = rng.randint(1, len(path) - 1)
@@ -157,8 +156,9 @@ def test_criterion_04_head_step_count_identities():
         sigma = {nm: random_closed_term(rng, depth=3) for nm in names}
         cur = substitute(u, sigma)
         for _ in range(k):
-            cur = head_step(cur)
-            assert cur is not None, print_term(u)
+            out = head_reduce(cur, 1)
+            assert out.steps == 1, print_term(u)
+            cur = out.result
         assert cur == substitute(path[k], sigma), print_term(u)
         done += 1
 
@@ -174,10 +174,10 @@ def test_criterion_04_head_step_count_identities():
             continue
         path = [u]
         while type(path[-1]) is App and len(path) <= 12:
-            nxt = head_step(path[-1])
-            if nxt is None:
+            out = head_reduce(path[-1], 1)
+            if out.steps == 0:
                 break
-            path.append(nxt)
+            path.append(out.result)
         max_k = 0
         for i in range(len(path) - 1):
             if type(path[i]) is not App:

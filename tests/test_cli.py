@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -82,6 +83,37 @@ def test_reduce_trace_fuel_exhaustion(capsys):
     code, out, _ = run(capsys, "reduce", "@omega", "--fuel", "5", "--trace")
     assert code == 3
     assert "steps: 5" in out and "status: fuel-exhausted" in out
+
+
+# sha256 of exit code and stdout of `storop reduce` on each source under both
+# strategies, four fuels, with and without --trace: 160 runs. It pins the
+# step-by-step trace, the exhaustion status after an exact-fuel run, and the
+# partial reduct printed on exhaustion.
+REDUCE_SOURCES = [
+    "@omega",
+    "((@T) @church:4) f",
+    "((@Tp) @church:3) f",
+    "(@T1 @church:2) f",
+    "(@succ) @church:3",
+    "((\\d \\e e) @omega) y",
+    "((@church:3) a) g",
+    "(f) (\\x x) y",
+    "\\z (\\x \\y (x) y) y",
+    "(\\x (x) x) \\x x",
+]
+REDUCE_DIGEST = "9b1ad383d0fe723ce7a229515ce9676d2cce9762aa32603aae144264b7ce69fb"
+
+
+def test_reduce_output_fingerprint(capsys):
+    h = hashlib.sha256()
+    for src in REDUCE_SOURCES:
+        for strategy in ("head", "normal"):
+            for fuel in ("1", "3", "50", "100000"):
+                for trace in ([], ["--trace"]):
+                    argv = ["reduce", src, "--strategy", strategy, "--fuel", fuel, *trace]
+                    code, out, _ = run(capsys, *argv)
+                    h.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert h.hexdigest() == REDUCE_DIGEST
 
 
 def test_fuel_env_override(capsys, monkeypatch):

@@ -1,9 +1,12 @@
 import hashlib
 import random
+import time
 
 import pytest
 
+from deep import deep
 from genterms import random_closed_term, random_term
+from storop import reduction
 from storop.builtins import BUILTINS, parse
 from storop.reduction import (
     DEFAULT_FUEL,
@@ -13,29 +16,28 @@ from storop.reduction import (
     _subst1,
     beta_equiv,
     head_reduce,
-    head_step,
     is_normal,
     normalize,
 )
-from storop.terms import App, Var, church, numeral_of, print_term
+from storop.terms import Abs, App, Var, church, numeral_of, print_term
 
 
 OMEGA = BUILTINS["omega"]
 
 
 def test_head_step_contracts_head_redex():
-    t = parse("((\\x x) a) b")
-    assert head_step(t) == parse("(a) b")
+    out = head_reduce(parse("((\\x x) a) b"), 1)
+    assert out.steps == 1 and out.result == parse("(a) b")
 
 
 def test_head_step_under_binders():
-    t = parse("\\y (\\x (x) x) y")
-    assert head_step(t) == parse("\\y (y) y")
+    out = head_reduce(parse("\\y (\\x (x) x) y"), 1)
+    assert out.steps == 1 and out.result == parse("\\y (y) y")
 
 
 def test_head_step_none_on_head_normal_form():
-    assert head_step(parse("\\x x")) is None
-    assert head_step(parse("(x) (\\y y) z")) is None  # head variable x
+    assert head_reduce(parse("\\x x"), 1).steps == 0
+    assert head_reduce(parse("(x) (\\y y) z"), 1).steps == 0  # head variable x
 
 
 def test_head_reduce_counts_exactly():
@@ -120,10 +122,10 @@ def test_church_application_behaves_as_iterator():
 
 
 def test_is_head_normal_and_is_normal():
-    assert head_step(parse("(x) (\\y y) z")) is None
+    assert head_reduce(parse("(x) (\\y y) z"), 1).steps == 0
     assert not is_normal(parse("(x) (\\y y) z"))
     assert is_normal(church(4))
-    assert head_step(parse("(\\x x) y")) is not None
+    assert head_reduce(parse("(\\x x) y"), 1).steps == 1
 
 
 def test_beta_equiv_positive():
@@ -140,10 +142,50 @@ def test_beta_equiv_unknown_on_divergence():
     assert beta_equiv(OMEGA, OMEGA, fuel=200) is None
 
 
+def test_beta_equiv_stops_when_the_first_side_diverges(monkeypatch):
+    seen = []
+
+    def counting(t, fuel):
+        seen.append(t)
+        return normalize(t, fuel)
+
+    monkeypatch.setattr(reduction, "normalize", counting)
+    assert beta_equiv(OMEGA, church(1), fuel=200) is None
+    assert seen == [OMEGA]
+
+
 def test_is_solvable():
     assert head_reduce(church(3)).completed
     assert head_reduce(BUILTINS["theta0"]).completed
     assert not head_reduce(OMEGA, fuel=300).completed
+
+
+def _numeral_with_inner_redex(n):
+    """\\x f (f)^n ((\\y y) x): one redex at depth n, reducing to church(n)."""
+    body = App(Abs("y", Var("y")), Var("x"))
+    for _ in range(n):
+        body = App(Var("f"), body)
+    return Abs("x", Abs("f", body))
+
+
+def test_normalize_normal_form_at_depth_100000():
+    # normalize recursed once per argument and broke at church(30000)
+    t = church(100_000)
+    start = time.perf_counter()
+    out = deep(normalize, t)
+    same = deep(out.result.__eq__, t)
+    assert time.perf_counter() - start < 5.0
+    assert (out.steps, out.status, same) == (0, NORMAL_FORM, True)
+
+
+@pytest.mark.parametrize("fuel", [1, DEFAULT_FUEL])
+def test_normalize_redex_at_depth_100000(fuel):
+    t = _numeral_with_inner_redex(100_000)
+    start = time.perf_counter()
+    out = deep(normalize, t, fuel)
+    same = deep(out.result.__eq__, church(100_000))
+    assert time.perf_counter() - start < 5.0
+    assert (out.steps, out.status, same) == (1, NORMAL_FORM, True)
 
 
 def test_default_fuel_is_reasonable():
@@ -151,13 +193,16 @@ def test_default_fuel_is_reasonable():
 
 
 # sha256 of the kernel's output on 1,306 seeded inputs: printed term, step
-# count and status, one line per input. Any change to a step count or to a
-# primed binder name changes a digest; a faster kernel must keep all five.
+# count and status, one line per input, plus ("steps") 300 more inputs
+# reduced one step at a time, as head_reduce(t, 1) and as normalize(t, 1),
+# one line per call. Any change to a step count or to a primed binder name
+# changes a digest; a faster kernel must keep all six.
 KERNEL_DIGESTS = {
     "subst1": "df10aa5f0284656451a392f2485867067835cef6b6b162befead059ef3ad8ec7",
     "head_reduce": "bee4e764dac2e4b77128671081c15012dcb54d9de593142fbc2ddaf0fad97ff6",
     "normalize": "c8bf1f75ec27d30b42a3a2bdd56bfddfa3cf9577c66e8bc5ea9741530e2cdfe3",
     "normalize_closed": "0c503baddcf8406073222306ac5b052dc76da784dd76bafec91defd00da1fd08",
+    "steps": "f95861be2409849a6ddafee74f42d4d805412b4c66a43e26add6655e3cf1bfe6",
     "storage_run": "de6cc3ed35668e7dffa81da68dc327052a2cfed8f1556f109f8283f1c5ae51ad",
 }
 
@@ -186,6 +231,25 @@ def _kernel_lines(family):
         rng = random.Random(404)
         for _ in range(200):
             yield _row(normalize(random_closed_term(rng, depth=6), 300))
+    elif family == "steps":
+        # application-rooted inputs, so most take steps; the third kind
+        # passes free x and y into binders named x and y, so binders get primed
+        rng = random.Random(505)
+        for i in range(300):
+            if i % 3 == 0:
+                t = App(random_closed_term(rng, depth=5), random_closed_term(rng, depth=4))
+            elif i % 3 == 1:
+                t = App(random_term(rng, depth=5), random_term(rng, depth=4))
+            else:
+                t = App(random_term(rng, depth=5), random_term(rng, depth=4, scope=["x", "y"]))
+            for run in (head_reduce, normalize):
+                cur = t
+                for _ in range(60):
+                    out = run(cur, 1)
+                    yield _row(out)
+                    if out.steps == 0:
+                        break
+                    cur = out.result
     else:
         T = BUILTINS["T"]
         for n in range(6):
