@@ -11,6 +11,9 @@ One spine loop serves both: it keeps the binders, the head and the argument
 stack of a term across steps, so nothing is rebuilt between contractions.
 head_reduce runs it once; normalize runs it on the root, then on each
 argument of every head normal form. A single step is a call with fuel=1.
+Contracting a variable into a binder of its own name, as in
+(\\x M) x, continues with M itself: that substitution could prime no
+binder and would rebuild the same term, but the step still counts.
 """
 
 from __future__ import annotations
@@ -116,7 +119,11 @@ def _spine(t, fuel):
         elif steps == fuel:
             break
         else:
-            t = _subst1(t.body, t.binder, args.pop())
+            a = args.pop()
+            if type(a) is Var and a.name == t.binder:
+                t = t.body
+            else:
+                t = _subst1(t.body, t.binder, a)
             steps += 1
     args.reverse()
     return binders, t, args, steps
@@ -133,42 +140,44 @@ def _rebuild(binders, head, args):
 def head_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
     """Head-reduce until head normal form or until fuel steps were taken.
 
-    steps is the exact number of head reductions performed.
+    steps is the exact number of head reductions performed. A head normal
+    form takes no step and comes back as the same object.
     """
     _check_fuel(fuel)
     binders, head, args, steps = _spine(t, fuel)
     status = FUEL_EXHAUSTED if type(head) is Abs else HEAD_NORMAL_FORM
-    return ReductionOutcome(_rebuild(binders, head, args), steps, status)
+    return ReductionOutcome(_rebuild(binders, head, args) if steps else t, steps, status)
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
     """Normal-order normalization; on exhaustion result is the partial reduct.
 
     Head-reduces t, then each argument of its head normal form, left to
-    right, over an explicit stack of the spines still waiting for one.
+    right, over an explicit stack of the spines still waiting for one. A
+    subterm in which no step was taken comes back as the same object, so a
+    normal form returns itself.
     """
     _check_fuel(fuel)
     steps = 0
-    waiting = []  # (binders, head, args, i): argument i is being normalized
+    # (binders, head, args, i, node): argument i is being normalized; node is
+    # the spine's own term while nothing in it has changed, else None
+    waiting = []
     while True:
         binders, head, args, n = _spine(t, fuel - steps)
         steps += n
-        if type(head) is Abs:
-            t = _rebuild(binders, head, args)
-            while waiting:
-                binders, head, args, i = waiting.pop()
-                args[i] = t
-                t = _rebuild(binders, head, args)
-            return ReductionOutcome(t, steps, FUEL_EXHAUSTED)
-        i = 0
+        node = None if n else t
+        exhausted = type(head) is Abs
+        i = len(args) if exhausted else 0
         while i == len(args):
-            t = _rebuild(binders, head, args)
+            t = _rebuild(binders, head, args) if node is None else node
             if not waiting:
-                return ReductionOutcome(t, steps, NORMAL_FORM)
-            binders, head, args, i = waiting.pop()
-            args[i] = t
-            i += 1
-        waiting.append((binders, head, args, i))
+                return ReductionOutcome(t, steps, FUEL_EXHAUSTED if exhausted else NORMAL_FORM)
+            binders, head, args, i, node = waiting.pop()
+            if args[i] is not t:
+                args[i] = t
+                node = None
+            i = len(args) if exhausted else i + 1
+        waiting.append((binders, head, args, i, node))
         t = args[i]
 
 

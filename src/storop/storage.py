@@ -24,7 +24,6 @@ from storop.reduction import (
     DEFAULT_FUEL,
     FUEL_EXHAUSTED,
     ReductionOutcome,
-    beta_equiv,
     head_reduce,
     normalize,
 )
@@ -331,9 +330,10 @@ def theta_corpus(
     There are four shape families: the numeral itself, successor towers over
     smaller numerals, identity wrappings, and seeded redex insertions inside
     the body. Candidates are taken round-robin over the families, so every
-    prefix mixes the shapes, and verified equal to the numeral one at a
-    time; nothing past the first ``limit`` terms (None: all) is verified
-    or, beyond the two identity wrappings, built.
+    prefix mixes the shapes, and verified one at a time: each candidate is
+    normalized once and its normal form read as a numeral, which must be n.
+    Nothing past the first ``limit`` terms (None: all) is verified or,
+    beyond the two identity wrappings, built.
     Raises CorpusFuelExhausted when a candidate does not normalize within
     ``fuel`` steps.
     """
@@ -366,10 +366,10 @@ def theta_corpus(
 
     out: list[Term] = []
     for t in islice(_round_robin(((target,), towers(), wraps, seeded())), limit):
-        same = beta_equiv(t, target, fuel)
-        if same is None:
+        norm = normalize(t, fuel)
+        if not norm.completed:
             raise CorpusFuelExhausted(len(out))
-        if not same:
+        if numeral_of(norm.result) != n:
             raise AssertionError(f"corpus term is not equal to the numeral: {print_term(t)}")
         out.append(t)
     return out

@@ -191,6 +191,21 @@ def test_certify_writes_deterministic_certificates(capsys, tmp_path):
     assert "registry:" in text and "tau-value: 3" in text
 
 
+# sha256 of exit code, stdout and certificate file of certify --max-n 12 on
+# each bundled storage operator, recorded before the kernel skipped x := x
+# substitutions and the corpus stopped re-normalizing its numeral
+CERTIFY_DIGEST = "ea91b6a32e5533cb0bf85b263199661f6011e3fd8ce9b2bb80826861d6044d60"
+
+
+def test_certify_output_fingerprint(capsys, tmp_path):
+    h = hashlib.sha256()
+    for op in ("@T", "@T2", "@Tp"):
+        path = tmp_path / "certs.txt"
+        code, out, _ = run(capsys, "certify", op, "--max-n", "12", "--out", str(path))
+        h.update(f"{op}\n{code}\n{out}\n{path.read_text(encoding='utf-8')}".encode())
+    assert h.hexdigest() == CERTIFY_DIGEST
+
+
 def test_certify_unwritable_out_is_exit_2_before_any_work(capsys, tmp_path):
     code, out, err = run(
         capsys, "certify", "@T", "--max-n", "1", "--out", str(tmp_path / "missing" / "x")

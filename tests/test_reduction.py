@@ -128,6 +128,33 @@ def test_is_head_normal_and_is_normal():
     assert head_reduce(parse("(\\x x) y"), 1).steps == 1
 
 
+def test_normalize_returns_unchanged_subterms_as_themselves():
+    t = church(90)
+    out = normalize(t)
+    assert (out.steps, out.status) == (0, NORMAL_FORM)
+    assert out.result is t
+    # only the first argument holds a redex; the second comes back as itself
+    kept = parse("\\z (z) \\w w")
+    out = normalize(App(App(Var("g"), parse("(\\x x) a")), kept))
+    assert out.result == parse("(g) a \\z (z) \\w w")
+    assert out.result.arg is kept
+
+
+def test_head_reduce_returns_a_head_normal_form_as_itself():
+    t = parse("\\z (z) ((\\x x) a) \\y y")
+    out = head_reduce(t)
+    assert (out.steps, out.status) == (0, HEAD_NORMAL_FORM)
+    assert out.result is t
+
+
+def test_contracting_a_variable_into_its_own_name_keeps_the_body():
+    # (\\x M) x is M; substituting would return the argument's x for M's
+    body, arg = Var("x"), Var("x")
+    out = head_reduce(App(Abs("x", body), arg), 1)
+    assert (out.steps, out.status) == (1, HEAD_NORMAL_FORM)
+    assert out.result is body
+
+
 def test_beta_equiv_positive():
     two = App(BUILTINS["succ"], App(BUILTINS["succ"], church(0)))
     assert beta_equiv(two, church(2)) is True
@@ -176,6 +203,7 @@ def test_normalize_normal_form_at_depth_100000():
     same = deep(out.result.__eq__, t)
     assert time.perf_counter() - start < 5.0
     assert (out.steps, out.status, same) == (0, NORMAL_FORM, True)
+    assert out.result is t
 
 
 @pytest.mark.parametrize("fuel", [1, DEFAULT_FUEL])
@@ -195,8 +223,10 @@ def test_default_fuel_is_reasonable():
 # sha256 of the kernel's output on 1,306 seeded inputs: printed term, step
 # count and status, one line per input, plus ("steps") 300 more inputs
 # reduced one step at a time, as head_reduce(t, 1) and as normalize(t, 1),
-# one line per call. Any change to a step count or to a primed binder name
-# changes a digest; a faster kernel must keep all six.
+# one line per call, plus ("own_name") inputs that contract a variable into a
+# binder of its own name, recorded before the kernel skipped those
+# substitutions. Any change to a step count or to a primed binder name
+# changes a digest; a faster kernel must keep all seven.
 KERNEL_DIGESTS = {
     "subst1": "df10aa5f0284656451a392f2485867067835cef6b6b162befead059ef3ad8ec7",
     "head_reduce": "bee4e764dac2e4b77128671081c15012dcb54d9de593142fbc2ddaf0fad97ff6",
@@ -204,6 +234,7 @@ KERNEL_DIGESTS = {
     "normalize_closed": "0c503baddcf8406073222306ac5b052dc76da784dd76bafec91defd00da1fd08",
     "steps": "f95861be2409849a6ddafee74f42d4d805412b4c66a43e26add6655e3cf1bfe6",
     "storage_run": "de6cc3ed35668e7dffa81da68dc327052a2cfed8f1556f109f8283f1c5ae51ad",
+    "own_name": "cfa9d522561578d4c368d76233db8c659c2f1f7a0a3661fcee04b0087051a057",
 }
 
 
@@ -242,6 +273,33 @@ def _kernel_lines(family):
                 t = App(random_term(rng, depth=5), random_term(rng, depth=4))
             else:
                 t = App(random_term(rng, depth=5), random_term(rng, depth=4, scope=["x", "y"]))
+            for run in (head_reduce, normalize):
+                cur = t
+                for _ in range(60):
+                    out = run(cur, 1)
+                    yield _row(out)
+                    if out.steps == 0:
+                        break
+                    cur = out.result
+    elif family == "own_name":
+        # each input contracts a variable into a binder of the same name, as
+        # normalizing \\x f ((n) x) f does; the small ones also one step at a time
+        cases = []
+        for k in (0, 1, 2, 3, 5, 8, 13, 21, 40):
+            for src in (
+                f"\\x f ((@church:{k}) x) f",
+                f"((@succ) @church:{k})",
+                f"(@T @church:{k}) \\y y",
+                f"(@Tp ((\\x x) @church:{k})) \\y y",
+            ):
+                cases.append((parse(src), k <= 3))
+        for a, b in ((0, 0), (0, 3), (1, 1), (2, 1), (3, 4), (4, 7), (9, 5)):
+            src = f"((\\m n x f ((m) x) \\y ((n) y) f) @church:{a} @church:{b})"
+            cases.append((parse(src), a + b <= 3))
+        for t, _ in cases:
+            yield _row(head_reduce(t))
+            yield _row(normalize(t))
+        for t in [t for t, small in cases if small]:
             for run in (head_reduce, normalize):
                 cur = t
                 for _ in range(60):

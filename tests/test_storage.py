@@ -223,11 +223,11 @@ def test_theta_corpus_prefix_takes_one_term_per_family(n):
 def test_theta_corpus_verifies_only_what_it_returns(monkeypatch):
     calls = []
 
-    def counting(t, u, fuel):
+    def counting(t, fuel):
         calls.append(t)
-        return beta_equiv(t, u, fuel)
+        return normalize(t, fuel)
 
-    monkeypatch.setattr(storage, "beta_equiv", counting)
+    monkeypatch.setattr(storage, "normalize", counting)
     assert len(theta_corpus(90, limit=4)) == 4
     assert len(calls) == 4
 
