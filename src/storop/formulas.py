@@ -19,6 +19,10 @@ bottomed, 3 predicate symbols (bound by no quantifier); ``mark`` is printed
 after a variable's name, ``"_|"`` in the bottomed namespace. Walkers branch
 on shape and compare ``ns``, one code path for every namespace.
 
+One capture-avoiding substitution serves all namespaces behind ``subst_fo``,
+``subst_pred``, ``subst_bot`` and ``instantiate``, which opens a quantifier
+at a witness; a binder that would capture a name brought in is primed.
+
 Formula nodes are immutable and carry caches that stay None until first
 asked for: the alpha-key behind ``==`` and ``hash`` (``_k``), the free
 variables that ``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``,
@@ -29,7 +33,6 @@ variables that ``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from storop.terms import fresh_name
@@ -63,6 +66,7 @@ __all__ = [
     "subst_fo",
     "subst_pred",
     "subst_bot",
+    "instantiate",
     "is_bot_type",
     "godel_star",
     "bot_transform",
@@ -75,7 +79,6 @@ __all__ = [
     "EquationSet",
     "parse_equations",
     "apply_equation",
-    "check_adequacy",
     "pred_arities",
 ]
 
@@ -394,39 +397,6 @@ def pred_arities(a: Formula, out: Optional[dict] = None) -> dict:
 # substitution
 
 
-def subst_fo(a: Formula, m: Mapping[str, FoTerm]) -> Formula:
-    """Capture-avoiding first-order substitution inside a formula.
-
-    A node under which nothing changes is returned as it is.
-    """
-    ta = type(a)
-    if ta is Bot:
-        return a
-    if ta is Arrow:
-        left, right = subst_fo(a.left, m), subst_fo(a.right, m)
-        return a if left is a.left and right is a.right else Arrow(left, right)
-    if isinstance(a, Atom):
-        args = tuple(fo_subst(t, m) for t in a.args)
-        if all(new is old for new, old in zip(args, a.args)):
-            return a
-        return ta(a.name, args)
-    if a.ns != 0:
-        body = subst_fo(a.body, m)
-        return a if body is a.body else ta(a.var, body)
-    body_fv = fv_fo(a.body)
-    live = {k: v for k, v in m.items() if k != a.var and k in body_fv}
-    if not live:
-        return a
-    introduced: set[str] = set()
-    for v in live.values():
-        introduced |= fo_vars(v)
-    if a.var in introduced:
-        nv = fresh_name(a.var, introduced | body_fv | set(live))
-        live[a.var] = FoVar(nv)
-        return ForallFo(nv, subst_fo(a.body, live))
-    return ForallFo(a.var, subst_fo(a.body, live))
-
-
 @dataclass(frozen=True)
 class PredAbstraction:
     """A predicate of explicit arity: params are first-order, body a formula."""
@@ -447,59 +417,100 @@ class PredAbstraction:
             raise FormulaError(
                 f"abstraction of arity {len(self.params)} applied to {len(args)} arguments"
             )
-        return subst_fo(self.body, dict(zip(self.params, args)))
+        return _subst(self.body, dict(zip(self.params, args)), {})
 
     def free_fo(self) -> frozenset[str]:
         return fv_fo(self.body) - set(self.params)
 
 
-def _rename(f: Formula, old: str, new: str, ns: int) -> Formula:
-    """Rename the free variable old of namespace ns to new."""
+def _subst(a: Formula, fo: Mapping[str, FoTerm], so: Mapping[tuple, object]) -> Formula:
+    """Simultaneous capture-avoiding substitution in all three namespaces.
+
+    fo maps first-order names to terms, so maps (namespace, name) to a
+    PredAbstraction or to a renamed binder's new name. A binder that would
+    capture a name brought in by the replacement of a variable free in its
+    body is primed to fresh_name(var, brought | free variables of the body);
+    the renaming joins the maps, which are never changed in place.
+    """
+    ta = type(a)
+    if ta is Arrow:
+        left, right = _subst(a.left, fo, so), _subst(a.right, fo, so)
+        return a if left is a.left and right is a.right else Arrow(left, right)
+    if ta is Bot:
+        return a
+    if isinstance(a, Atom):
+        new = so.get((a.ns, a.name)) if so else None
+        if new is None and not fo:
+            return a
+        args = tuple(fo_subst(t, fo) for t in a.args) if fo else a.args
+        if new is not None:
+            return ta(new, args) if type(new) is str else new.apply(args)
+        return a if all(n is o for n, o in zip(args, a.args)) else ta(a.name, args)
+    ns, var, body = a.ns, a.var, a.body
     if ns == 0:
-        return subst_fo(f, {old: FoVar(new)})
-    tf = type(f)
-    if tf is Arrow:
-        return Arrow(_rename(f.left, old, new, ns), _rename(f.right, old, new, ns))
-    if tf is Bot:
-        return f
-    if isinstance(f, Atom):
-        return tf(new, f.args) if f.ns == ns and f.name == old else f
-    if f.ns == ns and f.var == old:
-        return f
-    return tf(f.var, _rename(f.body, old, new, ns))
+        if fo:
+            body_fv = fv_fo(body)
+            fo = {k: v for k, v in fo.items() if k != var and k in body_fv}
+    elif not so:
+        # first-order terms bring no name a second-order binder could capture
+        body = _subst(body, fo, so)
+        return a if body is a.body else ta(var, body)
+    # drop the entries whose variable is not free here; most binders drop none
+    for k in so:
+        if k[1] not in _free_vars(a, k[0]):
+            so = {k: v for k, v in so.items() if k[1] in _free_vars(a, k[0])}
+            break
+    if not fo and not so:
+        return a
+    brought: set[str] = set()
+    if ns == 0:
+        for t in fo.values():
+            brought |= fo_vars(t)
+    for (kns, _), v in so.items():
+        if type(v) is str:
+            if kns == ns:
+                brought.add(v)
+        else:
+            brought |= v.free_fo() if ns == 0 else _free_vars(v.body, ns)
+    if var in brought:
+        new = fresh_name(var, brought | _free_vars(body, ns))
+        if ns == 0:
+            fo = {**fo, var: FoVar(new)}
+        else:
+            so = {**so, (ns, var): new}
+        return ta(new, _subst(body, fo, so))
+    body = _subst(body, fo, so)
+    return a if body is a.body else ta(var, body)
 
 
-def _subst_second_order(a: Formula, name: str, abst: PredAbstraction, ns: int) -> Formula:
-    """Substitute abst for the free variable name of second-order namespace ns."""
-    # per quantified namespace, the names the abstraction brings in, which
-    # a binder of that namespace must not capture
-    brought = (abst.free_fo(), fv_pred(abst.body), fv_bot(abst.body))
+def subst_fo(a: Formula, m: Mapping[str, FoTerm]) -> Formula:
+    """Substitute terms for free first-order variables, all at once.
 
-    def walk(f: Formula) -> Formula:
-        tf = type(f)
-        if tf is Arrow:
-            return Arrow(walk(f.left), walk(f.right))
-        if isinstance(f, Atom):
-            return abst.apply(f.args) if f.ns == ns and f.name == name else f
-        if tf is Bot or name not in _free_vars(f, ns):
-            return f
-        var, body, taken = f.var, f.body, brought[f.ns]
-        if var in taken:
-            var = fresh_name(var, taken | _free_vars(body, f.ns))
-            body = _rename(body, f.var, var, f.ns)
-        return tf(var, walk(body))
-
-    return walk(a) if name in _free_vars(a, ns) else a
+    A binder that would capture a variable of a replacement is primed until
+    it avoids those variables and the free variables of its body. A node
+    under which nothing changes is returned as it is.
+    """
+    return _subst(a, m, {})
 
 
 def subst_pred(a: Formula, name: str, abst: PredAbstraction) -> Formula:
-    """Substitute a predicate abstraction for a free predicate variable."""
-    return _subst_second_order(a, name, abst, 1)
+    """Substitute abst for a free predicate variable; binders are primed as in subst_fo."""
+    return _subst(a, {}, {(1, name): abst})
 
 
 def subst_bot(a: Formula, name: str, abst: PredAbstraction) -> Formula:
-    """Substitute a predicate abstraction for a free bottomed variable."""
-    return _subst_second_order(a, name, abst, 2)
+    """Substitute abst for a free bottomed variable; binders are primed as in subst_fo."""
+    return _subst(a, {}, {(2, name): abst})
+
+
+def instantiate(q: Quantifier, w) -> Formula:
+    """The body of q with w, a term or a PredAbstraction, for its variable.
+
+    The substitution is in q's namespace; binders are primed as in subst_fo.
+    """
+    if q.ns == 0:
+        return _subst(q.body, {q.var: w}, {})
+    return _subst(q.body, {}, {(q.ns, q.var): w})
 
 
 # ---------------------------------------------------------------------------
@@ -769,95 +780,6 @@ def apply_equation(
         raise FormulaError("path leaves the formula")
 
     return rewrite(a, tuple(path), frozenset())
-
-
-def check_adequacy(eqs: EquationSet, size_bound: int = 4) -> Optional[str]:
-    """Refutation lint for the two numeral-soundness conditions.
-
-    Builds the congruence closure of all ground instances of the equations
-    over ground terms of at most size_bound nodes and looks for a provable
-    s(a) = 0 (condition i) or a provable s(a) = s(b) whose a = b was not
-    provable within the bound (condition ii, heuristic). Returns None when
-    nothing was found; this is a bounded search, not a proof of adequacy.
-    """
-    sig = eqs.signature
-    by_size: dict[int, list[FoTerm]] = {}
-    for size in range(1, size_bound + 1):
-        layer: list[FoTerm] = []
-        for sym, arity in sorted(sig.items()):
-            if arity == 0 and size == 1:
-                layer.append(FoApp(sym))
-            elif arity > 0 and size > 1:
-                for split in _compositions(size - 1, arity):
-                    pools = [by_size.get(s, []) for s in split]
-                    for combo in product(*pools):
-                        layer.append(FoApp(sym, tuple(combo)))
-        by_size[size] = layer
-    universe: list[FoTerm] = [t for size in range(1, size_bound + 1) for t in by_size[size]]
-    index = {t: i for i, t in enumerate(universe)}
-
-    parent = list(range(len(universe)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> bool:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return False
-        parent[ri] = rj
-        return True
-
-    for eq in eqs:
-        vars_ = sorted(fo_vars(eq.lhs) | fo_vars(eq.rhs))
-        for combo in product(universe, repeat=len(vars_)):
-            sigma = dict(zip(vars_, combo))
-            lhs, rhs = fo_subst(eq.lhs, sigma), fo_subst(eq.rhs, sigma)
-            if lhs in index and rhs in index:
-                union(index[lhs], index[rhs])
-
-    changed = True
-    while changed:
-        changed = False
-        buckets: dict[tuple, list[int]] = {}
-        for i, t in enumerate(universe):
-            key = (t.sym, tuple(find(index[a]) for a in t.args))
-            buckets.setdefault(key, []).append(i)
-        for group in buckets.values():
-            first = group[0]
-            for other in group[1:]:
-                if union(first, other):
-                    changed = True
-
-    zero_class = find(index[FoApp("0")])
-    succs = [t for t in universe if isinstance(t, FoApp) and t.sym == "s"]
-    for t in succs:
-        if find(index[t]) == zero_class:
-            return f"{print_foterm(t)} = 0 is derivable"
-    for i, t in enumerate(succs):
-        for u in succs[i + 1 :]:
-            if find(index[t]) == find(index[u]) and find(index[t.args[0]]) != find(
-                index[u.args[0]]
-            ):
-                return (
-                    f"{print_foterm(t)} = {print_foterm(u)} is derivable but "
-                    f"{print_foterm(t.args[0])} = {print_foterm(u.args[0])} was not "
-                    "found within the bound"
-                )
-    return None
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

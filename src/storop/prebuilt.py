@@ -20,7 +20,6 @@ from storop.formulas import (
     FoApp,
     FoTerm,
     FoVar,
-    ForallBot,
     ForallFo,
     ForallPred,
     Formula,
@@ -29,14 +28,12 @@ from storop.formulas import (
     apply_equation,
     fv_fo,
     fv_pred,
+    instantiate,
     n_bot_type,
     n_star_type,
     n_type,
     neg,
     parse_equations,
-    subst_bot,
-    subst_fo,
-    subst_pred,
 )
 from storop.terms import Abs, App, Var, fresh_name
 from storop.typecheck import Context, Derivation, lift_star_to_bot, read_derivation
@@ -84,20 +81,14 @@ def _gen_fo(p: Derivation, var: str) -> Derivation:
     return Derivation("gen-fo", p.ctx, p.term, ForallFo(var, p.type), None, (p,))
 
 
-def _inst_fo(p: Derivation, t: FoTerm) -> Derivation:
-    opened = subst_fo(p.type.body, {p.type.var: t})
-    return Derivation("inst-fo", p.ctx, p.term, opened, t, (p,))
-
-
 def _gen_pred(p: Derivation, var: str) -> Derivation:
     return Derivation("gen-pred", p.ctx, p.term, ForallPred(var, p.type), None, (p,))
 
 
-def _inst(p: Derivation, g: PredAbstraction) -> Derivation:
-    """inst-bot on a bottomed quantification, inst-pred on a predicate one."""
-    bottomed = type(p.type) is ForallBot
-    opened = (subst_bot if bottomed else subst_pred)(p.type.body, p.type.var, g)
-    return Derivation("inst-bot" if bottomed else "inst-pred", p.ctx, p.term, opened, g, (p,))
+def _inst(p: Derivation, w) -> Derivation:
+    """The inst rule of p's quantifier namespace at the witness w."""
+    rule = ("inst-fo", "inst-pred", "inst-bot")[p.type.ns]
+    return Derivation(rule, p.ctx, p.term, instantiate(p.type, w), w, (p,))
 
 
 def _eq(p: Derivation, eqs: EquationSet, steps: tuple) -> Derivation:
@@ -164,7 +155,7 @@ def numeral_derivation(k: int, ctx: Context = Context(), propositional: bool = F
     for i in range(k):
         df = _ax(c2, f)
         if not propositional:
-            df = _inst_fo(df, _snum(i))
+            df = _inst(df, _snum(i))
         d = _app(df, d)
     return _gen_pred(_abs(_abs(d)), pvar)
 
@@ -190,7 +181,7 @@ def succ_derivation(ctx: Context = Context(), propositional: bool = False, genva
     d = _app(d, _ax(c2, f))
     df = _ax(c2, f)
     if not propositional:
-        df = _inst_fo(df, xv)
+        df = _inst(df, xv)
     d = _app(df, d)
     d = _gen_pred(_abs(_abs(d)), pvar)
     d = _abs(d)
@@ -220,7 +211,7 @@ def _g_derivation(ctx: Context) -> Derivation:
     n_sy = n_type(FoApp("s", (yv,)))
     c1 = ctx.extended(a, neg(neg(n_y))).extended(b, neg(n_sy))
     c2 = c1.extended(c, n_y)
-    dsucc = _inst_fo(succ_derivation(c2), yv)
+    dsucc = _inst(succ_derivation(c2), yv)
     dlam = _abs(_app(_ax(c2, b), _app(dsucc, _ax(c2, c))))
     d = _app(_ax(c1, a), dlam)
     return _gen_fo(_abs(_abs(d)), gv)
@@ -307,7 +298,7 @@ def _wrapped_bot(second_arg: str) -> Derivation:
 
     def inner_call(cc: Context) -> Derivation:
         dt1 = lift_star_to_bot(t1_star_derivation(cc, genvar="x"))
-        d = _app(_inst_fo(dt1, xv), _ax(cc, nu))
+        d = _app(_inst(dt1, xv), _ax(cc, nu))
         return _app(d, _ax(cc, f))
 
     d = _app(dnu, inner_call(c2))

@@ -24,6 +24,8 @@ from storop.reduction import (
     DEFAULT_FUEL,
     FUEL_EXHAUSTED,
     ReductionOutcome,
+    _rebuild,
+    _spine,
     head_reduce,
     normalize,
 )
@@ -175,21 +177,6 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-def _spine(t: Term) -> tuple[Term, list[Term]]:
-    args: list[Term] = []
-    while type(t) is App:
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
-
-
-def _apply(t: Term, args: Sequence[Term]) -> Term:
-    for a in args:
-        t = App(t, a)
-    return t
-
-
 def _reduce_within(run, t: Term, fuel: int) -> ReductionOutcome:
     """run(t, fuel), where no fuel left is not an error: a term that run
     leaves alone needs no fuel, any other has run out of it."""
@@ -238,7 +225,7 @@ def certify(
         if type(term) is Abs:
             steps.append(MachineStep("bad", "lambda", 0, out.steps, term))
             return done(BAD_HEAD_SHAPE, detail="head normal form is an abstraction")
-        head, args = _spine(term)
+        _, head, args, _ = _spine(term, 0)  # a head normal form: nothing to contract
         if type(head) is not Var:
             raise AssertionError("head normal form must be headed by a variable")
 
@@ -271,10 +258,10 @@ def certify(
                 return done(BAD_HEAD_SHAPE, detail="the iterator needs at least two arguments")
             first, second, rest = args[0], args[1], args[2:]
             if n == 0:
-                term = _apply(first, rest)
+                term = _rebuild((), first, rest)
             else:
                 name = registry.fresh(n - 1, first, second)
-                term = _apply(App(second, Var(name)), rest)
+                term = _rebuild((), App(second, Var(name)), rest)
             steps.append(MachineStep("nu-head", nu, len(args), out.steps, term))
             continue
 
@@ -285,10 +272,10 @@ def certify(
                 return done(INDEXED_REUSE, detail=f"{head.name} was expanded twice")
             entry.used = True
             if entry.value == 0:
-                term = _apply(entry.first, args)
+                term = _rebuild((), entry.first, args)
             else:
                 name = registry.fresh(entry.value - 1, entry.first, entry.second)
-                term = _apply(App(entry.second, Var(name)), args)
+                term = _rebuild((), App(entry.second, Var(name)), args)
             steps.append(MachineStep("indexed-head", head.name, len(args), out.steps, term))
             continue
 

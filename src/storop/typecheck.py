@@ -36,6 +36,7 @@ from storop.formulas import (
     fv_bot,
     fv_fo,
     fv_pred,
+    instantiate,
     is_bot_type,
     n_bot_type,
     n_star_type,
@@ -43,9 +44,6 @@ from storop.formulas import (
     parse_formula,
     print_formula,
     print_foterm,
-    subst_bot,
-    subst_fo,
-    subst_pred,
 )
 from storop.terms import Abs, App, Term, Var, fresh_name, parse_term, print_term
 
@@ -340,20 +338,17 @@ def _check_node(node: Derivation, equations, fail, path) -> None:
     if type(p.type) is not quant:
         fail(path, f"{rule} premise must be a {noun} quantification")
         return
-    body, var, w = p.type.body, p.type.var, node.witness
-    if ns == "fo":
-        if not isinstance(w, FoTerm):
-            fail(path, "inst-fo witness must be a first-order term")
-            return
-        expect = subst_fo(body, {var: w})
-    else:
-        if not isinstance(w, PredAbstraction):
-            fail(path, f"{rule} witness must be a predicate abstraction")
-            return
-        if ns == "bot" and not is_bot_type(w.body):
-            fail(path, "inst-bot witness body must be a bottomed type")
-            return
-        expect = (subst_bot if ns == "bot" else subst_pred)(body, var, w)
+    w = node.witness
+    if ns == "fo" and not isinstance(w, FoTerm):
+        fail(path, "inst-fo witness must be a first-order term")
+        return
+    if ns != "fo" and not isinstance(w, PredAbstraction):
+        fail(path, f"{rule} witness must be a predicate abstraction")
+        return
+    if ns == "bot" and not is_bot_type(w.body):
+        fail(path, "inst-bot witness body must be a bottomed type")
+        return
+    expect = instantiate(p.type, w)
     if a != expect:
         fail(path, f"instantiation yields {print_formula(expect)}")
 
@@ -435,7 +430,7 @@ def lift_star_to_bot(d: Derivation) -> Derivation:
             w = FoVar("w")
             witness = PredAbstraction(("w",), neg(PredVarApp(gen_name, (w,))))
             leaf = Derivation("ax", ctx, node.term, bot)
-            opened = subst_bot(bot.body, bot.var, witness)
+            opened = instantiate(bot, witness)
             instd = Derivation("inst-bot", ctx, node.term, opened, witness, (leaf,))
             gend = Derivation(
                 "gen-pred", ctx, node.term, ForallPred(gen_name, opened), None, (instd,)

@@ -277,6 +277,31 @@ def test_check_mutated_golden_reports_the_path(capsys, tmp_path):
     assert "at 0.0.0: app expects 2 premises, found 0" in out
 
 
+INST_PRED_DERIV = """(rule inst-pred
+  (ctx (v "!X !Y (X -> !Y' (Y -> Y'))"))
+  (term "v")
+  (type "{conclusion}")
+  (witness (abst () "Y"))
+  (premises
+    (rule ax
+      (ctx (v "!X !Y (X -> !Y' (Y -> Y'))"))
+      (term "v")
+      (type "!X !Y (X -> !Y' (Y -> Y'))"))))
+"""
+
+
+@pytest.mark.parametrize(
+    "conclusion, expected",
+    [("!Z (Y -> !W (Z -> W))", 0), ("!Z (Y -> !W (W -> W))", 1)],
+    ids=["right", "wrong"],
+)
+def test_check_inst_pred_renames_nested_binders_apart(capsys, tmp_path, conclusion, expected):
+    path = tmp_path / "inst.deriv"
+    path.write_text(INST_PRED_DERIV.format(conclusion=conclusion))
+    code, _, _ = run(capsys, "check", str(path))
+    assert code == expected
+
+
 def test_check_fragment_fperp_rejects_first_order_rules(capsys):
     code, out, _ = run(capsys, "check", bundled("succ"), "--fragment", "fperp")
     assert code == 1

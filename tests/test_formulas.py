@@ -11,7 +11,6 @@ from storop.formulas import (
     Bot,
     BotVarApp,
     Equation,
-    EquationSet,
     FoApp,
     FormulaError,
     FoVar,
@@ -22,7 +21,6 @@ from storop.formulas import (
     PredSymApp,
     PredVarApp,
     apply_equation,
-    check_adequacy,
     fo_subst,
     fo_vars,
     fv_bot,
@@ -455,6 +453,57 @@ def test_second_order_subst_renames_capturing_binders(src, subst, name, body, ex
     assert print_formula(out) == expected
 
 
+@pytest.mark.parametrize(
+    "src, subst, body, expected",
+    [
+        ("!Y (X -> !Y' (Y -> Y'))", subst_pred, "Y", "!Z (Y -> !W (Z -> W))"),
+        ("!Y_| (X_| -> !Y'_| (Y_| -> Y'_|))", subst_bot, "Y_|", "!Z_| (Y_| -> !W_| (Z_| -> W_|))"),
+    ],
+    ids=["pred", "bot"],
+)
+def test_second_order_subst_renames_nested_binders_apart(src, subst, body, expected):
+    # priming the outer binder to Y' must not let the inner Y' capture it
+    assert subst(F(src), "X", PredAbstraction((), F(body))) == F(expected)
+
+
+# names next to their primed forms, so that a binder primed to avoid capture
+# can meet a binder that already has the primed name
+_PRIMED_FO = ("x", "y", "y'")
+_PRIMED_SO = ("X", "Y", "Y'")
+
+
+def _primed_term(rng):
+    if rng.random() < 0.2:
+        return FoApp("s", (_primed_term(rng),))
+    return FoVar(rng.choice(_PRIMED_FO))
+
+
+def _primed_formula(rng, depth):
+    """A random formula over the primed names in all three namespaces; atoms are unary."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.1:
+        return rng.choice((PredVarApp, BotVarApp))(rng.choice(_PRIMED_SO), (_primed_term(rng),))
+    if roll < 0.5:
+        return Arrow(_primed_formula(rng, depth - 1), _primed_formula(rng, depth - 1))
+    quant = rng.choice((ForallFo, ForallPred, ForallBot))
+    names = _PRIMED_FO if quant is ForallFo else _PRIMED_SO
+    return quant(rng.choice(names), _primed_formula(rng, depth - 1))
+
+
+def test_substitution_agrees_on_alpha_variants():
+    # the variant's binders are apart from every name, so substituting into
+    # it needs no renaming: its result is the reference
+    rng = random.Random(11)
+    fo_map = {"x": FoVar("y"), "y": FoApp("s", (FoVar("y'"),))}
+    abst = PredAbstraction(("w",), F("Y(w) -> Y_|(y)"))
+    for _ in range(1000):
+        a = _primed_formula(rng, 7)
+        b = _alpha_variant(a, {}, itertools.count())
+        assert subst_fo(a, fo_map) == subst_fo(b, fo_map)
+        assert subst_pred(a, "X", abst) == subst_pred(b, "X", abst)
+        assert subst_bot(a, "X", abst) == subst_bot(b, "X", abst)
+
+
 def test_subst_bot_respects_shadowing():
     a = F("!X_| (X_| -> Y)")
     assert subst_bot(a, "X", PredAbstraction((), F("bot"))) is a
@@ -586,36 +635,6 @@ def test_apply_equation_direction_validation():
     eqs = parse_equations("p0: p(0) = 0")
     with pytest.raises(FormulaError):
         apply_equation(F("X(p(0))"), eqs.get("p0"), (0,), "sideways")
-
-
-# ------------------------------------------------------------------ adequacy
-
-
-def test_adequacy_accepts_predecessor_theory():
-    eqs = parse_equations("p0: p(0) = 0\nps: p(s(x)) = x")
-    assert check_adequacy(eqs) is None
-
-
-def test_adequacy_flags_successor_collapse():
-    eqs = parse_equations("e: s(x) = 0")
-    msg = check_adequacy(eqs)
-    assert msg is not None and "= 0" in msg
-
-
-def test_adequacy_flags_indirect_collapse():
-    eqs = parse_equations("a: f(s(x)) = 0\nb: f(s(x)) = s(x)")
-    msg = check_adequacy(eqs)
-    assert msg is not None
-
-
-def test_adequacy_flags_injectivity_break():
-    eqs = parse_equations("e: s(s(x)) = s(0)")
-    msg = check_adequacy(eqs)
-    assert msg is not None
-
-
-def test_adequacy_empty_theory():
-    assert check_adequacy(EquationSet()) is None
 
 
 def test_fo_helpers():

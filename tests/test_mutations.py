@@ -11,10 +11,9 @@ from storop.formulas import (
     Bot,
     FoApp,
     PredAbstraction,
+    instantiate,
     n_type,
     neg,
-    subst_fo,
-    subst_pred,
 )
 from storop.prebuilt import build_prebuilt, prebuilt_check_args, prebuilt_names
 from storop.typecheck import Context, check_derivation
@@ -50,17 +49,10 @@ def relabel_as_axiom(node):
 
 
 def corrupt_witness(node):
-    if node.rule == "inst-fo":
-        new = FoApp("s", (node.witness,))
-        body = node.premises[0].type
-        if subst_fo(body.body, {body.var: new}) == node.type:
-            return None
-        return dataclasses.replace(node, witness=new)
-    if node.rule == "inst-pred":
+    if node.rule in ("inst-fo", "inst-pred"):
         w = node.witness
-        new = PredAbstraction(w.params, neg(w.body))
-        body = node.premises[0].type
-        if subst_pred(body.body, body.var, new) == node.type:
+        new = FoApp("s", (w,)) if node.rule == "inst-fo" else PredAbstraction(w.params, neg(w.body))
+        if instantiate(node.premises[0].type, new) == node.type:
             return None
         return dataclasses.replace(node, witness=new)
     if node.rule == "inst-bot":

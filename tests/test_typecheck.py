@@ -196,6 +196,18 @@ def test_inst_pred_arity_mismatch_is_reported():
     assert not rep.ok
 
 
+def test_inst_pred_renames_nested_binders_apart():
+    # opening X at Y primes the outer Y to Y'; the inner Y' must then move too
+    a = F("!X !Y (X -> !Y' (Y -> Y'))")
+    ctx = Context().extended("v", a)
+    leaf = Derivation("ax", ctx, Var("v"), a)
+    w = PredAbstraction((), F("Y"))
+    right = Derivation("inst-pred", ctx, Var("v"), F("!Z (Y -> !W (Z -> W))"), w, (leaf,))
+    wrong = Derivation("inst-pred", ctx, Var("v"), F("!Z (Y -> !W (W -> W))"), w, (leaf,))
+    assert check_derivation(right).ok
+    assert "instantiation yields" in check_derivation(wrong).first_message()
+
+
 def test_bot_rules_and_fragments():
     d = build_prebuilt("t2_fperp")
     assert check_derivation(d).ok
