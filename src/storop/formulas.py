@@ -26,8 +26,13 @@ at a witness; a binder that would capture a name brought in is primed.
 Formula nodes are immutable and carry caches that stay None until first
 asked for: the alpha-key behind ``==`` and ``hash`` (``_k``), the free
 variables that ``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``,
-``_pred``, ``_bot``) and the typecheck module's propositional-fragment test
+``_pred``, ``_bot``) and the propositional-fragment test the checker asks
 (``_prop``). A node built by substitution starts with empty caches.
+
+One post-order fold over an explicit stack, ``_fold``, is the traversal
+behind the free-variable and propositional caches, the translations,
+``polarity`` and ``pred_arities``, so none of them is bounded by Python's
+recursion limit. Substitution, printing and parsing still recurse.
 """
 
 from __future__ import annotations
@@ -305,7 +310,54 @@ def _alpha_key(a: Formula) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# free variables
+# the post-order fold, and the free variables and other answers it computes
+
+_EXIT = object()  # sits above a node on the stack; popped once its children are done
+
+
+def _fold(a: Formula, combine, slot: Optional[str] = None):
+    """combine(x, kids) on every node x of a, children first; returns a's result.
+
+    kids holds the results of x's children: (left, right) for an arrow,
+    (body,) for a quantifier and () otherwise, so leaves are combined left
+    to right. With a slot, each result is cached on its node, and a node
+    whose slot is already filled is not entered. The stack is explicit, so
+    depth is bounded by memory, not by the recursion limit.
+    """
+    done: list = []  # results, each after those of its children
+    stack: list = [a]
+    while stack:
+        x = stack.pop()
+        if x is _EXIT:
+            x = stack.pop()
+            last = done.pop()
+            kids = (done.pop(), last) if type(x) is Arrow else (last,)
+        elif slot is not None and getattr(x, slot) is not None:
+            done.append(getattr(x, slot))
+            continue
+        elif type(x) is Arrow:
+            stack += (x, _EXIT, x.right, x.left)
+            continue
+        elif isinstance(x, Quantifier):
+            stack += (x, _EXIT, x.body)
+            continue
+        else:
+            kids = ()
+        out = combine(x, kids)
+        if slot is not None:
+            setattr(x, slot, out)
+        done.append(out)
+    return done.pop()
+
+
+def _remake(x: Formula, kids: tuple) -> Formula:
+    """x over kids: x itself when they are its own children, else a new node of x's class."""
+    if type(x) is Arrow:
+        left, right = kids
+        return x if left is x.left and right is x.right else Arrow(left, right)
+    if kids and kids[0] is not x.body:
+        return type(x)(x.var, kids[0])
+    return x
 
 
 _EMPTY: frozenset[str] = frozenset()
@@ -316,39 +368,28 @@ _FV_SLOTS = ("_fo", "_pred", "_bot")
 def _free_vars(a: Formula, ns: int) -> frozenset[str]:
     """The free variables of namespace ns in a, cached on a and every subformula below.
 
-    A node is finished, and popped, once its children's slots are filled.
     Where a node's set equals a child's, it reuses the child's set object.
     """
     slot = _FV_SLOTS[ns]
-    stack = [a]
-    while stack:
-        x = stack[-1]
-        if getattr(x, slot) is not None:
-            stack.pop()
-            continue
+    out = getattr(a, slot)
+    if out is not None:
+        return out
+
+    def combine(x, kids):
         tx = type(x)
         if tx is Arrow:
-            left, right = getattr(x.left, slot), getattr(x.right, slot)
-            if left is None or right is None:
-                stack += (x.left, x.right)
-                continue
-            out = left | right if left and right else left or right
-        elif tx is Bot:
-            out = _EMPTY
-        elif isinstance(x, Quantifier):
-            out = getattr(x.body, slot)
-            if out is None:
-                stack.append(x.body)
-                continue
-            if x.ns == ns and x.var in out:
-                out = out - {x.var} or _EMPTY
-        elif ns == 0:
-            out = _EMPTY.union(*map(fo_vars, x.args)) or _EMPTY
-        else:
-            out = frozenset((x.name,)) if x.ns == ns else _EMPTY
-        setattr(x, slot, out)
-        stack.pop()
-    return getattr(a, slot)
+            left, right = kids
+            return left | right if left and right else left or right
+        if tx is Bot:
+            return _EMPTY
+        if isinstance(x, Quantifier):
+            (body,) = kids
+            return (body - {x.var} or _EMPTY) if x.ns == ns and x.var in body else body
+        if ns == 0:
+            return _EMPTY.union(*map(fo_vars, x.args)) or _EMPTY
+        return frozenset((x.name,)) if x.ns == ns else _EMPTY
+
+    return _fold(a, combine, slot)
 
 
 def fv_fo(a: Formula) -> frozenset[str]:
@@ -366,30 +407,28 @@ def fv_bot(a: Formula) -> frozenset[str]:
     return _free_vars(a, 2) if out is None else out
 
 
-def _has_bot_vars(a: Formula) -> bool:
-    ta = type(a)
-    if ta is Arrow:
-        return _has_bot_vars(a.left) or _has_bot_vars(a.right)
-    if ta is Bot:
-        return False
-    return a.ns == 2 or (isinstance(a, Quantifier) and _has_bot_vars(a.body))
+def _propositional(x: Formula, kids: tuple) -> bool:
+    return not x.args if isinstance(x, Atom) else type(x) is not ForallFo and all(kids)
 
 
-def pred_arities(a: Formula, out: Optional[dict] = None) -> dict:
+def _is_propositional(a: Formula) -> bool:
+    """No atom arguments and no first-order quantifier; cached on a and below."""
+    out = a._prop
+    return _fold(a, _propositional, "_prop") if out is None else out
+
+
+def pred_arities(a: Formula) -> dict:
     """Arity of every predicate/bottomed variable and symbol; raises on conflict."""
-    if out is None:
-        out = {}
-    ta = type(a)
-    if ta is Arrow:
-        pred_arities(a.left, out)
-        pred_arities(a.right, out)
-    elif isinstance(a, Quantifier):
-        pred_arities(a.body, out)
-    elif ta is not Bot:
-        key = (("pred", "bot", "sym")[a.ns - 1], a.name)
-        arity = len(a.args)
-        if out.setdefault(key, arity) != arity:
-            raise FormulaError(f"{key[1]} used with arities {out[key]} and {arity}")
+    out: dict = {}
+
+    def note(x, kids):
+        if isinstance(x, Atom):
+            key = (("pred", "bot", "sym")[x.ns - 1], x.name)
+            arity = len(x.args)
+            if out.setdefault(key, arity) != arity:
+                raise FormulaError(f"{key[1]} used with arities {out[key]} and {arity}")
+
+    _fold(a, note)
     return out
 
 
@@ -432,6 +471,8 @@ def _subst(a: Formula, fo: Mapping[str, FoTerm], so: Mapping[tuple, object]) -> 
     body is primed to fresh_name(var, brought | free variables of the body);
     the renaming joins the maps, which are never changed in place.
     """
+    if not fo and not so:
+        return a
     ta = type(a)
     if ta is Arrow:
         left, right = _subst(a.left, fo, so), _subst(a.right, fo, so)
@@ -519,12 +560,17 @@ def instantiate(q: Quantifier, w) -> Formula:
 
 def is_bot_type(a: Formula) -> bool:
     """Bottomed types: bot, bottomed atoms, arrows into them, quantifications."""
-    ta = type(a)
-    if ta is Arrow:
-        return is_bot_type(a.right)
-    if isinstance(a, Quantifier):
-        return is_bot_type(a.body)
-    return ta is Bot or a.ns == 2
+    while True:
+        ta = type(a)
+        if ta is Arrow:
+            a = a.right
+        elif isinstance(a, Quantifier):
+            a = a.body
+        else:
+            return ta is Bot or a.ns == 2
+
+
+_BOTTOMED = (BotVarApp, ForallBot)
 
 
 def godel_star(a: Formula) -> Formula:
@@ -532,20 +578,12 @@ def godel_star(a: Formula) -> Formula:
 
     Defined only on formulas without bottomed variables.
     """
-    if _has_bot_vars(a):
-        raise FormulaError("negative translation is undefined on bottomed formulas")
+    def star(x, kids):
+        if type(x) in _BOTTOMED:
+            raise FormulaError("negative translation is undefined on bottomed formulas")
+        return neg(x) if isinstance(x, Atom) else _remake(x, kids)
 
-    def walk(f: Formula) -> Formula:
-        tf = type(f)
-        if tf is Bot:
-            return f
-        if tf is Arrow:
-            return Arrow(walk(f.left), walk(f.right))
-        if isinstance(f, Atom):
-            return neg(f)
-        return tf(f.var, walk(f.body))
-
-    return walk(a)
+    return _fold(a, star)
 
 
 def bot_transform(a: Formula) -> Formula:
@@ -554,34 +592,31 @@ def bot_transform(a: Formula) -> Formula:
     Predicate symbols and bot itself are unchanged. Defined only on formulas
     that do not already contain bottomed variables.
     """
-    if _has_bot_vars(a):
-        raise FormulaError("formula already contains bottomed variables")
+    def to_bot(x, kids):
+        tx = type(x)
+        if tx is PredVarApp:
+            return BotVarApp(x.name, x.args)
+        if tx is ForallPred:
+            return ForallBot(x.var, kids[0])
+        if tx in _BOTTOMED:
+            raise FormulaError("formula already contains bottomed variables")
+        return _remake(x, kids)
 
-    def walk(f: Formula) -> Formula:
-        tf = type(f)
-        if tf is Bot:
-            return f
-        if tf is Arrow:
-            return Arrow(walk(f.left), walk(f.right))
-        if isinstance(f, Atom):
-            return BotVarApp(f.name, f.args) if f.ns == 1 else f
-        return (ForallBot if f.ns == 1 else tf)(f.var, walk(f.body))
+    return _fold(a, to_bot)
 
-    return walk(a)
+
+def _forget(x: Formula, kids: tuple) -> Formula:
+    if kids:
+        return kids[0] if type(x) is ForallFo else _remake(x, kids)
+    return type(x)(x.name) if type(x) is not Bot and x.args else x
 
 
 def forget_first_order(a: Formula) -> Formula:
     """Erase the first-order layer: drop atom arguments and fo quantifiers."""
-    ta = type(a)
-    if ta is Bot:
-        return a
-    if ta is Arrow:
-        return Arrow(forget_first_order(a.left), forget_first_order(a.right))
-    if isinstance(a, Atom):
-        return ta(a.name)
-    if a.ns == 0:
-        return forget_first_order(a.body)
-    return ta(a.var, forget_first_order(a.body))
+    return _fold(a, _forget)
+
+
+_FLIP = (0, 2, 1, 3)  # polarity's two sign bits, swapped on the left of an arrow
 
 
 def polarity(a: Formula, name: str, kind: str = "pred") -> str:
@@ -593,26 +628,20 @@ def polarity(a: Formula, name: str, kind: str = "pred") -> str:
     if kind not in ("pred", "bot"):
         raise ValueError("kind must be 'pred' or 'bot'")
     ns = 1 if kind == "pred" else 2
-    signs: set[int] = set()
 
-    def walk(f: Formula, sign: int) -> None:
-        if type(f) is Arrow:
-            walk(f.left, -sign)
-            walk(f.right, sign)
-        elif isinstance(f, Atom):
-            if f.ns == ns and f.name == name:
-                signs.add(sign)
-        elif isinstance(f, Quantifier) and (f.ns != ns or f.var != name):
-            walk(f.body, sign)
+    def signs(x, kids):
+        """1 if name occurs positively in x, plus 2 if it occurs negatively."""
+        tx = type(x)
+        if tx is Arrow:
+            left, right = kids
+            return _FLIP[left] | right
+        if isinstance(x, Atom):
+            return x.ns == ns and x.name == name
+        if tx is Bot or (x.ns == ns and x.var == name):
+            return 0
+        return kids[0]
 
-    walk(a, +1)
-    if not signs:
-        return "absent"
-    if signs == {+1}:
-        return "positive"
-    if signs == {-1}:
-        return "negative"
-    return "both"
+    return ("absent", "positive", "negative", "both")[_fold(a, signs)]
 
 
 # ---------------------------------------------------------------------------

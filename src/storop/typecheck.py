@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from storop.formulas import (
     Arrow,
-    Bot,
+    Atom,
     EquationSet,
     FormulaError,
     FoTerm,
@@ -30,7 +30,10 @@ from storop.formulas import (
     PredAbstraction,
     PredVarApp,
     Quantifier,
+    _fold,
+    _is_propositional,
     _parse_foterm_src,
+    _remake,
     apply_equation,
     forget_first_order,
     fv_bot,
@@ -154,36 +157,6 @@ _QUANTIFIERS = {
     "pred": (ForallPred, fv_pred, "predicate"),
     "bot": (ForallBot, fv_bot, "bottomed"),
 }
-
-
-def _is_propositional(a: Formula) -> bool:
-    """No atom arguments and no first-order quantifier; cached on a and below.
-
-    A node is finished, and popped, once its children's caches are filled.
-    """
-    stack = [a]
-    while stack:
-        x = stack[-1]
-        if x._prop is not None:
-            stack.pop()
-            continue
-        tx = type(x)
-        if tx is Arrow:
-            left, right = x.left._prop, x.right._prop
-            if left is None or right is None:
-                stack += (x.left, x.right)
-                continue
-            out = left and right
-        elif isinstance(x, Quantifier):
-            out = x.ns != 0 and x.body._prop
-            if out is None:
-                stack.append(x.body)
-                continue
-        else:
-            out = tx is Bot or not x.args
-        x._prop = out
-        stack.pop()
-    return a._prop
 
 
 def check_derivation(
@@ -582,39 +555,20 @@ def _intern(a: Formula, table: dict) -> Formula:
     those children alive, so no identity is reused while it lives. A node
     whose children are already the interned ones is itself kept.
     """
-    done: list[Formula] = []  # interned subformulas, each after its children
-    stack: list = [a]
-    while stack:
-        x = stack.pop()
+    def combine(x, kids):
         tx = type(x)
-        if tx is Arrow:
-            stack += ((x,), x.right, x.left)
-            continue
-        if isinstance(x, Quantifier):
-            stack += ((x,), x.body)
-            continue
-        if tx is tuple:  # (node,), once its children are interned
-            (x,) = x
-            tx = type(x)
-            if tx is Arrow:
-                right, left = done.pop(), done.pop()
-                key = (tx, id(left), id(right))
-                if key not in table:
-                    same = left is x.left and right is x.right
-                    table[key] = x if same else Arrow(left, right)
-            else:
-                body = done.pop()
-                key = (tx, x.var, id(body))
-                if key not in table:
-                    table[key] = x if body is x.body else tx(x.var, body)
-        elif tx is Bot:
-            key = (tx,)
-            table.setdefault(key, x)
-        else:
+        if isinstance(x, Atom):
             key = (tx, x.name, x.args)
-            table.setdefault(key, x)
-        done.append(table[key])
-    return done.pop()
+        elif isinstance(x, Quantifier):
+            key = (tx, x.var, id(kids[0]))
+        else:
+            key = (tx, *map(id, kids))
+        found = table.get(key)
+        if found is None:
+            found = table[key] = _remake(x, kids)
+        return found
+
+    return _fold(a, combine)
 
 
 def _atom(x) -> str:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from storop import formulas
 from storop.formulas import (
     Arrow,
     Bot,
@@ -20,12 +21,17 @@ from storop.formulas import (
     PredAbstraction,
     PredSymApp,
     PredVarApp,
+    Quantifier,
+    _is_propositional,
     apply_equation,
+    bot_transform,
     fo_subst,
     fo_vars,
     fv_bot,
     fv_fo,
     fv_pred,
+    forget_first_order,
+    godel_star,
     is_bot_type,
     n_bot_type,
     n_star_type,
@@ -41,8 +47,7 @@ from storop.formulas import (
     subst_fo,
     subst_pred,
 )
-
-from storop.typecheck import _is_propositional
+from storop.typecheck import _intern
 
 from deep import deep
 from genformulas import random_formula
@@ -373,6 +378,80 @@ def test_free_variables_at_depth_100000():
     answers = deep(cached_answers, a)
     assert time.perf_counter() - start < 5
     assert answers == (frozenset("xz"), frozenset("X"), frozenset(), False)
+
+
+PAIRS = 25_000  # of layers, each a binder over an arrow: 100,000 nodes deep
+
+
+def _alternating_chain():
+    """!x (Y(x) -> !Y (Y(x) -> !x ... Z)), 2 * PAIRS binders; the outer Y(x) and Z are free."""
+    a, y = PredVarApp("Z"), PredVarApp("Y", (FoVar("x"),))
+    for i in range(2 * PAIRS):
+        a = ForallFo("x", Arrow(y, a)) if i % 2 else ForallPred("Y", Arrow(y, a))
+    return a
+
+
+@pytest.fixture(scope="module")
+def chain():
+    return _alternating_chain()
+
+
+def _spine(a):
+    """Each binder, as (class, var), and each premise on a's right spine, then its end."""
+    out = []
+    while True:
+        if type(a) is Arrow:
+            out.append(a.left)
+            a = a.right
+        elif isinstance(a, Quantifier):
+            out.append((type(a), a.var))
+            a = a.body
+        else:
+            return out + [a]
+
+
+def test_translations_at_depth_100000(chain):
+    y, bot_y = PredVarApp("Y", (FoVar("x"),)), BotVarApp("Y", (FoVar("x"),))
+    star = [(ForallFo, "x"), neg(y), (ForallPred, "Y"), neg(y)]
+    assert _spine(deep(godel_star, chain)) == star * PAIRS + [PredVarApp("Z"), Bot()]
+    bottomed = deep(bot_transform, chain)
+    layers = [(ForallFo, "x"), bot_y, (ForallBot, "Y"), bot_y]
+    assert _spine(bottomed) == layers * PAIRS + [BotVarApp("Z")]
+    assert deep(is_bot_type, bottomed)
+    forgot = deep(forget_first_order, chain)
+    bare_y = PredVarApp("Y")
+    assert _spine(forgot) == [bare_y, (ForallPred, "Y"), bare_y] * PAIRS + [PredVarApp("Z")]
+    assert deep(_is_propositional, forgot)
+
+
+def test_queries_at_depth_100000(chain):
+    assert deep(polarity, chain, "Z") == "positive"
+    assert deep(polarity, chain, "Y") == "negative"
+    assert deep(pred_arities, chain) == {("pred", "Y"): 1, ("pred", "Z"): 0}
+    assert not deep(is_bot_type, chain)
+    assert not deep(_is_propositional, chain)
+
+
+def test_intern_at_depth_100000(chain):
+    table: dict = {}
+    assert deep(_intern, chain, table) is chain
+    # every node of twin is a new object, yet each has its equal in the table
+    twin = _alternating_chain()
+    assert deep(_intern, twin, table) is chain
+
+
+def test_parameterless_abstraction_applies_without_a_walk(monkeypatch):
+    calls = []
+    subst = formulas._subst
+
+    def counted(a, fo, so):
+        calls.append(a)
+        return subst(a, fo, so)
+
+    monkeypatch.setattr(formulas, "_subst", counted)
+    body = F("!X {X(0), !y (X(y) -> X(s(y))) -> Y}")
+    assert PredAbstraction((), body).apply(()) is body
+    assert calls == [body]
 
 
 def test_pred_arities():

@@ -74,3 +74,58 @@ def test_private_name_scanner():
 
 def test_every_private_module_name_is_read():
     assert unread_private_names([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+def _calls_itself(fn: ast.FunctionDef) -> bool:
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == fn.name:
+                return True
+            if (
+                isinstance(f, ast.Attribute)
+                and f.attr == fn.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id == "self"
+            ):
+                return True
+    return False
+
+
+def self_calling_functions(source: str) -> list[str]:
+    """Functions, nested ones and methods included, that call themselves
+    directly, by name or through self."""
+    tree = ast.parse(source)
+    return sorted(
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(fn)
+    )
+
+
+def test_self_call_scanner():
+    src = (
+        "def f(n):\n    return f(n - 1)\n"
+        "class P:\n    def un(self):\n        return self.un()\n"
+        "    def g(self, other):\n        return other.g()\n"
+        "def h():\n    def walk(x):\n        return walk(x)\n    return walk\n"
+    )
+    assert self_calling_functions(src) == ["f", "un", "walk"]
+
+
+# The walkers that still recurse once per node, so a deep enough input hits the
+# recursion limit. The list may only shrink: a new walker uses an explicit
+# stack, as formulas._fold and formulas._alpha_key do.
+STILL_RECURSIVE = {
+    "formulas.py": [
+        "_match_fo", "_subst", "arr", "fo_subst", "fo_vars", "print_foterm",
+        "rewrite", "rewrite_term", "scan", "seq", "un",
+    ],
+    "typecheck.py": ["_read_node", "emit", "walk", "walk", "walk"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STILL_RECURSIVE))
+def test_no_new_recursive_walkers(name):
+    source = (ROOT / "src" / "storop" / name).read_text(encoding="utf-8")
+    assert self_calling_functions(source) == STILL_RECURSIVE[name]

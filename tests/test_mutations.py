@@ -125,6 +125,27 @@ def test_mutation_coverage_is_broad():
     assert total > 400
 
 
+def test_negated_bottomed_witness_is_caught_at_instantiation():
+    # neg(body) is still a bottomed type, so, unlike corrupt-witness, this
+    # mutant passes the witness check and must be caught by instantiating
+    seen = 0
+    for name in prebuilt_names():
+        d = _BUILT[name]
+        for path, node in paths(d):
+            if node.rule != "inst-bot":
+                continue
+            w = node.witness
+            mutated = dataclasses.replace(node, witness=PredAbstraction(w.params, neg(w.body)))
+            mutant = rebuild_at(d, path, lambda _n: mutated)
+            rep = check_derivation(mutant, **prebuilt_check_args(name))
+            assert not rep.ok
+            first, message = rep.failures[0]
+            assert first == path, f"first reported at {list(first)}: {message}"
+            assert message.startswith("instantiation yields"), message
+            seen += 1
+    assert seen == 7
+
+
 # sha256 over repr(report.failures) of every mutant, one line each, in the
 # order prebuilt name, operator name, node path; recorded before the
 # predicate and bottomed namespaces shared one code path in the checker.
