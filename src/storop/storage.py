@@ -252,35 +252,31 @@ def certify(
                 return done(TAU_WRONG_VALUE, print_term(tau), value, f"expected {n}, got {value}")
             return done(OK, print_term(tau), value)
 
+        # the iterator at the head, v or an indexed variable: its value, its two
+        # arguments and the rest; both kinds then expand the same way
         if head.name == nu:
+            kind = "nu-head"
             if len(args) < 2:
-                steps.append(MachineStep("nu-head", nu, len(args), out.steps, term))
+                steps.append(MachineStep(kind, nu, len(args), out.steps, term))
                 return done(BAD_HEAD_SHAPE, detail="the iterator needs at least two arguments")
-            first, second, rest = args[0], args[1], args[2:]
-            if n == 0:
-                term = _rebuild((), first, rest)
-            else:
-                name = registry.fresh(n - 1, first, second)
-                term = _rebuild((), App(second, Var(name)), rest)
-            steps.append(MachineStep("nu-head", nu, len(args), out.steps, term))
-            continue
-
-        entry = registry.lookup(head.name)
-        if entry is not None:
+            value, first, second, rest = n, args[0], args[1], args[2:]
+        else:
+            entry = registry.lookup(head.name)
+            if entry is None:
+                steps.append(MachineStep("bad", head.name, len(args), out.steps, term))
+                return done(BAD_HEAD_SHAPE, detail=f"unexpected head variable {head.name}")
+            kind = "indexed-head"
             if entry.used:
-                steps.append(MachineStep("indexed-head", head.name, len(args), out.steps, term))
+                steps.append(MachineStep(kind, head.name, len(args), out.steps, term))
                 return done(INDEXED_REUSE, detail=f"{head.name} was expanded twice")
             entry.used = True
-            if entry.value == 0:
-                term = _rebuild((), entry.first, args)
-            else:
-                name = registry.fresh(entry.value - 1, entry.first, entry.second)
-                term = _rebuild((), App(entry.second, Var(name)), args)
-            steps.append(MachineStep("indexed-head", head.name, len(args), out.steps, term))
-            continue
-
-        steps.append(MachineStep("bad", head.name, len(args), out.steps, term))
-        return done(BAD_HEAD_SHAPE, detail=f"unexpected head variable {head.name}")
+            value, first, second, rest = entry.value, entry.first, entry.second, args
+        if value == 0:
+            term = _rebuild((), first, rest)
+        else:
+            name = registry.fresh(value - 1, first, second)
+            term = _rebuild((), App(second, Var(name)), rest)
+        steps.append(MachineStep(kind, head.name, len(args), out.steps, term))
 
 
 # ---------------------------------------------------------------------------

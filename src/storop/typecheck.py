@@ -9,11 +9,19 @@ Rules: ax, abs, app, gen-fo, inst-fo, gen-pred, inst-pred, gen-bot,
 inst-bot, eq. Fragments restrict the rule set: 'af2' forbids the bottomed
 rules, 'af2-bot' allows everything, 'fperp' is propositional (no
 first-order layer anywhere, no eq) with the bottomed rules allowed.
+
+No walker here recurses. One post-order fold over an explicit stack,
+``_fold_premises``, serves ``Derivation.node_count``, ``forget_derivation``,
+``lift_star_to_bot``, ``write_derivation`` and ``read_derivation`` (over the
+parsed forms). ``check_derivation`` walks the same order in its own loop,
+which calls ``_check_node`` directly and keeps the node's path as one list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from storop.formulas import (
@@ -30,6 +38,7 @@ from storop.formulas import (
     PredAbstraction,
     PredVarApp,
     Quantifier,
+    _EXIT,
     _fold,
     _is_propositional,
     _parse_foterm_src,
@@ -119,11 +128,8 @@ class Derivation:
     witness: object = None
     premises: tuple = ()
 
-    def conclusion(self) -> str:
-        return f"{self.ctx!r} |- {print_term(self.term)} : {print_formula(self.type)}"
-
     def node_count(self) -> int:
-        return 1 + sum(p.node_count() for p in self.premises)
+        return _fold_premises(self, lambda _node, kids: 1 + sum(kids))
 
 
 @dataclass
@@ -159,6 +165,31 @@ _QUANTIFIERS = {
 }
 
 
+def _fold_premises(root, combine, premises=attrgetter("premises")):
+    """combine(x, kids) on every node x from root, premises first; returns root's result.
+
+    kids holds the results of premises(x), in order. The stack is explicit,
+    so depth is bounded by memory, not by the recursion limit.
+    """
+    done: list = []  # results of the nodes whose parent is not yet combined
+    stack: list = [root]
+    while stack:
+        x = stack.pop()
+        if x is _EXIT:
+            n = stack.pop()
+            x = stack.pop()
+            kids = tuple(done[-n:])
+            del done[-n:]
+        else:
+            ps = premises(x)
+            if ps:
+                stack += (x, len(ps), _EXIT, *ps[::-1])
+                continue
+            kids = ()
+        done.append(combine(x, kids))
+    return done.pop()
+
+
 def check_derivation(
     d: Derivation,
     equations: Optional[EquationSet] = None,
@@ -168,162 +199,138 @@ def check_derivation(
     if fragment not in FRAGMENTS:
         raise ValueError(f"fragment must be one of {FRAGMENTS}")
     failures: list = []
-
-    def fail(path, msg):
-        failures.append((path, msg))
-
-    def walk(node: Derivation, path: tuple) -> None:
-        for i, p in enumerate(node.premises):
-            walk(p, path + (i,))
-        rule = node.rule
-        want = _ARITY.get(rule)
-        if want is None:
-            fail(path, f"unknown rule {rule!r}")
-            return
-        if len(node.premises) != want:
-            fail(path, f"{rule} expects {want} premises, found {len(node.premises)}")
-            return
-        if fragment == "af2" and rule in ("gen-bot", "inst-bot"):
-            fail(path, f"{rule} is not part of the af2 fragment")
-            return
-        if fragment == "fperp":
-            if rule in ("gen-fo", "inst-fo", "eq"):
-                fail(path, f"{rule} is not part of the propositional fragment")
-                return
-            if not _is_propositional(node.type) or not all(
-                _is_propositional(a) for a in node.ctx.formulas()
-            ):
-                fail(path, "propositional fragment requires first-order-free formulas")
-                return
+    path: list = []  # premise indices from the root down to the node in hand
+    stack: list = [d]
+    while stack:
+        node = stack.pop()
+        if node is _EXIT:
+            node = stack.pop()
+            path.pop()
+        elif node.premises:
+            stack += (node, _EXIT, *node.premises[::-1])
+            path.append(0)
+            continue
         try:
-            _check_node(node, equations, fail, path)
+            msg = _check_node(node, equations, fragment)
         except (FormulaError, ValueError) as exc:
-            fail(path, str(exc))
-
-    walk(d, ())
+            msg = str(exc)
+        if msg is not None:
+            failures.append((tuple(path), msg))
+        if path:
+            path[-1] += 1  # on to the next premise of the parent
     return CheckReport(not failures, failures)
 
 
-def _check_node(node: Derivation, equations, fail, path) -> None:
+def _check_node(node: Derivation, equations, fragment: str) -> Optional[str]:
+    """Why node breaks its rule or the fragment, or None; premises are not entered."""
     rule, ctx, term, a = node.rule, node.ctx, node.term, node.type
+    want = _ARITY.get(rule)
+    if want is None:
+        return f"unknown rule {rule!r}"
+    if len(node.premises) != want:
+        return f"{rule} expects {want} premises, found {len(node.premises)}"
+    if fragment == "af2" and rule in ("gen-bot", "inst-bot"):
+        return f"{rule} is not part of the af2 fragment"
+    if fragment == "fperp":
+        if rule in ("gen-fo", "inst-fo", "eq"):
+            return f"{rule} is not part of the propositional fragment"
+        if not _is_propositional(a) or not all(_is_propositional(b) for b in ctx.formulas()):
+            return "propositional fragment requires first-order-free formulas"
     if rule == "ax":
         if type(term) is not Var:
-            fail(path, "ax subject must be a variable")
-            return
+            return "ax subject must be a variable"
         found = ctx.lookup(term.name)
         if found is None:
-            fail(path, f"{term.name} is not in the context")
-        elif found != a:
-            fail(path, f"context gives {term.name} : {print_formula(found)}, node says {print_formula(a)}")
-        return
+            return f"{term.name} is not in the context"
+        if found != a:
+            return f"context gives {term.name} : {print_formula(found)}, node says {print_formula(a)}"
+        return None
 
     if rule == "abs":
         (p,) = node.premises
         if type(term) is not Abs:
-            fail(path, "abs subject must be an abstraction")
-            return
+            return "abs subject must be an abstraction"
         if type(a) is not Arrow:
-            fail(path, "abs type must be an arrow")
-            return
+            return "abs type must be an arrow"
         if ctx.lookup(term.binder) is not None:
-            fail(path, f"binder {term.binder} shadows a context entry")
-            return
+            return f"binder {term.binder} shadows a context entry"
         if p.ctx != ctx.extended(term.binder, a.left):
-            fail(path, "premise context must extend the conclusion context with the binder")
-            return
+            return "premise context must extend the conclusion context with the binder"
         if p.term != term.body:
-            fail(path, "premise subject must be the abstraction body")
-            return
+            return "premise subject must be the abstraction body"
         if p.type != a.right:
-            fail(path, "premise type must be the arrow target")
-        return
+            return "premise type must be the arrow target"
+        return None
 
     if rule == "app":
         pf, pa = node.premises
         if type(term) is not App:
-            fail(path, "app subject must be an application")
-            return
+            return "app subject must be an application"
         if pf.ctx != ctx or pa.ctx != ctx:
-            fail(path, "premises must share the conclusion context")
-            return
+            return "premises must share the conclusion context"
         if pf.term != term.fn or pa.term != term.arg:
-            fail(path, "premise subjects must be the function and argument")
-            return
+            return "premise subjects must be the function and argument"
         if type(pf.type) is not Arrow:
-            fail(path, "function premise must have an arrow type")
-            return
+            return "function premise must have an arrow type"
         if pa.type != pf.type.left:
-            fail(path, "argument type must match the arrow source")
-            return
+            return "argument type must match the arrow source"
         if a != pf.type.right:
-            fail(path, "conclusion type must be the arrow target")
-        return
+            return "conclusion type must be the arrow target"
+        return None
 
     # the remaining rules keep subject and context fixed
     (p,) = node.premises
     if p.ctx != ctx:
-        fail(path, "premise context must match")
-        return
+        return "premise context must match"
     if p.term != term:
-        fail(path, "premise subject must match")
-        return
+        return "premise subject must match"
 
     if rule == "eq":
         if equations is None:
-            fail(path, "eq rule used but no equations are in scope")
-            return
+            return "eq rule used but no equations are in scope"
         steps = node.witness
         if not isinstance(steps, (list, tuple)) or not steps:
-            fail(path, "eq witness must be a non-empty list of rewrite steps")
-            return
+            return "eq witness must be a non-empty list of rewrite steps"
         cur = p.type
         for step in steps:
             try:
                 name, direction, spath = step
             except (TypeError, ValueError):
-                fail(path, "eq step must be (equation-name, direction, path)")
-                return
+                return "eq step must be (equation-name, direction, path)"
             try:
                 eq = equations.get(name)
             except KeyError as exc:
-                fail(path, str(exc))
-                return
+                return str(exc)
             cur = apply_equation(cur, eq, tuple(spath), direction)
         if a != cur:
-            fail(path, f"rewrites yield {print_formula(cur)}")
-        return
+            return f"rewrites yield {print_formula(cur)}"
+        return None
 
     kind, _, ns = rule.partition("-")
     quant, fv, noun = _QUANTIFIERS[ns]
     if kind == "gen":
         if type(a) is not quant:
-            fail(path, f"{rule} conclusion must be a {noun} quantification")
-            return
+            return f"{rule} conclusion must be a {noun} quantification"
         if p.type != a.body:
-            fail(path, "premise type must be the quantifier body")
-            return
+            return "premise type must be the quantifier body"
         for name, b in ctx:
             if a.var in fv(b):
-                fail(path, f"{a.var} occurs free in the context entry {name}")
-                return
-        return
+                return f"{a.var} occurs free in the context entry {name}"
+        return None
 
     if type(p.type) is not quant:
-        fail(path, f"{rule} premise must be a {noun} quantification")
-        return
+        return f"{rule} premise must be a {noun} quantification"
     w = node.witness
     if ns == "fo" and not isinstance(w, FoTerm):
-        fail(path, "inst-fo witness must be a first-order term")
-        return
+        return "inst-fo witness must be a first-order term"
     if ns != "fo" and not isinstance(w, PredAbstraction):
-        fail(path, f"{rule} witness must be a predicate abstraction")
-        return
+        return f"{rule} witness must be a predicate abstraction"
     if ns == "bot" and not is_bot_type(w.body):
-        fail(path, "inst-bot witness body must be a bottomed type")
-        return
+        return "inst-bot witness body must be a bottomed type"
     expect = instantiate(p.type, w)
     if a != expect:
-        fail(path, f"instantiation yields {print_formula(expect)}")
+        return f"instantiation yields {print_formula(expect)}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +343,16 @@ def forget_derivation(d: Derivation) -> Derivation:
     gen-fo, inst-fo and eq nodes collapse onto their premise; every other
     node keeps its rule with types, contexts and witnesses forgotten.
     """
-    def walk(node: Derivation) -> Derivation:
+    def combine(node: Derivation, kids: tuple) -> Derivation:
         if node.rule in ("gen-fo", "inst-fo", "eq"):
-            return walk(node.premises[0])
+            return kids[0]
         ctx = Context(tuple((n, forget_first_order(a)) for n, a in node.ctx))
         witness = node.witness
         if node.rule in ("inst-pred", "inst-bot"):
             witness = PredAbstraction((), forget_first_order(witness.body))
-        return Derivation(
-            node.rule,
-            ctx,
-            node.term,
-            forget_first_order(node.type),
-            witness,
-            tuple(walk(p) for p in node.premises),
-        )
+        return Derivation(node.rule, ctx, node.term, forget_first_order(node.type), witness, kids)
 
-    return walk(d)
+    return _fold_premises(d, combine)
 
 
 # ---------------------------------------------------------------------------
@@ -379,29 +379,23 @@ def lift_star_to_bot(d: Derivation) -> Derivation:
         raise ValueError("expected the abstraction to consume the starred numeral type")
 
     def rewrite_ctx(ctx: Context) -> Context:
-        out = []
-        for n, a in ctx:
-            if n == nu:
-                if a != star:
-                    raise ValueError(f"context entry for {nu} is not the starred type")
-                out.append((n, bot))
-            else:
-                out.append((n, a))
-        return Context(tuple(out))
+        a = ctx.lookup(nu)
+        if a is not None and a != star:
+            raise ValueError(f"context entry for {nu} is not the starred type")
+        return ctx if a is None else Context((n, bot if n == nu else b) for n, b in ctx)
 
-    def walk(node: Derivation) -> Derivation:
+    def premises(node: Derivation) -> tuple:
         if node.rule == "abs" and node.term.binder == nu:
             raise ValueError(f"inner binder shadows {nu}; shape not supported")
+        return node.premises
+
+    def combine(node: Derivation, kids: tuple) -> Derivation:
         if node.rule == "ax" and type(node.term) is Var and node.term.name == nu:
             if node.type != star:
                 raise ValueError(f"axiom for {nu} has unexpected type")
             ctx = rewrite_ctx(node.ctx)
-            pred_free = set()
-            for _, b in ctx:
-                pred_free |= fv_pred(b)
-            gen_name = fresh_name("X", pred_free)
-            w = FoVar("w")
-            witness = PredAbstraction(("w",), neg(PredVarApp(gen_name, (w,))))
+            gen_name = fresh_name("X", set().union(*map(fv_pred, ctx.formulas())))
+            witness = PredAbstraction(("w",), neg(PredVarApp(gen_name, (FoVar("w"),))))
             leaf = Derivation("ax", ctx, node.term, bot)
             opened = instantiate(bot, witness)
             instd = Derivation("inst-bot", ctx, node.term, opened, witness, (leaf,))
@@ -412,15 +406,10 @@ def lift_star_to_bot(d: Derivation) -> Derivation:
                 raise ValueError("reopening did not recover the starred type")
             return gend
         return Derivation(
-            node.rule,
-            rewrite_ctx(node.ctx),
-            node.term,
-            node.type,
-            node.witness,
-            tuple(walk(p) for p in node.premises),
+            node.rule, rewrite_ctx(node.ctx), node.term, node.type, node.witness, kids
         )
 
-    body = walk(absd.premises[0])
+    body = _fold_premises(absd.premises[0], combine, premises)
     new_abs = Derivation(
         "abs", absd.ctx, absd.term, Arrow(bot, absd.type.right), None, (body,)
     )
@@ -437,26 +426,33 @@ def _q(s: str) -> str:
 
 def write_derivation(d: Derivation) -> str:
     """Stable s-expression text for a derivation tree."""
-    lines: list[str] = []
 
-    def emit(node: Derivation, indent: int) -> None:
-        pad = "  " * indent
-        lines.append(f"{pad}(rule {node.rule}")
-        ctx_body = " ".join(f"({n} {_q(print_formula(a))})" for n, a in node.ctx)
-        lines.append(f"{pad}  (ctx {ctx_body})".rstrip() if ctx_body else f"{pad}  (ctx)")
-        lines.append(f"{pad}  (term {_q(print_term(node.term))})")
-        lines.append(f"{pad}  (type {_q(print_formula(node.type))})")
+    def combine(node: Derivation, kids: tuple) -> list:
+        lines = [
+            f"(rule {node.rule}",
+            "  (ctx" + "".join(f" ({n} {_q(print_formula(a))})" for n, a in node.ctx) + ")",
+            f"  (term {_q(print_term(node.term))})",
+            f"  (type {_q(print_formula(node.type))})",
+        ]
         if node.witness is not None:
-            lines.append(f"{pad}  (witness {_write_witness(node)})")
-        if node.premises:
-            lines.append(f"{pad}  (premises")
-            for p in node.premises:
-                emit(p, indent + 2)
-            lines.append(f"{pad}  )")
-        lines.append(f"{pad})")
+            lines.append(f"  (witness {_write_witness(node)})")
+        if kids:
+            lines.append("  (premises")
+            for k in kids:
+                lines += k
+            lines.append("  )")
+        lines.append(")")
+        return lines
 
-    emit(d, 0)
-    return "\n".join(lines) + "\n"
+    # the nodes of a premises section sit two levels deeper than its opener
+    pad, out = "", []
+    for line in _fold_premises(d, combine):
+        if line == "  )":
+            pad = pad[:-4]
+        out.append(pad + line)
+        if line == "  (premises":
+            pad += "    "
+    return "\n".join(out) + "\n"
 
 
 def _write_witness(node: Derivation) -> str:
@@ -536,7 +532,7 @@ def read_derivation(src: str) -> Derivation:
     forms = _sexp_parse(src)
     if len(forms) != 1:
         raise ValueError("expected exactly one derivation form")
-    return _read_node(forms[0], {})
+    return _fold_premises(forms[0], partial(_read_node, {}), _premise_forms)
 
 
 def _read_formula(src: str, table: dict) -> Formula:
@@ -590,19 +586,29 @@ def _form(x, shape: str, size: Optional[int] = None) -> list:
     raise ValueError(f"expected {shape}")
 
 
-def _read_node(form, table: dict) -> Derivation:
+def _premise_forms(form) -> list:
+    """The forms in the last premises section of a (rule ...) form, if any."""
+    for part in reversed(form) if type(form) is list else ():
+        if type(part) is list and part and part[0] == ("atom", "premises"):
+            return part[1:]
+    return []
+
+
+def _read_node(table: dict, form, premises: tuple) -> Derivation:
+    """The node a (rule ...) form describes, over premises already read."""
     if not isinstance(form, list) or len(form) < 2 or _atom(form[0]) != "rule":
         raise ValueError("expected a (rule ...) form")
     rule = _atom(form[1])
     ctx = Context()
-    term = None
-    ftype = None
-    witness = None
-    premises: list[Derivation] = []
+    term = ftype = witness = None
+    seen = set()
     for part in form[2:]:
         if not isinstance(part, list) or not part:
             raise ValueError("malformed derivation section")
         head = _atom(part[0])
+        if head in seen:
+            raise ValueError(f"repeated {head} section")
+        seen.add(head)
         if head in ("term", "type", "witness"):
             _, body = _form(part, f"one item in the {head} section", 2)
         if head == "ctx":
@@ -617,13 +623,11 @@ def _read_node(form, table: dict) -> Derivation:
             ftype = _read_formula(_string(body), table)
         elif head == "witness":
             witness = _read_witness(body, table)
-        elif head == "premises":
-            premises = [_read_node(p, table) for p in part[1:]]
-        else:
+        elif head != "premises":  # read already, by _premise_forms
             raise ValueError(f"unknown section {head!r}")
     if term is None or ftype is None:
         raise ValueError("derivation node needs term and type")
-    return Derivation(rule, ctx, term, ftype, witness, tuple(premises))
+    return Derivation(rule, ctx, term, ftype, witness, premises)
 
 
 def _read_witness(form, table: dict):

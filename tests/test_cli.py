@@ -382,6 +382,35 @@ def test_check_malformed_derivation_is_exit_2(capsys, tmp_path, body):
     assert "found 'atom'" not in err
 
 
+def test_check_repeated_section_is_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.deriv"
+    bad.write_text(
+        '(rule abs (ctx) (term "\\\\y y") (type "Q -> Q")'
+        ' (premises (rule ax (ctx) (term "y") (type "Q")))'
+        ' (premises (rule ax (ctx (y "Q")) (term "y") (type "Q"))))'
+    )
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "storop: error: derivation file does not parse: repeated premises section\n"
+
+
+def test_check_a_derivation_30002_nodes_deep(capsys, tmp_path):
+    # \y y : X(x) -> X(x) under 15,000 inst-fo x / gen-fo x pairs, written
+    # without indentation, which would grow with the depth squared
+    inst = '(rule inst-fo (ctx) (term "\\\\y y") (type "X(x) -> X(x)") (witness (foterm "x")) (premises\n'
+    gen = '(rule gen-fo (ctx) (term "\\\\y y") (type "!x (X(x) -> X(x))") (premises\n'
+    core = (
+        '(rule abs (ctx) (term "\\\\y y") (type "X(x) -> X(x)")'
+        ' (premises (rule ax (ctx (y "X(x)")) (term "y") (type "X(x)"))))\n'
+    )
+    chain = tmp_path / "chain.deriv"
+    chain.write_text((inst + gen) * 15_000 + core + "))" * 30_000)
+    code, out, _ = run(capsys, "check", str(chain))
+    assert code == 0
+    assert out.splitlines()[0] == "ok: 30002 nodes"
+
+
 def test_check_bad_equations_file_is_exit_2(capsys, tmp_path):
     eqs = tmp_path / "eqs.txt"
     eqs.write_text("this is not an equation")

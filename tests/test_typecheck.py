@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from deep import deep
 from storop.formulas import (
     Arrow,
     FoApp,
@@ -8,6 +11,7 @@ from storop.formulas import (
     ForallPred,
     PredAbstraction,
     PredVarApp,
+    n_star_type,
     n_type,
     parse_equations,
     parse_formula,
@@ -323,6 +327,34 @@ def test_read_rejects_malformed_input():
         read_derivation('(rule ax (ctx) (term "x") (type "A") (witness (magic)))')
 
 
+REPEATED = {
+    "ctx": '(rule ax (ctx (x "A")) (ctx (x "A")) (term "x") (type "A"))',
+    "term": '(rule ax (ctx (x "A")) (term "x") (term "x") (type "A"))',
+    "type": '(rule ax (ctx (x "A")) (term "x") (type "A") (type "A"))',
+    "witness": (
+        '(rule inst-fo (ctx (v "!x X(x)")) (term "v") (type "X(y)") (witness (foterm "y"))'
+        ' (witness (foterm "y")) (premises (rule ax (ctx (v "!x X(x)")) (term "v") (type "!x X(x)"))))'
+    ),
+    # the first premises section is wrong, the second right; neither may win
+    "premises": (
+        '(rule abs (ctx) (term "\\\\y y") (type "Q -> Q")'
+        ' (premises (rule ax (ctx) (term "y") (type "Q")))'
+        ' (premises (rule ax (ctx (y "Q")) (term "y") (type "Q"))))'
+    ),
+}
+
+
+@pytest.mark.parametrize("section", sorted(REPEATED))
+def test_read_rejects_a_repeated_section(section):
+    src = REPEATED[section]
+    with pytest.raises(ValueError, match=f"repeated {section} section"):
+        read_derivation(src)
+    # kept once, the section reads
+    first = src.index(f"({section} ")
+    second = src.index(f"({section} ", first + 1)
+    assert check_derivation(read_derivation(src[:first] + src[second:])).ok
+
+
 def test_serialized_strings_are_escaped():
     # backslashes in lambda terms survive the quoting
     d = identity_derivation()
@@ -455,3 +487,66 @@ def test_lift_produces_the_bottomed_typing():
         " -> ~~(!X {X(0), !y (X(y) -> X(s(y))) -> X(x)}))"
     )
     assert lifted.type == want
+
+
+# deep derivations: no walker is bounded by the recursion limit
+
+PAIRS = 15_000  # of gen-fo/inst-fo nodes: a chain 30,002 nodes deep
+
+
+def fo_pairs(core: Derivation, var: str, pairs: int) -> Derivation:
+    """core under pairs of inst-fo var over gen-fo var, an inst-fo at the root."""
+    gen = ForallFo(var, core.type)
+    d = core
+    for _ in range(pairs):
+        d = Derivation("gen-fo", core.ctx, core.term, gen, None, (d,))
+        d = Derivation("inst-fo", core.ctx, core.term, core.type, FoVar(var), (d,))
+    return d
+
+
+def identity_chain(pairs: int) -> Derivation:
+    """The identity \\y y : X(x) -> X(x) under pairs of gen-fo x / inst-fo x nodes."""
+    a = F("X(x)")
+    leaf = Derivation("ax", Context().extended("y", a), Var("y"), a)
+    core = Derivation("abs", Context(), Abs("y", Var("y")), Arrow(a, a), None, (leaf,))
+    return fo_pairs(core, "x", pairs)
+
+
+@pytest.fixture(scope="module")
+def chain():
+    return identity_chain(PAIRS)
+
+
+def test_count_and_forget_a_chain_30002_nodes_deep(chain):
+    assert deep(chain.node_count) == 2 * PAIRS + 2
+    forgot = deep(forget_derivation, chain)
+    assert forgot == forget_derivation(chain.premises[0].premises[0])
+    assert forgot.node_count() == 2
+    assert forgot.type == F("X -> X")
+
+
+def test_lift_above_an_axiom_30000_nodes_deep():
+    star = n_star_type(FoVar("x"))
+    ctx = Context().extended("nu", star)
+    body = fo_pairs(Derivation("ax", ctx, Var("nu"), star), "z", PAIRS)
+    absd = Derivation("abs", Context(), Abs("nu", Var("nu")), Arrow(star, star), None, (body,))
+    d = Derivation("gen-fo", Context(), absd.term, ForallFo("x", absd.type), None, (absd,))
+    lifted = deep(lift_star_to_bot, d)
+    # the axiom opens in three nodes: ax, inst-bot, gen-pred
+    assert lifted.node_count() == d.node_count() + 2 == 2 * PAIRS + 5
+    assert lifted.type == F("!x (N_|[x] -> N*[x])")
+    assert deep(check_derivation, lifted).ok
+
+
+def test_write_read_round_trip_past_a_lowered_recursion_limit():
+    limit = 300
+    d = identity_chain(limit // 2 + 150)  # 602 nodes
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        text = deep(write_derivation, d)
+        back = deep(read_derivation, text)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert back.node_count() == d.node_count() == 602
+    assert write_derivation(back) == text
