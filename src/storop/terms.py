@@ -8,7 +8,9 @@ Abstraction is ``\\x y BODY`` (or with a literal lambda); a trailing run of
 bare variables uses its last variable as the body, so ``\\x f x`` is the
 numeral zero.
 
-Term equality is alpha-equivalence; hashing agrees with it.
+Term equality is alpha-equivalence; hashing agrees with it. Equality,
+hashing and printing walk explicit stacks, so they work at any depth; the
+parser still recurses once per nested group.
 """
 
 from __future__ import annotations
@@ -440,11 +442,17 @@ def parse_term(src: str, builtins: Mapping[str, Term] | None = None) -> Term:
             return resolve(val[0], val[1], at)
         raise ParseError("expected a term", at)
 
-    t = p_term()
-    kind, _, at = peek()
-    if kind != "end":
-        raise ParseError("unexpected trailing input", at)
-    return t
+    try:
+        t = p_term()
+        kind, _, at = peek()
+        if kind != "end":
+            raise ParseError("unexpected trailing input", at)
+        return t
+    finally:
+        # p_term refers to itself through its closure; dropping the name
+        # breaks that cycle, so the tokens go on return, not at the next
+        # collection (which the kernel may have paused)
+        del p_term
 
 
 def print_term(t: Term, _cache: Optional[dict[int, str]] = None) -> str:
@@ -453,6 +461,12 @@ def print_term(t: Term, _cache: Optional[dict[int, str]] = None) -> str:
     ``_cache`` maps id(node) to the node's text. A caller that prints many
     terms sharing subterms may pass one dict to all its calls, as long as
     every node it was filled from stays alive while the dict is in use.
+    Its entries are the tops of abstraction chains and of application
+    spines, the nodes whose text stands on its own.
+
+    One loop appends the text to one list, which is joined once. What comes
+    after the term being written waits on an explicit stack, so printing
+    does not recurse.
     """
     if type(t) is Var:
         return t.name
@@ -460,34 +474,88 @@ def print_term(t: Term, _cache: Optional[dict[int, str]] = None) -> str:
         s = _cache.get(id(t))
         if s is not None:
             return s
-    if type(t) is Abs:
-        parts = []
-        cur: Term = t
-        while type(cur) is Abs:
-            parts.append(cur.binder)
-            cur = cur.body
-        if type(cur) is Var:
-            parts.append(cur.name)
-            s = "\\" + " ".join(parts)
-        else:
-            s = "\\" + " ".join(parts) + " " + print_term(cur, _cache)
-    else:
-        # App: flatten the spine
-        rev_args = []
-        cur = t
-        while type(cur) is App:
-            rev_args.append(cur.arg)
-            cur = cur.fn
-        args = rev_args[::-1]
-        s = "(" + print_term(cur, _cache) + ")"
-        last = len(args) - 1
-        for i, a in enumerate(args):
-            if type(a) is Var:
-                s += " " + a.name
-            elif i == last:
-                s += " " + print_term(a, _cache)
+    out: list[str] = []
+    # pieces still to write, the next on top: strings, terms, and with a
+    # cache (node, start) marks where the text of node ends
+    stack: list = []
+    cur = t  # the next term to write, a chain or spine top, never a variable
+    while True:
+        text = None if _cache is None else _cache.get(id(cur))
+        if text is None:
+            top = cur
+            rest = None  # what follows the next term cur, last piece first
+            if type(cur) is Abs:
+                binders = []
+                while type(cur) is Abs:
+                    binders.append(cur.binder)
+                    cur = cur.body
+                if type(cur) is Var:
+                    binders.append(cur.name)
+                    text = "\\" + " ".join(binders)
+                    cur = None
+                else:
+                    text = "\\" + " ".join(binders) + " "
+            elif type(cur.fn) is not App:
+                # (h) a, a spine of one argument, the commonest by far
+                a = cur.arg
+                cur = cur.fn
+                if type(cur) is Var:
+                    text = "(" + cur.name + ") "
+                    cur = a
+                    if type(a) is Var:
+                        text += a.name
+                        cur = None
+                else:
+                    text = "("
+                    rest = [") " + a.name] if type(a) is Var else [a, ") "]
             else:
-                s = "(" + s + " " + print_term(a, _cache) + ")"
-    if _cache is not None:
-        _cache[id(t)] = s
-    return s
+                # (head) a1 .. an: an argument that is neither a variable nor
+                # the last closes a parenthesis opened before the head
+                args = []  # the last argument first
+                while type(cur) is App:
+                    args.append(cur.arg)
+                    cur = cur.fn
+                pieces: list = ["("]  # in order, adjacent strings merged
+                for a in args[1:]:
+                    if type(a) is not Var:
+                        pieces[0] += "("
+                if type(cur) is Var:
+                    pieces[0] += cur.name + ")"
+                else:
+                    pieces += (cur, ")")
+                for i in range(len(args) - 1, -1, -1):
+                    a = args[i]
+                    if type(a) is Var:
+                        pieces[-1] += " " + a.name
+                    else:
+                        pieces[-1] += " "
+                        pieces += (a, ")") if i else (a,)
+                text = pieces[0]
+                cur = pieces[1] if len(pieces) > 1 else None
+                rest = pieces[:1:-1]
+            if cur is not None:
+                # top's text goes on past this piece
+                if _cache is not None:
+                    stack.append((top, len(out)))
+                if rest:
+                    stack += rest
+                out.append(text)
+                continue
+            if _cache is not None:
+                _cache[id(top)] = text
+        out.append(text)
+        while stack:
+            cur = stack.pop()
+            tc = type(cur)
+            if tc is str:
+                out.append(cur)
+            elif tc is tuple:
+                # fold a finished top's text into one piece and cache it
+                node, start = cur
+                s = "".join(out[start:])
+                out[start:] = [s]
+                _cache[id(node)] = s  # type: ignore[index]
+            else:
+                break
+        else:
+            return "".join(out)

@@ -15,13 +15,16 @@ No walker here recurses. One post-order fold over an explicit stack,
 ``lift_star_to_bot``, ``write_derivation`` and ``read_derivation`` (over the
 parsed forms). ``check_derivation`` walks the same order in its own loop,
 which calls ``_check_node`` directly and keeps the node's path as one list.
+``Derivation.__eq__`` compares premise pairs off a stack of its own, and a
+derivation's repr shows its root node alone.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 from storop.formulas import (
@@ -130,6 +133,35 @@ class Derivation:
 
     def node_count(self) -> int:
         return _fold_premises(self, lambda _node, kids: 1 + sum(kids))
+
+    def __eq__(self, other):
+        """Field by field, as @dataclass would, over an explicit stack of premise pairs."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if (
+                a.__class__ is not b.__class__
+                or a.rule != b.rule
+                or a.ctx != b.ctx
+                or a.term != b.term
+                or a.type != b.type
+                or a.witness != b.witness
+                or len(a.premises) != len(b.premises)
+            ):
+                return False
+            pairs += zip(reversed(a.premises), reversed(b.premises))
+        return True
+
+    def __repr__(self):
+        """The node alone: its premises are counted, not shown."""
+        return (
+            f"Derivation(rule={self.rule!r}, term={self.term!r}, type={self.type!r},"
+            f" premises={len(self.premises)})"
+        )
 
 
 @dataclass
@@ -471,49 +503,35 @@ def _write_witness(node: Derivation) -> str:
     raise ValueError(f"rule {node.rule} carries no witness encoding")
 
 
-def _sexp_tokens(src: str):
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c in "()":
-            yield c
-            i += 1
-        elif c == '"':
-            j = i + 1
-            out = []
-            while j < n and src[j] != '"':
-                if src[j] == "\\" and j + 1 < n:
-                    out.append(src[j + 1])
-                    j += 2
-                else:
-                    out.append(src[j])
-                    j += 1
-            if j >= n:
-                raise ValueError("unterminated string in derivation file")
-            yield ("str", "".join(out))
-            i = j + 1
-        else:
-            j = i
-            while j < n and src[j] not in ' \t\r\n()"':
-                j += 1
-            yield ("atom", src[i:j])
-            i = j
+# one token per match, after any whitespace: a parenthesis, a string with
+# its quotes, an atom, or the opening quote of a string that never ends
+_SEXP_TOKEN = re.compile(
+    r'[ \t\r\n]*(?:([()])|("(?:[^"\\]|\\.)*")|([^ \t\r\n()"]+)|("))', re.DOTALL
+)
+_SEXP_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_escaped = itemgetter(1)  # the character after a backslash
 
 
 def _sexp_parse(src: str):
+    """src's forms as nested lists of ("atom", text) and ("str", text) tokens."""
     stack: list[list] = [[]]
-    for tok in _sexp_tokens(src):
-        if tok == "(":
+    for paren, string, atom, quote in _SEXP_TOKEN.findall(src):
+        if paren == "(":
             stack.append([])
-        elif tok == ")":
+        elif paren:
             done = stack.pop()
             if not stack:
                 raise ValueError("unbalanced parentheses")
             stack[-1].append(done)
-        else:
-            stack[-1].append(tok)
+        elif string:
+            string = string[1:-1]
+            if "\\" in string:
+                string = _SEXP_ESCAPE.sub(_escaped, string)
+            stack[-1].append(("str", string))
+        elif atom:
+            stack[-1].append(("atom", atom))
+        elif quote:
+            raise ValueError("unterminated string in derivation file")
     if len(stack) != 1:
         raise ValueError("unbalanced parentheses")
     return stack[0]
@@ -618,7 +636,10 @@ def _read_node(table: dict, form, premises: tuple) -> Derivation:
                 entries.append((_atom(name), _read_formula(_string(src), table)))
             ctx = Context(tuple(entries))
         elif head == "term":
-            term = parse_term(_string(body))
+            text = _string(body)
+            term = table.get(("term", text))
+            if term is None:
+                term = table[("term", text)] = parse_term(text)
         elif head == "type":
             ftype = _read_formula(_string(body), table)
         elif head == "witness":

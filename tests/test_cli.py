@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import storop
-from storop import cli
+from deep import deep
+from storop import cli, reduction
 from storop.cli import main
 from storop.builtins import BUILTINS
 from storop.reduction import normalize
@@ -104,7 +105,7 @@ REDUCE_SOURCES = [
 REDUCE_DIGEST = "9b1ad383d0fe723ce7a229515ce9676d2cce9762aa32603aae144264b7ce69fb"
 
 
-def test_reduce_output_fingerprint(capsys):
+def _reduce_digest(capsys) -> str:
     h = hashlib.sha256()
     for src in REDUCE_SOURCES:
         for strategy in ("head", "normal"):
@@ -113,7 +114,78 @@ def test_reduce_output_fingerprint(capsys):
                     argv = ["reduce", src, "--strategy", strategy, "--fuel", fuel, *trace]
                     code, out, _ = run(capsys, *argv)
                     h.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
-    assert h.hexdigest() == REDUCE_DIGEST
+    return h.hexdigest()
+
+
+def test_reduce_output_fingerprint(capsys):
+    assert _reduce_digest(capsys) == REDUCE_DIGEST
+
+
+def test_reduce_output_fingerprint_through_the_stack_copy_alone(capsys, monkeypatch):
+    # no substitution recurses: every one is made by reduction._subst1_stack
+    monkeypatch.setattr(reduction, "_SUBST_DEPTH", 0)
+    assert _reduce_digest(capsys) == REDUCE_DIGEST
+
+
+# deep reduce: kernel, substitution and printing all run on explicit stacks
+DEEP = 100_000
+
+
+def numeral_text(n: int) -> str:
+    return "\\x f " + "(f) " * n + "x"
+
+
+@pytest.fixture(scope="module")
+def deep_numerals():
+    return {n: numeral_text(n) for n in (DEEP, DEEP + 1)}
+
+
+def test_reduce_successor_of_a_numeral_100000_deep_head(capsys, deep_numerals):
+    code, out, _ = deep(run, capsys, "reduce", f"(@succ) @church:{DEEP}", "--strategy", "head")
+    assert code == 0
+    assert out.splitlines() == [
+        f"result: \\x f (f) ({deep_numerals[DEEP]}) x f",
+        "steps: 1",
+        "status: head-normal-form-reached",
+    ]
+
+
+def test_reduce_successor_of_a_numeral_100000_deep_normal(capsys, deep_numerals):
+    code, out, _ = deep(run, capsys, "reduce", f"(@succ) @church:{DEEP}", "--strategy", "normal")
+    assert code == 0
+    assert out.splitlines() == [
+        f"result: {deep_numerals[DEEP + 1]}",
+        "steps: 3",
+        "status: normal-form-reached",
+    ]
+
+
+def test_reduce_trace_successor_of_a_numeral_100000_deep(capsys, deep_numerals):
+    argv = ["reduce", f"(@succ) @church:{DEEP}", "--strategy", "normal", "--trace"]
+    code, out, _ = deep(run, capsys, *argv)
+    lines = out.splitlines()
+    assert code == 0
+    labels = [line.partition(":")[0] for line in lines]
+    assert labels == ["0", "1", "2", "3", "result", "steps", "status"]
+    assert lines[0] == f"0: (\\n x f (f) (n) x f) {deep_numerals[DEEP]}"
+    assert lines[3:] == [
+        f"3: {deep_numerals[DEEP + 1]}",
+        f"result: {deep_numerals[DEEP + 1]}",
+        "steps: 3",
+        "status: normal-form-reached",
+    ]
+
+
+def test_reduce_a_numeral_iterating_succ_30000_times(capsys):
+    # (n) zero succ substitutes into a body 30,000 deep; _subst1 broke there
+    argv = ["reduce", "--strategy", "normal", "((@church:30000) @zero) @succ"]
+    code, out, _ = deep(run, capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        f"result: {numeral_text(30_000)}",
+        "steps: 90002",
+        "status: normal-form-reached",
+    ]
 
 
 def test_fuel_env_override(capsys, monkeypatch):

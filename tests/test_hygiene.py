@@ -123,7 +123,7 @@ STILL_RECURSIVE = {
         "rewrite", "rewrite_term", "scan", "seq", "un",
     ],
     "reduction.py": ["_subst1"],
-    "terms.py": ["_match", "_subst", "p_term", "print_term"],
+    "terms.py": ["_match", "_subst", "p_term"],
 }
 
 
@@ -131,3 +131,53 @@ STILL_RECURSIVE = {
 def test_no_new_recursive_walkers(path):
     source = path.read_text(encoding="utf-8")
     assert self_calling_functions(source) == STILL_RECURSIVE.get(path.name, [])
+
+
+def _pauses_collector(node: ast.AST) -> bool:
+    return any(
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "disable"
+        and isinstance(n.func.value, ast.Name)
+        and n.func.value.id == "gc"
+        for n in ast.walk(node)
+    )
+
+
+def collector_pauses(source: str) -> list[str]:
+    """The functions that call gc.disable(), "<module>" for a call outside
+    any function, and "from gc" for a name imported from gc."""
+    tree = ast.parse(source)
+    found = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _pauses_collector(fn)
+    }
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    if any(_pauses_collector(s) for s in tree.body if not isinstance(s, defs)):
+        found.add("<module>")
+    if any(isinstance(n, ast.ImportFrom) and n.module == "gc" for n in ast.walk(tree)):
+        found.add("from gc")
+    return sorted(found)
+
+
+def test_collector_pause_scanner():
+    src = (
+        "import gc\ngc.disable()\n"
+        "def f():\n    gc.disable()\n"
+        "def g():\n    gc.enable()\n"
+        "class C:\n    def m(self):\n        gc.disable()\n"
+    )
+    assert collector_pauses(src) == ["<module>", "f", "m"]
+    assert collector_pauses("from gc import disable\n") == ["from gc"]
+
+
+# The kernel's two loops pause the cyclic collector while they build terms,
+# which are trees and cannot form cycles. Nothing else may pause it.
+PAUSES_COLLECTOR = {"reduction.py": ["head_reduce", "normalize"]}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_kernel_pauses_the_collector(path):
+    source = path.read_text(encoding="utf-8")
+    assert collector_pauses(source) == PAUSES_COLLECTOR.get(path.name, [])

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import time
@@ -318,3 +319,82 @@ def _kernel_lines(family):
 def test_kernel_output_fingerprint(family):
     text = "\n".join(_kernel_lines(family))
     assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_DIGESTS))
+def test_kernel_output_fingerprint_through_the_stack_copy_alone(family, monkeypatch):
+    # with no recursion allowed, every substitution is made by _subst1_stack
+    monkeypatch.setattr(reduction, "_SUBST_DEPTH", 0)
+    depths, copies = [], []
+    recursive, stack_copy = reduction._subst1, reduction._subst1_stack
+
+    def counted_subst1(t, name, value, depth=0):
+        depths.append(depth)
+        return recursive(t, name, value, depth)
+
+    def counted_copy(t, name, value):
+        copies.append(name)
+        return stack_copy(t, name, value)
+
+    monkeypatch.setattr(reduction, "_subst1", counted_subst1)
+    monkeypatch.setattr(reduction, "_subst1_stack", counted_copy)
+    text = "\n".join(_kernel_lines(family))
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGESTS[family]
+    assert copies and not any(depths)
+
+
+def test_subst1_past_the_recursion_limit():
+    # the recursion stops at _SUBST_DEPTH and the stack copy does the rest
+    body = church(30_000).body.body
+    out = deep(_subst1, body, "x", Var("y"))
+    assert deep(Abs("y", Abs("f", out)).__eq__, church(30_000))
+
+
+def _capturing_chain(levels, binder):
+    """\\b (b) \\b (b) .. a, levels binders deep, each named binder."""
+    t = Var("a")
+    for _ in range(levels):
+        t = Abs(binder, App(Var(binder), t))
+    return t
+
+
+def test_subst1_renames_binders_past_the_recursion_limit():
+    # every binder captures y, so each is primed and its body renamed first
+    out = deep(_subst1, _capturing_chain(30_000, "y"), "a", Var("y"))
+    want = _capturing_chain(30_000, "y'")
+    assert deep(print_term, out) == deep(print_term, want).replace("a", "y")
+
+
+@pytest.mark.parametrize("run", [head_reduce, normalize])
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_collector_paused_in_the_kernel_and_restored(run, collecting, monkeypatch):
+    seen = []  # whether the collector ran while the spine loop worked
+    spine = reduction._spine
+
+    def watched(t, fuel):
+        seen.append(gc.isenabled())
+        return spine(t, fuel)
+
+    monkeypatch.setattr(reduction, "_spine", watched)
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        out = run(parse("(@T1 @church:2) f"))
+        after = gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert out.steps > 0
+    assert seen and not any(seen)
+    assert after is collecting
+
+
+@pytest.mark.parametrize("run", [head_reduce, normalize])
+def test_collector_restarts_after_a_kernel_error(run, monkeypatch):
+    def broken(t, fuel):
+        raise RuntimeError("spine broke")
+
+    monkeypatch.setattr(reduction, "_spine", broken)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="spine broke"):
+        run(OMEGA)
+    assert gc.isenabled()

@@ -153,6 +153,51 @@ def test_print_known_forms():
     assert parse_term(print_term(t)) == t
 
 
+def _print_tops(t):
+    """The nodes of t whose text stands on its own: t, then the body of each
+    abstraction chain and the head and arguments of each spine, variables left out."""
+    tops, todo = [], [t]
+    while todo:
+        cur = todo.pop()
+        if type(cur) is Var:
+            continue
+        tops.append(cur)
+        if type(cur) is Abs:
+            while type(cur) is Abs:
+                cur = cur.body
+            todo.append(cur)
+        else:
+            while type(cur) is App:
+                todo.append(cur.arg)
+                cur = cur.fn
+            todo.append(cur)
+    return tops
+
+
+def test_shared_print_cache_holds_each_top_printed_alone():
+    rng = random.Random(17)
+    terms = [random_term(rng, depth=rng.randint(1, 8)) for _ in range(400)]
+    # the later terms reuse the earlier ones as spine heads and arguments
+    terms += [App(a, b) for a, b in zip(terms, terms[1:])]
+    cache = {}
+    assert [print_term(t, cache) for t in terms] == [print_term(t) for t in terms]
+    tops = {id(top): top for t in terms for top in _print_tops(t)}
+    assert cache.keys() == tops.keys()
+    assert all(text == print_term(tops[key]) for key, text in cache.items())
+
+
+def test_print_past_the_recursion_limit():
+    n = 30_000  # printing recursed once per level and broke at 20,000
+    h, a, x = Var("h"), Var("a"), Var("x")
+    nested_head = x  # ((h) ((h) .. x a) a) a: arguments that close a parenthesis
+    chain = Var("y")  # \\x (x) \\x (x) .. y: chains inside spines inside chains
+    for _ in range(n):
+        nested_head = App(App(h, nested_head), a)
+        chain = Abs("x", App(x, chain))
+    assert deep(print_term, nested_head) == "((h) " * (n - 1) + "(h) x a" + ") a" * (n - 1)
+    assert deep(print_term, chain) == "\\x (x) " * n + "y"
+
+
 # ---------------------------------------------------------------- alpha
 
 

@@ -327,6 +327,30 @@ def test_read_rejects_malformed_input():
         read_derivation('(rule ax (ctx) (term "x") (type "A") (witness (magic)))')
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ('(rule ax (ctx) (term "x', "unterminated string in derivation file"),
+        ('(rule ax (ctx) (term "x\\"))', "unterminated string in derivation file"),
+        ('(rule ax (ctx) (term "x") (type "A")))', "unbalanced parentheses"),
+        ('(rule ax (ctx) (term "x") (type "A")', "unbalanced parentheses"),
+    ],
+    ids=["unterminated", "escaped-quote", "extra-close", "unclosed"],
+)
+def test_read_errors_keep_their_messages(src, message):
+    with pytest.raises(ValueError) as exc:
+        read_derivation(src)
+    assert str(exc.value) == message
+
+
+def test_read_parses_each_term_text_once():
+    text = write_derivation(identity_chain(5))
+    first, second = read_derivation(text), read_derivation(text)
+    terms = {id(node.term) for node in derivation_nodes(first) if node.rule != "ax"}
+    assert len(terms) == 1
+    assert first.term == second.term and first.term is not second.term
+
+
 REPEATED = {
     "ctx": '(rule ax (ctx (x "A")) (ctx (x "A")) (term "x") (type "A"))',
     "term": '(rule ax (ctx (x "A")) (term "x") (term "x") (type "A"))',
@@ -523,6 +547,18 @@ def test_count_and_forget_a_chain_30002_nodes_deep(chain):
     assert forgot == forget_derivation(chain.premises[0].premises[0])
     assert forgot.node_count() == 2
     assert forgot.type == F("X -> X")
+
+
+def test_equality_and_repr_of_a_chain_30002_nodes_deep(chain):
+    assert deep(chain.__eq__, identity_chain(PAIRS))
+    # the same chain over an axiom that names a different variable
+    a = F("X(x)")
+    leaf = Derivation("ax", Context().extended("z", a), Var("z"), a)
+    core = Derivation("abs", Context(), Abs("z", Var("z")), Arrow(a, a), None, (leaf,))
+    assert not deep(chain.__eq__, fo_pairs(core, "x", PAIRS))
+    assert deep(repr, chain) == (
+        "Derivation(rule='inst-fo', term=<\\y y>, type=<X(x) -> X(x)>, premises=1)"
+    )
 
 
 def test_lift_above_an_axiom_30000_nodes_deep():
