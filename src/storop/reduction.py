@@ -19,8 +19,9 @@ as it is, for the same reason.
 
 Substitution decides at the parent: a node enters only a child in which
 the name is free, and puts the value in place of a variable child without
-a call. It recurses _SUBST_DEPTH levels deep, then goes on over an explicit
-stack that makes the same substitutions, so a term of any depth reduces.
+a call. It recurses; a body too deep for the recursion limit is substituted
+again over an explicit stack that makes the same substitutions, so a term
+of any depth reduces.
 
 head_reduce and normalize pause Python's cyclic garbage collector while
 they run and restore its previous state on the way out, errors included.
@@ -88,13 +89,9 @@ def _check_fuel(fuel: int) -> None:
         raise ValueError("fuel must be a positive integer")
 
 
-# _subst1 recurses this many levels deep, then hands the rest of the walk
-# to _subst1_stack, so a body of any depth can be substituted into.
-_SUBST_DEPTH = 400
-
-
-def _subst1(t, name, value, depth=0):
-    """Capture-avoiding substitution of a single free variable.
+def _subst1(t, name, value):
+    """Capture-avoiding substitution of a single free variable, for a t in
+    which name is free.
 
     A binder that would capture a free variable of value is primed until it
     is fresh for value and the body. terms.substitute primes differently;
@@ -102,21 +99,16 @@ def _subst1(t, name, value, depth=0):
 
     Each node decides for its children: it enters only a child in which
     name is free, and puts value in place of a variable child without a
-    call. Below _SUBST_DEPTH levels the walk goes on in _subst1_stack.
+    call.
     """
-    if not depth and name not in t.fv:  # below the top, the parent checked
-        return t
-    if depth >= _SUBST_DEPTH:
-        return _subst1_stack(t, name, value)
-    depth += 1
     tt = type(t)
     if tt is App:
         fn = t.fn
         if name in fn.fv:
-            fn = value if type(fn) is Var else _subst1(fn, name, value, depth)
+            fn = value if type(fn) is Var else _subst1(fn, name, value)
         arg = t.arg
         if name in arg.fv:
-            arg = value if type(arg) is Var else _subst1(arg, name, value, depth)
+            arg = value if type(arg) is Var else _subst1(arg, name, value)
         return App(fn, arg)
     if tt is Var:
         return value
@@ -128,9 +120,9 @@ def _subst1(t, name, value, depth=0):
         while nb in avoid:
             nb = nb + "'"
         if binder in body.fv:
-            body = _subst1(body, binder, Var(nb), depth)
+            body = _subst1(body, binder, Var(nb))
         binder = nb
-    return Abs(binder, value if type(body) is Var else _subst1(body, name, value, depth))
+    return Abs(binder, value if type(body) is Var else _subst1(body, name, value))
 
 
 # _subst1_stack's work items: substitute into a node, finish an application
@@ -216,7 +208,10 @@ def _spine(t, fuel):
             if t.binder not in body.fv or (type(a) is Var and a.name == t.binder):
                 t = body
             else:
-                t = _subst1(body, t.binder, a)
+                try:
+                    t = _subst1(body, t.binder, a)
+                except RecursionError:
+                    t = _subst1_stack(body, t.binder, a)
             steps += 1
     args.reverse()
     return binders, t, args, steps

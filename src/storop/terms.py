@@ -466,7 +466,8 @@ def print_term(t: Term, _cache: Optional[dict[int, str]] = None) -> str:
 
     One loop appends the text to one list, which is joined once. What comes
     after the term being written waits on an explicit stack, so printing
-    does not recurse.
+    does not recurse. With a cache, a chain body, spine head or argument
+    printed before is written from the cache as soon as it is met.
     """
     if type(t) is Var:
         return t.name
@@ -475,86 +476,84 @@ def print_term(t: Term, _cache: Optional[dict[int, str]] = None) -> str:
         if s is not None:
             return s
     out: list[str] = []
-    # pieces still to write, the next on top: strings, terms, and with a
-    # cache (node, start) marks where the text of node ends
+    # what is still to write, the next on top: strings, terms, and with a
+    # cache the place in out where each unfinished top's text starts
     stack: list = []
+    tops = []  # the unfinished tops, the innermost last
     cur = t  # the next term to write, a chain or spine top, never a variable
     while True:
-        text = None if _cache is None else _cache.get(id(cur))
-        if text is None:
-            top = cur
-            rest = None  # what follows the next term cur, last piece first
-            if type(cur) is Abs:
-                binders = []
-                while type(cur) is Abs:
-                    binders.append(cur.binder)
-                    cur = cur.body
-                if type(cur) is Var:
-                    binders.append(cur.name)
-                    text = "\\" + " ".join(binders)
-                    cur = None
+        top = cur
+        waiting = len(stack)
+        # top's text begins with text; the rest goes on the stack from the
+        # end backwards, each term not yet printed and the string after it
+        if type(cur) is Abs:
+            binders = []
+            while type(cur) is Abs:
+                binders.append(cur.binder)
+                cur = cur.body
+            if type(cur) is Var:
+                binders.append(cur.name)
+                text = "\\" + " ".join(binders)
+            else:
+                text = "\\" + " ".join(binders) + " "
+                s = None if _cache is None else _cache.get(id(cur))
+                if s is None:
+                    stack.append(cur)
                 else:
-                    text = "\\" + " ".join(binders) + " "
-            elif type(cur.fn) is not App:
-                # (h) a, a spine of one argument, the commonest by far
+                    text += s
+        else:
+            # (head) a1 .. an: an argument that is neither a variable nor
+            # the last closes a parenthesis opened before the head
+            opens = "("
+            tail = ""  # the text after the last term put on the stack
+            while type(cur) is App:
                 a = cur.arg
                 cur = cur.fn
-                if type(cur) is Var:
-                    text = "(" + cur.name + ") "
-                    cur = a
-                    if type(a) is Var:
-                        text += a.name
-                        cur = None
+                if type(a) is Var:
+                    tail = " " + a.name + tail
+                    continue
+                if tail:
+                    opens += "("
+                    tail = ")" + tail
+                s = None if _cache is None else _cache.get(id(a))
+                if s is None:
+                    if tail:
+                        stack.append(tail)
+                    stack.append(a)
+                    tail = " "
                 else:
-                    text = "("
-                    rest = [") " + a.name] if type(a) is Var else [a, ") "]
+                    tail = " " + s + tail
+            if type(cur) is Var:
+                s = cur.name
             else:
-                # (head) a1 .. an: an argument that is neither a variable nor
-                # the last closes a parenthesis opened before the head
-                args = []  # the last argument first
-                while type(cur) is App:
-                    args.append(cur.arg)
-                    cur = cur.fn
-                pieces: list = ["("]  # in order, adjacent strings merged
-                for a in args[1:]:
-                    if type(a) is not Var:
-                        pieces[0] += "("
-                if type(cur) is Var:
-                    pieces[0] += cur.name + ")"
-                else:
-                    pieces += (cur, ")")
-                for i in range(len(args) - 1, -1, -1):
-                    a = args[i]
-                    if type(a) is Var:
-                        pieces[-1] += " " + a.name
-                    else:
-                        pieces[-1] += " "
-                        pieces += (a, ")") if i else (a,)
-                text = pieces[0]
-                cur = pieces[1] if len(pieces) > 1 else None
-                rest = pieces[:1:-1]
-            if cur is not None:
-                # top's text goes on past this piece
-                if _cache is not None:
-                    stack.append((top, len(out)))
-                if rest:
-                    stack += rest
-                out.append(text)
-                continue
+                s = None if _cache is None else _cache.get(id(cur))
+            if s is None:
+                stack += (")" + tail, cur)
+                text = opens
+            else:
+                text = opens + s + ")" + tail
+        if len(stack) > waiting:
+            # the next term to write is on top of the stack
             if _cache is not None:
-                _cache[id(top)] = text
+                # below top's pieces, where its text starts in out
+                stack.insert(waiting, len(out))
+                tops.append(top)
+            out.append(text)
+            cur = stack.pop()
+            continue
+        if _cache is not None:
+            _cache[id(top)] = text
         out.append(text)
         while stack:
             cur = stack.pop()
             tc = type(cur)
-            if tc is str:
-                out.append(cur)
-            elif tc is tuple:
+            if tc is int:
                 # fold a finished top's text into one piece and cache it
-                node, start = cur
-                s = "".join(out[start:])
-                out[start:] = [s]
-                _cache[id(node)] = s  # type: ignore[index]
+                s = "".join(out[cur:])
+                out[cur:] = [s]
+                _cache[id(tops.pop())] = s  # type: ignore[index]
+            elif tc is str:
+                out.append(cur)
             else:
                 break
         else:

@@ -515,7 +515,9 @@ _escaped = itemgetter(1)  # the character after a backslash
 def _sexp_parse(src: str):
     """src's forms as nested lists of ("atom", text) and ("str", text) tokens."""
     stack: list[list] = [[]]
-    for paren, string, atom, quote in _SEXP_TOKEN.findall(src):
+    # token by token, so a bare quote raises before the rest is scanned
+    for m in _SEXP_TOKEN.finditer(src):
+        paren, string, atom, quote = m.groups()
         if paren == "(":
             stack.append([])
         elif paren:

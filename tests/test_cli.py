@@ -123,7 +123,7 @@ def test_reduce_output_fingerprint(capsys):
 
 def test_reduce_output_fingerprint_through_the_stack_copy_alone(capsys, monkeypatch):
     # no substitution recurses: every one is made by reduction._subst1_stack
-    monkeypatch.setattr(reduction, "_SUBST_DEPTH", 0)
+    monkeypatch.setattr(reduction, "_subst1", reduction._subst1_stack)
     assert _reduce_digest(capsys) == REDUCE_DIGEST
 
 

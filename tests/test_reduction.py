@@ -14,7 +14,7 @@ from storop.reduction import (
     FUEL_EXHAUSTED,
     HEAD_NORMAL_FORM,
     NORMAL_FORM,
-    _subst1,
+    _subst1_stack,
     beta_equiv,
     head_reduce,
     is_normal,
@@ -250,7 +250,8 @@ def _kernel_lines(family):
             t = random_term(rng, depth=5)
             value = random_term(rng, depth=3)
             name = rng.choice(sorted(t.fv) or ["a"])
-            yield print_term(_subst1(t, name, value))
+            # _subst1 is only ever asked to substitute a name free in t
+            yield print_term(reduction._subst1(t, name, value) if name in t.fv else t)
     elif family == "head_reduce":
         rng = random.Random(202)
         for _ in range(400):
@@ -323,30 +324,22 @@ def test_kernel_output_fingerprint(family):
 
 @pytest.mark.parametrize("family", sorted(KERNEL_DIGESTS))
 def test_kernel_output_fingerprint_through_the_stack_copy_alone(family, monkeypatch):
-    # with no recursion allowed, every substitution is made by _subst1_stack
-    monkeypatch.setattr(reduction, "_SUBST_DEPTH", 0)
-    depths, copies = [], []
-    recursive, stack_copy = reduction._subst1, reduction._subst1_stack
-
-    def counted_subst1(t, name, value, depth=0):
-        depths.append(depth)
-        return recursive(t, name, value, depth)
+    # every substitution is made by _subst1_stack
+    copies = []
 
     def counted_copy(t, name, value):
         copies.append(name)
-        return stack_copy(t, name, value)
+        return _subst1_stack(t, name, value)
 
-    monkeypatch.setattr(reduction, "_subst1", counted_subst1)
-    monkeypatch.setattr(reduction, "_subst1_stack", counted_copy)
+    monkeypatch.setattr(reduction, "_subst1", counted_copy)
     text = "\n".join(_kernel_lines(family))
     assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGESTS[family]
-    assert copies and not any(depths)
+    assert copies
 
 
-def test_subst1_past_the_recursion_limit():
-    # the recursion stops at _SUBST_DEPTH and the stack copy does the rest
+def test_subst1_stack_past_the_recursion_limit():
     body = church(30_000).body.body
-    out = deep(_subst1, body, "x", Var("y"))
+    out = deep(_subst1_stack, body, "x", Var("y"))
     assert deep(Abs("y", Abs("f", out)).__eq__, church(30_000))
 
 
@@ -358,11 +351,24 @@ def _capturing_chain(levels, binder):
     return t
 
 
-def test_subst1_renames_binders_past_the_recursion_limit():
+def test_subst1_stack_renames_binders_past_the_recursion_limit():
     # every binder captures y, so each is primed and its body renamed first
-    out = deep(_subst1, _capturing_chain(30_000, "y"), "a", Var("y"))
+    out = deep(_subst1_stack, _capturing_chain(30_000, "y"), "a", Var("y"))
     want = _capturing_chain(30_000, "y'")
     assert deep(print_term, out) == deep(print_term, want).replace("a", "y")
+
+
+@pytest.mark.parametrize("run", [head_reduce, normalize])
+def test_contraction_past_the_recursion_limit(run):
+    # _subst1 takes two frames a level and runs out of stack in this body;
+    # the step is retried on _subst1_stack
+    t = App(Abs("a", _capturing_chain(12_000, "y")), Var("y"))
+    with pytest.raises(RecursionError):
+        reduction._subst1(t.fn.body, "a", Var("y"))
+    out = deep(run, t)
+    want = _capturing_chain(12_000, "y'")
+    assert out.steps == 1
+    assert deep(print_term, out.result) == deep(print_term, want).replace("a", "y")
 
 
 @pytest.mark.parametrize("run", [head_reduce, normalize])

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -341,6 +342,17 @@ def test_read_errors_keep_their_messages(src, message):
     with pytest.raises(ValueError) as exc:
         read_derivation(src)
     assert str(exc.value) == message
+
+
+def test_read_rejects_many_escaped_quotes_after_a_bare_one_quickly():
+    # each bare quote starts a string that runs to the end of the text; the
+    # reader must raise at the first one, not scan on from every one
+    src = '"' + '\\"' * 20_000
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        read_derivation(src)
+    assert time.perf_counter() - start < 5.0
+    assert str(exc.value) == "unterminated string in derivation file"
 
 
 def test_read_parses_each_term_text_once():
