@@ -31,13 +31,17 @@ variables that ``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``,
 
 One post-order fold over an explicit stack, ``_fold``, is the traversal
 behind the free-variable and propositional caches, the translations,
-``polarity`` and ``pred_arities``, so none of them is bounded by Python's
-recursion limit. Substitution, printing and parsing still recurse.
+``polarity`` and ``pred_arities``; parsing and printing, first-order terms
+included, loop over stacks of their own. None of them is bounded by
+Python's recursion limit. Substitution, ``fo_vars``, ``fo_subst`` and
+``apply_equation`` still recurse.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Optional, Sequence
 
 from storop.terms import fresh_name
@@ -134,14 +138,6 @@ def fo_subst(t: FoTerm, m: Mapping[str, FoTerm]) -> FoTerm:
     if all(new is old for new, old in zip(args, t.args)):
         return t
     return FoApp(t.sym, args)
-
-
-def print_foterm(t: FoTerm) -> str:
-    if isinstance(t, FoVar):
-        return t.name
-    if not t.args:
-        return t.sym
-    return t.sym + "(" + ", ".join(print_foterm(a) for a in t.args) + ")"
 
 
 def _match_fo(pattern: FoTerm, target: FoTerm, sigma: dict) -> bool:
@@ -814,55 +810,35 @@ def apply_equation(
 # ---------------------------------------------------------------------------
 # concrete syntax
 
-_RESERVED = {"N", "Nstar", "Nbot"}
+_MACROS = {"N": n_type, "Nstar": n_star_type, "Nbot": n_bot_type}  # reserved names
 
-_F_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_F_NAME_CONT = _F_NAME_START | set("0123456789'")
+# one token per match after any whitespace: an arrow, a one-character token,
+# a numeral, or a name with the "_|" that makes it bottomed; else a stray
+_F_TOKEN = re.compile(
+    r"([ \t\r\n]*)(?:(->|[(){}\[\],~$*=!∀⊥]|[0-9]+|[A-Za-z_][A-Za-z0-9_']*(?:(?<=_)\|)?)"
+    r"|([^ \t\r\n]))"
+)
+_F_KINDS = {c: c for c in "(){}[],~$*=!"} | {"->": "->", "∀": "!", "⊥": "bot", "bot": "bot"}
 
 
 def _tokenize_formula(src: str):
     toks = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if src.startswith("->", i):
-            toks.append(("->", "", i))
-            i += 2
-        elif c in "(){}[],~$*=":
-            toks.append((c, "", i))
-            i += 1
-        elif c in "!∀":
-            toks.append(("!", "", i))
-            i += 1
-        elif c == "⊥":
-            toks.append(("bot", "", i))
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(("num", src[i:j], i))
-            i = j
-        elif c in _F_NAME_START:
-            j = i
-            while j < n and src[j] in _F_NAME_CONT:
-                j += 1
-            name = src[i:j]
-            if name.endswith("_") and j < n and src[j] == "|":
-                toks.append(("botname", name[:-1], i))
-                i = j + 1
-            elif name == "bot":
-                toks.append(("bot", "", i))
-                i = j
-            else:
-                toks.append(("name", name, i))
-                i = j
+    at = 0
+    for space, text, stray in _F_TOKEN.findall(src):
+        at += len(space)
+        if stray:
+            raise FormulaError(f"unexpected character {stray!r} at offset {at}")
+        kind = _F_KINDS.get(text)
+        if kind is not None:
+            toks.append((kind, "", at))
+        elif text.isdigit():
+            toks.append(("num", text, at))
+        elif text[-1] == "|":
+            toks.append(("botname", text[:-2], at))
         else:
-            raise FormulaError(f"unexpected character {c!r} at offset {i}")
-    toks.append(("end", "", n))
+            toks.append(("name", text, at))
+        at += len(text)
+    toks.append(("end", "", len(src)))
     return toks
 
 
@@ -900,20 +876,37 @@ class _FormulaParser:
             return FoApp(val)
         if kind != "name":
             raise FormulaError(f"expected a first-order term at offset {at}")
-        if self.peek()[0] == "(":
-            return FoApp(val, self.atom_args())
-        return FoVar(val)
+        args = self.atom_args()
+        return FoApp(val, args) if args else FoVar(val)
 
     def atom_args(self) -> tuple:
+        """The terms in the parentheses that follow, () when none do."""
         if self.peek()[0] != "(":
             return ()
         self.take()
-        args = [self.foterm()]
-        while self.peek()[0] == ",":
-            self.take()
-            args.append(self.foterm())
-        self.expect(")")
-        return tuple(args)
+        stack: list[list] = [[None]]  # per open "(", the symbol before it, then its terms so far
+        while True:
+            kind, val, at = self.take()
+            if kind == "num":
+                t = FoApp(val)
+            elif kind != "name":
+                raise FormulaError(f"expected a first-order term at offset {at}")
+            elif self.peek()[0] == "(":
+                self.take()
+                stack.append([val])
+                continue
+            else:
+                t = FoVar(val)
+            while True:
+                stack[-1].append(t)
+                if self.peek()[0] == ",":
+                    self.take()
+                    break
+                self.expect(")")
+                sym, *args = stack.pop()
+                if not stack:
+                    return tuple(args)
+                t = FoApp(sym, tuple(args))
 
     def at_end(self, out):
         """out, once nothing but the end of input is left."""
@@ -925,49 +918,56 @@ class _FormulaParser:
     # formulas ----------------------------------------------------------
 
     def seq(self) -> Formula:
-        left = self.arr()
-        if self.peek()[0] == ",":
-            self.take()
-            return Arrow(left, self.seq())
-        return left
+        """The formula from the next token on: arrow chains joined by ",",
+        each of units joined by "->", both grouping to the right; a unit is
+        an atom or a bracketed formula under the prefixes ~ and !x.
 
-    def arr(self) -> Formula:
-        left = self.un()
-        if self.peek()[0] == "->":
-            self.take()
-            return Arrow(left, self.arr())
-        return left
-
-    def un(self) -> Formula:
-        kind, val, at = self.peek()
-        if kind == "~":
-            self.take()
-            return neg(self.un())
-        if kind == "!":
-            self.take()
-            bkind, bval, bat = self.take()
-            if bkind == "botname":
-                quant = ForallBot
-            elif bkind != "name":
-                raise FormulaError(f"expected a quantifier variable at offset {bat}")
+        What waits for the part being read is on one stack of (level, wrap)
+        pairs: a prefix waits at level 0 for a unit, an arrow at 1 for a
+        chain and a comma at 2 for a list, and wrap builds the formula round
+        what it gets. A bracket waits at level 3 with its closing token.
+        """
+        stack: list[tuple] = []
+        while True:
+            kind = self.take()[0]
+            if kind == "~":
+                stack.append((0, neg))
+            elif kind == "!":
+                bkind, bval, bat = self.take()
+                if bkind == "botname":
+                    quant = ForallBot
+                elif bkind != "name":
+                    raise FormulaError(f"expected a quantifier variable at offset {bat}")
+                else:
+                    quant = ForallFo if _is_fo_name(bval) else ForallPred
+                if bval in _MACROS:
+                    raise FormulaError(f"{bval!r} is reserved (offset {bat})")
+                stack.append((0, partial(quant, bval)))
+            elif kind == "(" or kind == "{":
+                stack.append((3, ")" if kind == "(" else "}"))
             else:
-                quant = ForallFo if _is_fo_name(bval) else ForallPred
-            if bval in _RESERVED:
-                raise FormulaError(f"{bval!r} is reserved (offset {bat})")
-            return quant(bval, self.un())
-        return self.atom()
+                self.pos -= 1  # the token starts an atom
+                a = self.atom()
+                while True:
+                    kind = self.peek()[0]
+                    level = 1 if kind == "->" else 2 if kind == "," else 3
+                    while stack and stack[-1][0] < level:
+                        a = stack.pop()[1](a)
+                    if level < 3:
+                        self.take()
+                        stack.append((level, partial(Arrow, a)))
+                        break
+                    if not stack:
+                        return a
+                    self.expect(stack.pop()[1])
 
-    def _macro(self, variant: str) -> Formula:
+    def _macro(self, build) -> Formula:
         arg = None
         if self.peek()[0] == "[":
             self.take()
             arg = self.foterm()
             self.expect("]")
-        if variant == "plain":
-            return n_type(arg)
-        if variant == "star":
-            return n_star_type(arg)
-        return n_bot_type(arg)
+        return build(arg)
 
     def atom(self) -> Formula:
         kind, val, at = self.take()
@@ -980,34 +980,22 @@ class _FormulaParser:
             return PredSymApp(nval, self.atom_args())
         if kind == "botname":
             if val == "N":
-                return self._macro("bot")
-            if val in _RESERVED:
+                return self._macro(n_bot_type)
+            if val in _MACROS:
                 raise FormulaError(f"{val!r} is reserved (offset {at})")
             return BotVarApp(val, self.atom_args())
         if kind == "name":
-            if val == "N":
-                if self.peek()[0] == "*":
-                    self.take()
-                    return self._macro("star")
-                return self._macro("plain")
-            if val == "Nstar":
-                return self._macro("star")
-            if val == "Nbot":
-                return self._macro("bot")
+            if val == "N" and self.peek()[0] == "*":
+                self.take()
+                val = "Nstar"
+            if val in _MACROS:
+                return self._macro(_MACROS[val])
             if _is_fo_name(val):
                 raise FormulaError(
                     f"first-order name {val!r} cannot stand alone as a formula "
                     f"(offset {at})"
                 )
             return PredVarApp(val, self.atom_args())
-        if kind == "(":
-            inner = self.seq()
-            self.expect(")")
-            return inner
-        if kind == "{":
-            inner = self.seq()
-            self.expect("}")
-            return inner
         raise FormulaError(f"expected a formula at offset {at}")
 
 
@@ -1021,58 +1009,69 @@ def _parse_foterm_src(src: str) -> FoTerm:
     return parser.at_end(parser.foterm())
 
 
-def _flatten_arrows(a: Formula):
-    premises = []
-    node = a
-    while type(node) is Arrow and type(node.right) is not Bot:
-        premises.append(node.left)
-        node = node.right
-    return premises, node
-
-
-def _print_args(args) -> str:
-    if not args:
-        return ""
-    return "(" + ", ".join(print_foterm(t) for t in args) + ")"
-
-
-def _unit(a: Formula) -> str:
-    ta = type(a)
-    if ta is Bot:
-        return "bot"
-    if ta is Arrow:
-        if type(a.right) is Bot:
-            return "~" + _tight(a.left)
-        return "(" + _chain(a) + ")"
-    if isinstance(a, Atom):
-        sigil = "$" if ta is PredSymApp else ""
-        return sigil + a.name + a.mark + _print_args(a.args)
-    return "!" + a.var + a.mark + " " + _qbody(a.body)
-
-
-def _tight(a: Formula) -> str:
-    ta = type(a)
-    if ta is Bot or isinstance(a, Atom) or (ta is Arrow and type(a.right) is Bot):
-        return _unit(a)
-    return "(" + _chain(a) + ")"
-
-
-def _qbody(b: Formula) -> str:
-    premises, goal = _flatten_arrows(b)
-    if not premises:
-        return _unit(b)
-    if len(premises) == 1:
-        return "(" + _unit(premises[0]) + " -> " + _unit(goal) + ")"
-    return "{" + ", ".join(_unit(p) for p in premises) + " -> " + _unit(goal) + "}"
-
-
-def _chain(a: Formula) -> str:
-    premises, goal = _flatten_arrows(a)
-    if not premises:
-        return _unit(a)
-    return " -> ".join([_unit(p) for p in premises] + [_unit(goal)])
+def print_foterm(t: FoTerm) -> str:
+    return _write([t])
 
 
 def print_formula(a: Formula) -> str:
     """Render a formula; parse_formula(print_formula(a)) recovers it."""
-    return _chain(a)
+    return _write([(a, "top")])
+
+
+def _write(stack: list) -> str:
+    """The text of the strings, first-order terms and (formula, place) pairs
+    on stack, the top first. A chain of arrows, up to a negation, is bare at
+    the "top", in braces with commas as a quantifier "body" of two or more
+    premises, and in parentheses elsewhere; so is a quantifier right after
+    ``~``, in a "tight" place.
+    """
+    out: list[str] = []
+    while stack:
+        x = stack.pop()
+        tx = type(x)
+        args = ()
+        if tx is str:
+            out.append(x)
+        elif tx is FoVar:
+            out.append(x.name)
+        elif tx is FoApp:
+            out.append(x.sym)
+            args = x.args
+        else:
+            a, place = x
+            ta = type(a)
+            if ta is Arrow and type(a.right) is not Bot:
+                premises = []
+                while type(a) is Arrow and type(a.right) is not Bot:
+                    premises.append(a.left)
+                    a = a.right
+                if place == "top":
+                    opens, sep, closes = "", " -> ", ""
+                elif place == "body" and len(premises) > 1:
+                    opens, sep, closes = "{", ", ", "}"
+                else:
+                    opens, sep, closes = "(", " -> ", ")"
+                out.append(opens)
+                stack += (closes, (a, "unit"), " -> ", (premises.pop(), "unit"))
+                for p in reversed(premises):
+                    stack += (sep, (p, "unit"))
+            elif ta is Bot:
+                out.append("bot")
+            elif ta is Arrow:
+                out.append("~")
+                stack.append((a.left, "tight"))
+            elif isinstance(a, Quantifier):
+                if place == "tight":
+                    out.append("(")
+                    stack.append(")")
+                out.append("!" + a.var + a.mark + " ")
+                stack.append((a.body, "body"))
+            else:
+                out.append(("$" if ta is PredSymApp else "") + a.name + a.mark)
+                args = a.args
+        if args:
+            out.append("(")
+            stack += (")", args[-1])
+            for t in reversed(args[:-1]):
+                stack += (", ", t)
+    return "".join(out)

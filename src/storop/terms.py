@@ -9,12 +9,13 @@ bare variables uses its last variable as the body, so ``\\x f x`` is the
 numeral zero.
 
 Term equality is alpha-equivalence; hashing agrees with it. Equality,
-hashing and printing walk explicit stacks, so they work at any depth; the
-parser still recurses once per nested group.
+hashing, printing and parsing walk explicit stacks, so they work at any
+depth; ``substitute`` and ``match_holes`` still recurse once per level.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from typing import Iterator, Mapping, Optional
 
@@ -306,55 +307,37 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CONT = _NAME_START | set("0123456789'")
+# one token per match after any whitespace: a builtin reference with its
+# optional numeral suffix, a name, a lambda, a parenthesis or a lone "@";
+# else a stray
+_TOKEN = re.compile(
+    r"([ \t\r\n]*)(?:(@[A-Za-z_][A-Za-z0-9_']*(?::[0-9]*)?|[A-Za-z_][A-Za-z0-9_']*|[\\λ()@])"
+    r"|([^ \t\r\n]))"
+)
+_PUNCT = {"\\": "lam", "λ": "lam", "(": "(", ")": ")"}
 
 
 def _tokenize(src: str):
     toks = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c in "\\λ":
-            toks.append(("lam", "", i))
-            i += 1
-        elif c == "(":
-            toks.append(("(", "", i))
-            i += 1
-        elif c == ")":
-            toks.append((")", "", i))
-            i += 1
-        elif c == "@":
-            j = i + 1
-            if j >= n or src[j] not in _NAME_START:
-                raise ParseError("expected a name after '@'", i)
-            k = j
-            while k < n and src[k] in _NAME_CONT:
-                k += 1
-            name = src[j:k]
-            payload = None
-            if k < n and src[k] == ":":
-                k += 1
-                d = k
-                while k < n and src[k].isdigit():
-                    k += 1
-                if k == d:
-                    raise ParseError("expected digits after ':'", k)
-                payload = int(src[d:k])
-            toks.append(("at", (name, payload), i))
-            i = k
-        elif c in _NAME_START:
-            j = i
-            while j < n and src[j] in _NAME_CONT:
-                j += 1
-            toks.append(("name", src[i:j], i))
-            i = j
+    at = 0
+    for space, text, stray in _TOKEN.findall(src):
+        at += len(space)
+        if stray:
+            raise ParseError(f"unexpected character {stray!r}", at)
+        kind = _PUNCT.get(text)
+        if kind is not None:
+            toks.append((kind, "", at))
+        elif text[0] != "@":
+            toks.append(("name", text, at))
+        elif text == "@":
+            raise ParseError("expected a name after '@'", at)
         else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(("end", "", n))
+            name, colon, digits = text[1:].partition(":")
+            if colon and not digits:
+                raise ParseError("expected digits after ':'", at + len(text))
+            toks.append(("at", (name, int(digits) if colon else None), at))
+        at += len(text)
+    toks.append(("end", "", len(src)))
     return toks
 
 
@@ -365,18 +348,12 @@ def parse_term(src: str, builtins: Mapping[str, Term] | None = None) -> Term:
     numeral N and needs no mapping.
     """
     toks = _tokenize(src)
-    pos = 0
 
-    def peek():
-        return toks[pos]
-
-    def take():
-        nonlocal pos
-        tok = toks[pos]
-        pos += 1
-        return tok
-
-    def resolve(name: str, payload, at: int) -> Term:
+    def leaf(kind: str, val, at: int) -> Term:
+        """The term of a name or an ``@`` reference."""
+        if kind == "name":
+            return Var(val)
+        name, payload = val
         if payload is not None:
             if name != "church":
                 raise ParseError(f"'@{name}:' takes no numeric suffix", at)
@@ -385,74 +362,65 @@ def parse_term(src: str, builtins: Mapping[str, Term] | None = None) -> Term:
             return builtins[name]
         raise ParseError(f"unknown builtin reference '@{name}'", at)
 
-    def p_term() -> Term:
-        kind, val, at = peek()
+    # what waits for the term being read, the innermost last: ("lam", binders),
+    # or ("(", head) for a group whose ")" is still to come (head None before
+    # its first term), or (")", head) for a closed group whose last argument
+    # starts with "(" or a lambda
+    stack: list = []
+    i = 0
+    while True:
+        kind, val, at = toks[i]
+        i += 1
+        if kind == "(":
+            stack.append(("(", None))
+            continue
         if kind == "lam":
-            take()
             names = []
-            while peek()[0] == "name":
-                names.append(take()[1])
-            nxt = peek()[0]
-            if nxt in ("(", "lam", "at"):
+            while toks[i][0] == "name":
+                names.append(toks[i][1])
+                i += 1
+            stack.append(("lam", names))
+            if toks[i][0] in ("(", "lam", "at"):
                 if not names:
                     raise ParseError("lambda needs at least one binder", at)
-                body = p_term()
-            else:
-                if len(names) < 2:
-                    raise ParseError("lambda needs a body", at)
-                body = Var(names.pop())
-            for b in reversed(names):
-                body = Abs(b, body)
-            return body
-        if kind == "(":
-            take()
-            cur = p_term()
-            while peek()[0] != ")":
-                kind, val, at = peek()
-                if kind == "name":
-                    take()
-                    cur = App(cur, Var(val))
-                elif kind == "at":
-                    take()
-                    cur = App(cur, resolve(val[0], val[1], at))
-                elif kind in ("(", "lam"):
-                    cur = App(cur, p_term())
+                continue
+            if len(names) < 2:
+                raise ParseError("lambda needs a body", at)
+            t = Var(names.pop())
+        elif kind == "name" or kind == "at":
+            t = leaf(kind, val, at)
+        else:
+            raise ParseError("expected a term", at)
+        # t is whole: hand it to what waits for it, until a new term starts
+        while stack:
+            what, head = stack.pop()
+            if what == "lam":
+                for b in reversed(head):
+                    t = Abs(b, t)
+                continue
+            if what == ")":
+                t = App(head, t)
+                continue
+            head = t if head is None else App(head, t)
+            while True:
+                kind, val, at = toks[i]
+                if kind == "name" or kind == "at":
+                    head = App(head, leaf(kind, val, at))
+                elif kind == ")" and what == "(":
+                    what = ")"
+                elif kind == "(" or kind == "lam" or what == ")":
+                    break
                 else:
                     raise ParseError("expected ')'", at)
-            take()
-            while True:
-                kind, val, at = peek()
-                if kind == "name":
-                    take()
-                    cur = App(cur, Var(val))
-                elif kind == "at":
-                    take()
-                    cur = App(cur, resolve(val[0], val[1], at))
-                elif kind in ("(", "lam"):
-                    cur = App(cur, p_term())
-                    break
-                else:
-                    break
-            return cur
-        if kind == "name":
-            take()
-            return Var(val)
-        if kind == "at":
-            take()
-            return resolve(val[0], val[1], at)
-        raise ParseError("expected a term", at)
-
-    try:
-        t = p_term()
-        kind, _, at = peek()
-        if kind != "end":
-            raise ParseError("unexpected trailing input", at)
-        return t
-    finally:
-        # p_term refers to itself through its closure; dropping the name
-        # breaks that cycle, so the tokens go on return, not at the next
-        # collection (which the kernel may have paused)
-        del p_term
+                i += 1
+            if kind == "(" or kind == "lam":
+                stack.append((what, head))
+                break
+            t = head
+        else:
+            if toks[i][0] != "end":
+                raise ParseError("unexpected trailing input", toks[i][2])
+            return t
 
 
 def print_term(t: Term, _cache: Optional[dict[int, str]] = None) -> str:

@@ -53,8 +53,10 @@ def test_reduce_fuel_exhaustion_is_exit_3(capsys):
     assert "status: fuel-exhausted" in out
 
 
-def test_reduce_parse_error_is_exit_2(capsys):
-    code, _, err = run(capsys, "reduce", "\\x (")
+# "@church:²" raised a bare ValueError from int(), an internal error (exit 4)
+@pytest.mark.parametrize("source", ["\\x (", "@church:²"])
+def test_reduce_parse_error_is_exit_2(capsys, source):
+    code, _, err = run(capsys, "reduce", source)
     assert code == 2
     assert "does not parse" in err
 
@@ -527,6 +529,33 @@ def test_translate_polarity(capsys):
     code, out, _ = run(capsys, "translate", "N[x]", "--op", "polarity")
     assert code == 0
     assert out.strip() == "no free variables"
+
+
+def _deep_translations(shape):
+    """A formula 100,000 deep, and what translate prints for each --op."""
+    if shape == "prefixes":  # ~!x ~!x .. X(x)
+        n = DEEP // 2
+        def nested(core):
+            return "~(!x " * n + core + ")" * n
+        printed = {"star": nested("~X(x)"), "bot": nested("X_|(x)"), "forget": "~" * n + "X"}
+        return "~!x " * n + "X(x)", {**printed, "polarity": "X: positive"}
+    tower = "s(" * DEEP + "0" + ")" * DEEP
+    return f"N[{tower}]", {
+        "star": f"!X {{~X(0), !y (~X(y) -> ~X(s(y))) -> ~X({tower})}}",
+        "bot": f"!X_| {{X_|(0), !y (X_|(y) -> X_|(s(y))) -> X_|({tower})}}",
+        "forget": "!X {X, (X -> X) -> X}",
+        "polarity": "no free variables",
+    }
+
+
+@pytest.mark.parametrize("op", ["star", "bot", "forget", "polarity"])
+@pytest.mark.parametrize("shape", ["prefixes", "successors"])
+def test_translate_at_depth_100000(capsys, shape, op):
+    # parsing and printing recursed once per level and broke at 20,000
+    source, printed = _deep_translations(shape)
+    code, out, _ = deep(run, capsys, "translate", source, "--op", op)
+    assert code == 0
+    assert out == printed[op] + "\n"
 
 
 def test_translate_parse_error_is_exit_2(capsys):

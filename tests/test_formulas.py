@@ -23,6 +23,7 @@ from storop.formulas import (
     PredVarApp,
     Quantifier,
     _is_propositional,
+    _parse_foterm_src,
     apply_equation,
     bot_transform,
     fo_subst,
@@ -47,6 +48,7 @@ from storop.formulas import (
     subst_fo,
     subst_pred,
 )
+from storop.terms import Abs, Var, parse_term, print_term
 from storop.typecheck import _intern
 
 from deep import deep
@@ -276,6 +278,62 @@ def test_equality_relation_fingerprint(family):
     assert digest == EQUALITY_DIGESTS[family]
 
 
+# Each syntax's tokens, then the pieces that are drawn one time in 25: a few
+# stray ASCII characters and, for terms, the tokens that fail in the tokenizer.
+# A seeded string joins 1-12 pieces, with or without whitespace between.
+_PARSE_PIECES = {
+    "terms": (
+        "\\ \\ λ ( ( ( ) ) ) x x f x' y1 _ @church:2 @church:12 @church @id",
+        "@church: @id:3 @ : 3 ' ? . # - $",
+    ),
+    "formulas": (
+        "-> -> -> ( ( ) ) { } [ ] , , ~ $ * ! ∀ ⊥ bot 0 12 x y' s X X Y1 P N Nstar Nbot"
+        " X_| N_| _ _|",
+        "= | - > ? # . : @ \\",
+    ),
+}
+_PARSE_BUILTINS = {"id": Abs("x", Var("x"))}
+
+
+def _parse_outcomes(family):
+    """Per seeded string, its printed parse or its error's class and message;
+    a formula string is also read as a first-order term."""
+    if family == "terms":
+        readers = [(lambda s: parse_term(s, _PARSE_BUILTINS), print_term)]
+    else:
+        readers = [(parse_formula, print_formula), (_parse_foterm_src, print_foterm)]
+    tokens, strays = (pieces.split(" ") for pieces in _PARSE_PIECES[family])
+    rng = random.Random(71)
+    for _ in range(6_000):
+        src = ""
+        for _ in range(rng.randint(1, 12)):
+            piece = rng.choice(strays if rng.random() < 0.04 else tokens)
+            gap = rng.choice(["", "", "", " ", "\n\t "])
+            if src[-1:].isdigit() and piece[0].isdigit():
+                gap = " "  # no runs of digits longer than one piece: no huge numerals
+            src += gap + piece
+        for parse, show in readers:
+            try:
+                out = show(parse(src))
+            except Exception as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            yield f"{src!r} {out}"
+
+
+# sha256 over _parse_outcomes, one line each; recorded when both parsers
+# recursed, so they pin every result, error message and offset.
+PARSE_DIGESTS = {
+    "formulas": "b42e57e69467195912a96fb3159f14f9347ff7822d58e1033ce606b088ed298c",
+    "terms": "86c034a975a7f1430f0086bc67cac2e30717884c33cc6f83c8755a269abaae89",
+}
+
+
+@pytest.mark.parametrize("family", sorted(PARSE_DIGESTS))
+def test_parse_outcome_fingerprint(family):
+    text = "\n".join(_parse_outcomes(family))
+    assert hashlib.sha256(text.encode()).hexdigest() == PARSE_DIGESTS[family]
+
+
 # ------------------------------------------------------------------ free vars
 
 
@@ -430,6 +488,14 @@ def test_queries_at_depth_100000(chain):
     assert deep(pred_arities, chain) == {("pred", "Y"): 1, ("pred", "Z"): 0}
     assert not deep(is_bot_type, chain)
     assert not deep(_is_propositional, chain)
+
+
+def test_print_parse_and_repr_at_depth_100000(chain):
+    # printing, parsing and repr recursed once per level and broke at 20,000
+    text = "!x (Y(x) -> !Y (Y(x) -> " * PAIRS + "Z" + "))" * PAIRS
+    assert deep(print_formula, chain) == text
+    assert deep(operator.eq, deep(parse_formula, text), chain)
+    assert deep(repr, chain) == f"<{text}>"
 
 
 def test_intern_at_depth_100000(chain):

@@ -106,6 +106,7 @@ def test_parse_primes_in_names():
         "\\ (x) y",
         "(h) a b )",
         "@church:x",
+        "@church:²",  # a digit to str.isdigit, not to int
         "@nosuch",
         "@zero:3",
         "?x",
@@ -186,16 +187,33 @@ def test_shared_print_cache_holds_each_top_printed_alone():
     assert all(text == print_term(tops[key]) for key, text in cache.items())
 
 
+def _nested_groups(n):
+    """((h) ((h) .. x a) a) a, n deep: arguments that close a parenthesis."""
+    h, a, t = Var("h"), Var("a"), Var("x")
+    for _ in range(n):
+        t = App(App(h, t), a)
+    return t
+
+
+def _nested_lambdas(n):
+    """\\x (x) \\x (x) .. y, n deep: chains inside spines inside chains."""
+    x, t = Var("x"), Var("y")
+    for _ in range(n):
+        t = Abs("x", App(x, t))
+    return t
+
+
 def test_print_past_the_recursion_limit():
     n = 30_000  # printing recursed once per level and broke at 20,000
-    h, a, x = Var("h"), Var("a"), Var("x")
-    nested_head = x  # ((h) ((h) .. x a) a) a: arguments that close a parenthesis
-    chain = Var("y")  # \\x (x) \\x (x) .. y: chains inside spines inside chains
-    for _ in range(n):
-        nested_head = App(App(h, nested_head), a)
-        chain = Abs("x", App(x, chain))
-    assert deep(print_term, nested_head) == "((h) " * (n - 1) + "(h) x a" + ") a" * (n - 1)
-    assert deep(print_term, chain) == "\\x (x) " * n + "y"
+    assert deep(print_term, _nested_groups(n)) == "((h) " * (n - 1) + "(h) x a" + ") a" * (n - 1)
+    assert deep(print_term, _nested_lambdas(n)) == "\\x (x) " * n + "y"
+
+
+@pytest.mark.parametrize("build", [church, _nested_lambdas, _nested_groups], ids=["church", "lambdas", "groups"])
+def test_print_parse_roundtrip_at_depth_100000(build):
+    # parsing recursed once per group or lambda body and broke at 20,000
+    t = build(100_000)
+    assert deep(operator.eq, deep(parse_term, deep(print_term, t)), t)
 
 
 # ---------------------------------------------------------------- alpha
