@@ -815,7 +815,7 @@ _MACROS = {"N": n_type, "Nstar": n_star_type, "Nbot": n_bot_type}  # reserved na
 # one token per match after any whitespace: an arrow, a one-character token,
 # a numeral, or a name with the "_|" that makes it bottomed; else a stray
 _F_TOKEN = re.compile(
-    r"([ \t\r\n]*)(?:(->|[(){}\[\],~$*=!∀⊥]|[0-9]+|[A-Za-z_][A-Za-z0-9_']*(?:(?<=_)\|)?)"
+    r"([ \t\r\n]*)(?:(->|[(){}\[\],~$*=!]|∀|⊥|[0-9]+|[A-Za-z_][A-Za-z0-9_']*(?:(?<=_)\|)?)"
     r"|([^ \t\r\n]))"
 )
 _F_KINDS = {c: c for c in "(){}[],~$*=!"} | {"->": "->", "∀": "!", "⊥": "bot", "bot": "bot"}

@@ -311,7 +311,7 @@ class ParseError(ValueError):
 # optional numeral suffix, a name, a lambda, a parenthesis or a lone "@";
 # else a stray
 _TOKEN = re.compile(
-    r"([ \t\r\n]*)(?:(@[A-Za-z_][A-Za-z0-9_']*(?::[0-9]*)?|[A-Za-z_][A-Za-z0-9_']*|[\\λ()@])"
+    r"([ \t\r\n]*)(?:(@[A-Za-z_][A-Za-z0-9_']*(?::[0-9]*)?|[A-Za-z_][A-Za-z0-9_']*|[\\()@]|λ)"
     r"|([^ \t\r\n]))"
 )
 _PUNCT = {"\\": "lam", "λ": "lam", "(": "(", ")": ")"}

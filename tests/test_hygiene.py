@@ -84,8 +84,9 @@ def _callees(fn: ast.FunctionDef) -> set[str]:
             f = node.func
             if isinstance(f, ast.Name):
                 out.add(f.id)
-            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "self":
-                out.add(f.attr)
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                if f.value.id == "self":
+                    out.add(f.attr)
     return out
 
 
@@ -127,7 +128,9 @@ def test_self_call_scanner():
 # shrink: a new walker uses an explicit stack, as formulas._fold,
 # formulas._alpha_key and typecheck._fold_premises do.
 STILL_RECURSIVE = {
-    "formulas.py": ["_match_fo", "_subst", "fo_subst", "fo_vars", "rewrite", "rewrite_term", "scan"],
+    "formulas.py": [
+        "_match_fo", "_subst", "fo_subst", "fo_vars", "rewrite", "rewrite_term", "scan",
+    ],
     "reduction.py": ["_subst1"],
     "terms.py": ["_match", "_subst"],
 }

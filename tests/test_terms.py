@@ -209,7 +209,9 @@ def test_print_past_the_recursion_limit():
     assert deep(print_term, _nested_lambdas(n)) == "\\x (x) " * n + "y"
 
 
-@pytest.mark.parametrize("build", [church, _nested_lambdas, _nested_groups], ids=["church", "lambdas", "groups"])
+@pytest.mark.parametrize(
+    "build", [church, _nested_lambdas, _nested_groups], ids=["church", "lambdas", "groups"]
+)
 def test_print_parse_roundtrip_at_depth_100000(build):
     # parsing recursed once per group or lambda body and broke at 20,000
     t = build(100_000)
