@@ -393,15 +393,15 @@ def parse_term(src: str, builtins: Mapping[str, Term] | None = None) -> Term:
             raise ParseError("expected a term", at)
         # t is whole: hand it to what waits for it, until a new term starts
         while stack:
-            what, head = stack.pop()
+            what, held = stack.pop()
             if what == "lam":
-                for b in reversed(head):
+                for b in reversed(held):
                     t = Abs(b, t)
                 continue
             if what == ")":
-                t = App(head, t)
+                t = App(held, t)
                 continue
-            head = t if head is None else App(head, t)
+            head = t if held is None else App(held, t)
             while True:
                 kind, val, at = toks[i]
                 if kind == "name" or kind == "at":

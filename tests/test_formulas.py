@@ -280,7 +280,6 @@ def test_equality_relation_fingerprint(family):
 
 # Each syntax's tokens, then the pieces that are drawn one time in 25: a few
 # stray ASCII characters and, for terms, the tokens that fail in the tokenizer.
-# A seeded string joins 1-12 pieces, with or without whitespace between.
 _PARSE_PIECES = {
     "terms": (
         "\\ \\ λ ( ( ( ) ) ) x x f x' y1 _ @church:2 @church:12 @church @id",
@@ -295,16 +294,24 @@ _PARSE_PIECES = {
 _PARSE_BUILTINS = {"id": Abs("x", Var("x"))}
 
 
-def _parse_outcomes(family):
-    """Per seeded string, its printed parse or its error's class and message;
-    a formula string is also read as a first-order term."""
-    if family == "terms":
-        readers = [(lambda s: parse_term(s, _PARSE_BUILTINS), print_term)]
-    else:
-        readers = [(parse_formula, print_formula), (_parse_foterm_src, print_foterm)]
+def _parse_sources(family, rng):
+    """Seeded strings, alternately: 1-12 pieces joined with or without
+    whitespace, and a printed random term or formula with one piece put in
+    or one character taken out at a random place, or left whole."""
     tokens, strays = (pieces.split(" ") for pieces in _PARSE_PIECES[family])
-    rng = random.Random(71)
-    for _ in range(6_000):
+    for n in range(6_000):
+        if n % 2:
+            if family == "terms":
+                src = print_term(random_term(rng))
+            else:
+                src = print_formula(random_formula(rng, allow_bot_vars=True))
+            at, roll = rng.randrange(len(src) + 1), rng.random()
+            if roll < 1 / 3:
+                src = src[:at] + rng.choice(tokens) + src[at:]
+            elif roll < 2 / 3:
+                src = src[:at] + src[at + 1 :]
+            yield src
+            continue
         src = ""
         for _ in range(rng.randint(1, 12)):
             piece = rng.choice(strays if rng.random() < 0.04 else tokens)
@@ -312,6 +319,17 @@ def _parse_outcomes(family):
             if src[-1:].isdigit() and piece[0].isdigit():
                 gap = " "  # no runs of digits longer than one piece: no huge numerals
             src += gap + piece
+        yield src
+
+
+def _parse_outcomes(family):
+    """Per seeded string, its printed parse or its error's class and message;
+    a formula string is also read as a first-order term."""
+    if family == "terms":
+        readers = [(lambda s: parse_term(s, _PARSE_BUILTINS), print_term)]
+    else:
+        readers = [(parse_formula, print_formula), (_parse_foterm_src, print_foterm)]
+    for src in _parse_sources(family, random.Random(71)):
         for parse, show in readers:
             try:
                 out = show(parse(src))
@@ -323,8 +341,8 @@ def _parse_outcomes(family):
 # sha256 over _parse_outcomes, one line each; recorded when both parsers
 # recursed, so they pin every result, error message and offset.
 PARSE_DIGESTS = {
-    "formulas": "b42e57e69467195912a96fb3159f14f9347ff7822d58e1033ce606b088ed298c",
-    "terms": "86c034a975a7f1430f0086bc67cac2e30717884c33cc6f83c8755a269abaae89",
+    "formulas": "4c8f343bcafe4554366b74a0dc7cc5cfc0178409e0905d8b845f66a0ba3f7cc4",
+    "terms": "0d6d693f4c364167b013c011d307465c68b4c0403777e0abe408912f7ada687a",
 }
 
 
