@@ -29,6 +29,12 @@ variables that ``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``,
 ``_pred``, ``_bot``) and the propositional-fragment test the checker asks
 (``_prop``). A node built by substitution starts with empty caches.
 
+One key walk over an explicit stack, ``_key``, serves three callers: the
+cached alpha-key behind formula ``==`` and ``hash``; ``FoApp``'s ``==``
+and ``hash``; and the checker's inst rules, whose ``_instance_key`` is the
+alpha-key of ``instantiate(q, w)`` read off ``q``'s body with the witness
+keyed in where its variable occurs, so the instance is never built.
+
 One post-order fold over an explicit stack, ``_fold``, is the traversal
 behind the free-variable and propositional caches, the translations,
 ``polarity`` and ``pred_arities``; parsing and printing, first-order terms
@@ -116,6 +122,15 @@ class FoVar(FoTerm):
 class FoApp(FoTerm):
     sym: str
     args: tuple = ()
+
+    def __eq__(self, other):
+        """Structural, by the alpha-key walk, so depth is bounded by memory."""
+        if other.__class__ is not FoApp:
+            return NotImplemented
+        return self is other or _key(self, [{}]) == _key(other, [{}])
+
+    def __hash__(self):
+        return hash(_key(self, [{}]))
 
     def __repr__(self):
         return f"<{print_foterm(self)}>"
@@ -257,25 +272,51 @@ def neg(a: Formula) -> Formula:
 
 
 def _alpha_key(a: Formula) -> tuple:
-    """a in nameless form, cached on a: equal exactly for alpha-equal formulas.
+    """a in nameless form, cached on a: equal exactly for alpha-equal formulas."""
+    key = a._k  # type: ignore[attr-defined]
+    if key is None:
+        key = a._k = _key(a, [{}, {}, {}, {}])  # type: ignore[attr-defined]
+    return key
+
+
+def _instance_key(q: Quantifier, w) -> Optional[tuple]:
+    """_alpha_key(instantiate(q, w)), read off q.body without building the
+    instance; None when w is an abstraction applied at another arity."""
+    envs: list = [{}, {}, {}, {}]
+    envs[q.ns][q.var] = (w, [{}]) if q.ns == 0 else w
+    return _key(q.body, envs)
+
+
+def _key(a, envs: list) -> Optional[tuple]:
+    """The alpha-key of a, a formula or first-order term, with envs substituted in.
 
     A flat preorder tuple of node classes, FoApp included; atoms and FoApp
     add their head and argument count. A bound variable of any namespace is
     the depth of its binder (an int), a free one its name (a str).
+
+    envs maps, per namespace, a name to its binder's depth or to what
+    replaces it: a (term, scope) pair in the first-order namespace, keyed
+    under the envs scope, and a PredAbstraction in the others, whose body is
+    keyed under fresh envs that map its parameters to the atom's arguments
+    under the current ones. A binder hides a replacement of its name, and a
+    free name a replacement brings in comes out as a name, as capture
+    avoidance keeps it free. A replacement is entered by pushing the envs to
+    return to, a list, on the stack; a tuple there restores a binder's name.
+    Returns None at an abstraction applied to the wrong number of arguments.
     """
-    key = a._k  # type: ignore[attr-defined]
-    if key is not None:
-        return key
     out: list = []
-    envs: tuple[dict, ...] = ({}, {}, {}, {})  # per namespace: name -> binder depth
-    fo = envs[0]
     depth = 0
     stack: list = [a]
     while stack:
         x = stack.pop()
         tx = type(x)
         if tx is FoVar:
-            out.append(fo.get(x.name, x.name))
+            v = envs[0].get(x.name, x.name)
+            if type(v) is tuple:
+                stack += (envs, v[0])
+                envs = v[1]
+            else:
+                out.append(v)
         elif tx is tuple:
             # restore marker of a quantifier, popped after its body
             env, name, outer = x
@@ -284,6 +325,8 @@ def _alpha_key(a: Formula) -> tuple:
                 del env[name]
             else:
                 env[name] = outer
+        elif tx is list:
+            envs = x
         elif tx is Arrow:
             out.append(Arrow)
             stack.append(x.right)
@@ -299,10 +342,15 @@ def _alpha_key(a: Formula) -> tuple:
             stack.append(x.body)
         else:
             head = x.sym if tx is FoApp else envs[x.ns].get(x.name, x.name)
-            out += (tx, head, len(x.args))
-            stack.extend(reversed(x.args))
-    key = a._k = tuple(out)  # type: ignore[attr-defined]
-    return key
+            if type(head) is PredAbstraction:
+                if len(head.params) != len(x.args):
+                    return None
+                stack += (envs, head.body)
+                envs = [{p: (t, envs) for p, t in zip(head.params, x.args)}, {}, {}, {}]
+            else:
+                out += (tx, head, len(x.args))
+                stack.extend(reversed(x.args))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,11 @@ parsed forms). ``check_derivation`` walks the same order in its own loop,
 which calls ``_check_node`` directly and keeps the node's path as one list.
 ``Derivation.__eq__`` compares premise pairs off a stack of its own, and a
 derivation's repr shows its root node alone.
+
+An inst node's stated type is compared with the alpha-key of the instance,
+read off the premise's quantifier body by ``formulas._instance_key``, so
+inst nodes are checked at any depth. The instance itself is built, by the
+recursive ``instantiate``, only to word a failure.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ from storop.formulas import (
     PredVarApp,
     Quantifier,
     _EXIT,
+    _alpha_key,
     _fold,
+    _instance_key,
     _is_propositional,
     _parse_foterm_src,
     _remake,
@@ -359,9 +366,9 @@ def _check_node(node: Derivation, equations, fragment: str) -> Optional[str]:
         return f"{rule} witness must be a predicate abstraction"
     if ns == "bot" and not is_bot_type(w.body):
         return "inst-bot witness body must be a bottomed type"
-    expect = instantiate(p.type, w)
-    if a != expect:
-        return f"instantiation yields {print_formula(expect)}"
+    # an abstraction of the wrong arity makes instantiate raise the message
+    if _instance_key(p.type, w) != _alpha_key(a):
+        return f"instantiation yields {print_formula(instantiate(p.type, w))}"
     return None
 
 

@@ -1,4 +1,4 @@
-"""Seeded random formula generation for translation and parser tests."""
+"""Seeded random formula generation, and alpha-variants, for formula and checker tests."""
 
 import random
 
@@ -57,3 +57,28 @@ def random_formula(rng: random.Random, depth: int = 4, allow_bot_vars: bool = Fa
     if allow_bot_vars and roll < 0.9:
         return ForallBot(rng.choice(BOT_NAMES), random_formula(rng, depth - 1, allow_bot_vars))
     return ForallPred(rng.choice(PRED_NAMES), random_formula(rng, depth - 1, allow_bot_vars))
+
+
+_BINDER_OF = {PredVarApp: ForallPred, BotVarApp: ForallBot}
+
+
+def _fo_variant(t, env):
+    if type(t) is FoVar:
+        return FoVar(env.get((ForallFo, t.name), t.name))
+    return FoApp(t.sym, tuple(_fo_variant(u, env) for u in t.args))
+
+
+def alpha_variant(a, env, counter):
+    """a with every binder renamed to a fresh name of its own namespace."""
+    ta = type(a)
+    if ta is Bot:
+        return Bot()
+    if ta is Arrow:
+        return Arrow(alpha_variant(a.left, env, counter), alpha_variant(a.right, env, counter))
+    if ta in (ForallFo, ForallPred, ForallBot):
+        new = f"{'v' if ta is ForallFo else 'V'}{next(counter)}"
+        return ta(new, alpha_variant(a.body, {**env, (ta, a.var): new}, counter))
+    args = tuple(_fo_variant(t, env) for t in a.args)
+    if ta is PredSymApp:
+        return PredSymApp(a.sym, args)
+    return ta(env.get((_BINDER_OF[ta], a.name), a.name), args)

@@ -52,7 +52,7 @@ from storop.terms import Abs, Var, parse_term, print_term
 from storop.typecheck import _intern
 
 from deep import deep
-from genformulas import random_formula
+from genformulas import alpha_variant, random_formula
 from genterms import random_term
 
 F = parse_formula
@@ -177,31 +177,6 @@ def test_hash_agrees_with_alpha():
     assert {a: 1}[b] == 1
 
 
-_BINDER_OF = {PredVarApp: ForallPred, BotVarApp: ForallBot}
-
-
-def _fo_variant(t, env):
-    if type(t) is FoVar:
-        return FoVar(env.get((ForallFo, t.name), t.name))
-    return FoApp(t.sym, tuple(_fo_variant(u, env) for u in t.args))
-
-
-def _alpha_variant(a, env, counter):
-    """a with every binder renamed to a fresh name of its own namespace."""
-    ta = type(a)
-    if ta is Bot:
-        return Bot()
-    if ta is Arrow:
-        return Arrow(_alpha_variant(a.left, env, counter), _alpha_variant(a.right, env, counter))
-    if ta in (ForallFo, ForallPred, ForallBot):
-        new = f"{'v' if ta is ForallFo else 'V'}{next(counter)}"
-        return ta(new, _alpha_variant(a.body, {**env, (ta, a.var): new}, counter))
-    args = tuple(_fo_variant(t, env) for t in a.args)
-    if ta is PredSymApp:
-        return PredSymApp(a.sym, args)
-    return ta(env.get((_BINDER_OF[ta], a.name), a.name), args)
-
-
 @pytest.mark.parametrize(
     "a, printed",
     [
@@ -213,7 +188,7 @@ def _alpha_variant(a, env, counter):
     ],
 )
 def test_alpha_variant_across_namespaces(a, printed):
-    b = _alpha_variant(a, {}, itertools.count())
+    b = alpha_variant(a, {}, itertools.count())
     if printed is not None:
         assert print_formula(b) == printed
     assert a == b and not a != b
@@ -224,7 +199,7 @@ def test_alpha_variant_is_equal_and_hashes_alike():
     rng = random.Random(5)
     for _ in range(500):
         a = random_formula(rng, depth=5, allow_bot_vars=True)
-        b = _alpha_variant(a, {}, itertools.count())
+        b = alpha_variant(a, {}, itertools.count())
         assert a == b and not a != b
         assert hash(a) == hash(b)
 
@@ -247,6 +222,34 @@ def test_equality_and_hash_at_depth_100000():
     elapsed = time.perf_counter() - start
     assert equal and unequal and same_hash
     assert elapsed < 5.0
+
+
+def _numeral_term(n, base=FoApp("0")):
+    t = base
+    for _ in range(n):
+        t = FoApp("s", (t,))
+    return t
+
+
+def test_first_order_equality_and_hash_at_depth_100000():
+    # FoApp's == and hash walk the alpha-key's stack; the dataclass ones recursed
+    a, b = _numeral_term(100_000), _numeral_term(100_000)
+    assert deep(operator.eq, a, b)
+    assert deep(hash, a) == deep(hash, b)
+    assert deep(operator.ne, a, a.args[0])
+    assert deep(operator.ne, a, _numeral_term(100_000, FoVar("x")))
+    assert deep(operator.ne, a, FoVar("x")) and deep(operator.ne, FoVar("x"), a)
+
+
+def test_first_order_equality_is_structural():
+    x, y = FoVar("x"), FoVar("y")
+    assert FoApp("0") == FoApp("0", ()) and hash(FoApp("0")) == hash(FoApp("0", ()))
+    assert FoApp("p", (x, y)) == FoApp("p", (FoVar("x"), FoVar("y")))
+    assert FoApp("p", (x, y)) != FoApp("p", (y, x))
+    assert FoApp("p", (x,)) != FoApp("q", (x,))
+    # argument counts keep the flat key apart: p(s(x), 0) is not p(s(x, 0))
+    assert FoApp("p", (FoApp("s", (x,)), FoApp("0"))) != FoApp("p", (FoApp("s", (x, FoApp("0"))),))
+    assert {FoApp("s", (x,)): 1}[FoApp("s", (FoVar("x"),))] == 1
 
 
 # == and != on every pair (i <= j) of ten seeded pools of 120, 145,200 pairs
@@ -661,7 +664,7 @@ def test_substitution_agrees_on_alpha_variants():
     abst = PredAbstraction(("w",), F("Y(w) -> Y_|(y)"))
     for _ in range(1000):
         a = _primed_formula(rng, 7)
-        b = _alpha_variant(a, {}, itertools.count())
+        b = alpha_variant(a, {}, itertools.count())
         assert subst_fo(a, fo_map) == subst_fo(b, fo_map)
         assert subst_pred(a, "X", abst) == subst_pred(b, "X", abst)
         assert subst_bot(a, "X", abst) == subst_bot(b, "X", abst)

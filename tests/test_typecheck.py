@@ -1,19 +1,37 @@
+import itertools
+import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from deep import deep
+from genformulas import (
+    BOT_NAMES,
+    FO_NAMES,
+    PRED_NAMES,
+    alpha_variant,
+    random_foterm,
+    random_formula,
+)
 from storop.formulas import (
     Arrow,
+    Bot,
     FoApp,
+    FormulaError,
     FoVar,
+    ForallBot,
     ForallFo,
     ForallPred,
     PredAbstraction,
     PredVarApp,
+    Quantifier,
+    instantiate,
+    is_bot_type,
     n_star_type,
     n_type,
+    neg,
     parse_equations,
     parse_formula,
     print_formula,
@@ -211,6 +229,94 @@ def test_inst_pred_renames_nested_binders_apart():
     wrong = Derivation("inst-pred", ctx, Var("v"), F("!Z (Y -> !W (W -> W))"), w, (leaf,))
     assert check_derivation(right).ok
     assert "instantiation yields" in check_derivation(wrong).first_message()
+
+
+INST_RULES = ("inst-fo", "inst-pred", "inst-bot")  # by the quantifier's namespace
+
+
+def inst_node(rule, q, stated, w):
+    """One inst node that opens q at w, stating stated, over an axiom for q."""
+    ctx = Context().extended("u", q)
+    leaf = Derivation("ax", ctx, Var("u"), q)
+    return Derivation(rule, ctx, Var("u"), stated, w, (leaf,))
+
+
+def _size(a):
+    kids = (a.left, a.right) if type(a) is Arrow else (a.body,) if isinstance(a, Quantifier) else ()
+    return 1 + sum(map(_size, kids))
+
+
+# what a mutated node becomes
+_MUTATIONS = (
+    lambda x: Arrow(x, x),
+    lambda x: Bot(),
+    neg,
+    lambda x: ForallFo("x", x),
+    lambda x: PredVarApp("X"),
+)
+
+
+def mutant(a, rng):
+    """a with one node, drawn at random, replaced by a node built from it."""
+    target, mutate, count = rng.randrange(_size(a)), rng.choice(_MUTATIONS), itertools.count()
+
+    def rebuild(x):
+        if next(count) == target:
+            return mutate(x)
+        if type(x) is Arrow:
+            return Arrow(rebuild(x.left), rebuild(x.right))
+        if isinstance(x, Quantifier):
+            return type(x)(x.var, rebuild(x.body))
+        return x
+
+    return rebuild(a)
+
+
+def random_opening(rng, ns):
+    """A random quantifier of namespace ns and a witness for its variable."""
+    body = random_formula(rng, depth=4, allow_bot_vars=True)
+    if ns == 0:
+        return ForallFo(rng.choice(FO_NAMES), body), random_foterm(rng)
+    inner = random_formula(rng, depth=3, allow_bot_vars=True)
+    if ns == 2 and not is_bot_type(inner):
+        inner = neg(inner)
+    w = PredAbstraction(tuple(rng.sample(FO_NAMES, rng.randint(0, 2))), inner)
+    if ns == 1:
+        return ForallPred(rng.choice(PRED_NAMES), body), w
+    return ForallBot(rng.choice(BOT_NAMES), body), w
+
+
+def test_inst_check_agrees_with_instantiate():
+    """On one inst node, the checker's verdict and message are those of
+    instantiate(q, w) compared with the stated type by ==, and of
+    instantiate's error at a wrong arity. The names come from pools of two
+    or three, so capture and shadowing are common."""
+    rng = random.Random(1717)
+    seen = Counter()
+    for i in range(9000):
+        ns = i % 3
+        q, w = random_opening(rng, ns)
+        try:
+            expect = instantiate(q, w)
+        except FormulaError as exc:
+            stated, want, outcome = q.body, str(exc), "arity"
+        else:
+            how = rng.randrange(3)
+            if how == 0:
+                stated = expect
+            elif how == 1:
+                stated = alpha_variant(expect, {}, itertools.count())
+            else:
+                stated = mutant(expect, rng)
+            if stated == expect:
+                want, outcome = None, "equal"
+            else:
+                want, outcome = f"instantiation yields {print_formula(expect)}", "unequal"
+        report = check_derivation(inst_node(INST_RULES[ns], q, stated, w))
+        assert report.failures == ([] if want is None else [((), want)]), (q, w, stated)
+        seen[ns, outcome] += 1
+    assert all(seen[ns, o] > 300 for ns in range(3) for o in ("equal", "unequal")), seen
+    assert seen[1, "arity"] > 300 and seen[2, "arity"] > 300, seen
 
 
 def test_bot_rules_and_fragments():
@@ -598,3 +704,32 @@ def test_write_read_round_trip_past_a_lowered_recursion_limit():
         sys.setrecursionlimit(saved)
     assert back.node_count() == d.node_count() == 602
     assert write_derivation(back) == text
+
+
+LAYERS = 50_000  # binders, each over an arrow: quantifier bodies 100,000 nodes deep
+
+
+def binder_chain(binder, atom, layers=LAYERS):
+    """!binder (atom(binder) -> !binder (atom(binder) -> ... bot)), layers binders deep."""
+    a, v = Bot(), FoVar(binder)
+    for _ in range(layers):
+        a = ForallFo(binder, Arrow(atom(v), a))
+    return a
+
+
+def test_inst_fo_over_a_body_100000_deep():
+    # s(y) goes in under 50,000 binders of y, each of which must not capture it
+    w = FoApp("s", (FoVar("y"),))
+    q = ForallFo("x", binder_chain("y", lambda v: PredVarApp("X", (FoVar("x"), v))))
+    opened = binder_chain("z", lambda v: PredVarApp("X", (w, v)))
+    assert deep(check_derivation, inst_node("inst-fo", q, opened, w)).ok
+
+
+def test_inst_pred_over_a_body_100000_deep():
+    # each X(y) opens to ~Z(y, y') with the free y of the witness kept apart
+    w = PredAbstraction(("t",), neg(PredVarApp("Z", (FoVar("t"), FoVar("y")))))
+    q = ForallPred("X", binder_chain("y", lambda v: PredVarApp("X", (v,))))
+    opened = binder_chain("z", lambda v: neg(PredVarApp("Z", (v, FoVar("y")))))
+    assert deep(check_derivation, inst_node("inst-pred", q, opened, w)).ok
+    # A wrong stated type is worded through instantiate, whose substitution
+    # still recurses, so at this depth it raises RecursionError instead.
