@@ -19,28 +19,24 @@ bottomed, 3 predicate symbols (bound by no quantifier); ``mark`` is printed
 after a variable's name, ``"_|"`` in the bottomed namespace. Walkers branch
 on shape and compare ``ns``, one code path for every namespace.
 
-One capture-avoiding substitution serves all namespaces behind ``subst_fo``,
-``subst_pred``, ``subst_bot`` and ``instantiate``, which opens a quantifier
-at a witness; a binder that would capture a name brought in is primed.
+One capture-avoiding substitution, ``_subst``, serves all namespaces behind
+``subst_fo``, ``subst_pred``, ``subst_bot`` and ``instantiate``, which opens
+a quantifier at a witness; a binder that would capture a name brought in is
+primed.
 
 Formula nodes are immutable and carry caches that stay None until first
 asked for: the alpha-key behind ``==`` and ``hash`` (``_k``), the free
 variables that ``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``,
-``_pred``, ``_bot``) and the propositional-fragment test the checker asks
-(``_prop``). A node built by substitution starts with empty caches.
+``_pred``, ``_bot``), the propositional-fragment test the checker asks
+(``_prop``) and, on a quantifier, its instances by the identity of the
+witness (``_inst``). A node built by substitution starts with empty caches.
 
-One key walk over an explicit stack, ``_key``, serves three callers: the
-cached alpha-key behind formula ``==`` and ``hash``; ``FoApp``'s ``==``
-and ``hash``; and the checker's inst rules, whose ``_instance_key`` is the
-alpha-key of ``instantiate(q, w)`` read off ``q``'s body with the witness
-keyed in where its variable occurs, so the instance is never built.
-
-One post-order fold over an explicit stack, ``_fold``, is the traversal
-behind the free-variable and propositional caches, the translations,
-``polarity`` and ``pred_arities``; parsing and printing, first-order terms
-included, loop over stacks of their own. None of them is bounded by
-Python's recursion limit. Substitution, ``fo_vars``, ``fo_subst`` and
-``apply_equation`` still recurse.
+The alpha-key walk ``_key`` (behind formula and ``FoApp`` ``==`` and
+``hash``), substitution and one post-order fold, ``_fold`` (behind the
+free-variable and propositional caches, the translations, ``polarity`` and
+``pred_arities``), loop over explicit stacks; so do parsing and printing,
+first-order terms included. None of them is bounded by Python's recursion
+limit. ``fo_vars``, ``fo_subst`` and ``apply_equation`` still recurse.
 """
 
 from __future__ import annotations
@@ -127,10 +123,10 @@ class FoApp(FoTerm):
         """Structural, by the alpha-key walk, so depth is bounded by memory."""
         if other.__class__ is not FoApp:
             return NotImplemented
-        return self is other or _key(self, [{}]) == _key(other, [{}])
+        return self is other or _key(self) == _key(other)
 
     def __hash__(self):
-        return hash(_key(self, [{}]))
+        return hash(_key(self))
 
     def __repr__(self):
         return f"<{print_foterm(self)}>"
@@ -242,13 +238,13 @@ class Arrow(Formula):
 
 
 class Quantifier(Formula):
-    __slots__ = ("var", "body")
+    __slots__ = ("var", "body", "_inst")
     mark = ""
 
     def __init__(self, var: str, body: Formula):
         self.var = var
         self.body = body
-        self._k = self._fo = self._pred = self._bot = self._prop = None
+        self._k = self._fo = self._pred = self._bot = self._prop = self._inst = None
 
 
 class ForallFo(Quantifier):
@@ -275,48 +271,27 @@ def _alpha_key(a: Formula) -> tuple:
     """a in nameless form, cached on a: equal exactly for alpha-equal formulas."""
     key = a._k  # type: ignore[attr-defined]
     if key is None:
-        key = a._k = _key(a, [{}, {}, {}, {}])  # type: ignore[attr-defined]
+        key = a._k = _key(a)  # type: ignore[attr-defined]
     return key
 
 
-def _instance_key(q: Quantifier, w) -> Optional[tuple]:
-    """_alpha_key(instantiate(q, w)), read off q.body without building the
-    instance; None when w is an abstraction applied at another arity."""
-    envs: list = [{}, {}, {}, {}]
-    envs[q.ns][q.var] = (w, [{}]) if q.ns == 0 else w
-    return _key(q.body, envs)
-
-
-def _key(a, envs: list) -> Optional[tuple]:
-    """The alpha-key of a, a formula or first-order term, with envs substituted in.
+def _key(a) -> tuple:
+    """The alpha-key of a, a formula or first-order term.
 
     A flat preorder tuple of node classes, FoApp included; atoms and FoApp
     add their head and argument count. A bound variable of any namespace is
     the depth of its binder (an int), a free one its name (a str).
-
-    envs maps, per namespace, a name to its binder's depth or to what
-    replaces it: a (term, scope) pair in the first-order namespace, keyed
-    under the envs scope, and a PredAbstraction in the others, whose body is
-    keyed under fresh envs that map its parameters to the atom's arguments
-    under the current ones. A binder hides a replacement of its name, and a
-    free name a replacement brings in comes out as a name, as capture
-    avoidance keeps it free. A replacement is entered by pushing the envs to
-    return to, a list, on the stack; a tuple there restores a binder's name.
-    Returns None at an abstraction applied to the wrong number of arguments.
     """
     out: list = []
+    envs: tuple[dict, ...] = ({}, {}, {}, {})  # per namespace: name -> binder depth
+    fo = envs[0]
     depth = 0
     stack: list = [a]
     while stack:
         x = stack.pop()
         tx = type(x)
         if tx is FoVar:
-            v = envs[0].get(x.name, x.name)
-            if type(v) is tuple:
-                stack += (envs, v[0])
-                envs = v[1]
-            else:
-                out.append(v)
+            out.append(fo.get(x.name, x.name))
         elif tx is tuple:
             # restore marker of a quantifier, popped after its body
             env, name, outer = x
@@ -325,8 +300,6 @@ def _key(a, envs: list) -> Optional[tuple]:
                 del env[name]
             else:
                 env[name] = outer
-        elif tx is list:
-            envs = x
         elif tx is Arrow:
             out.append(Arrow)
             stack.append(x.right)
@@ -342,14 +315,8 @@ def _key(a, envs: list) -> Optional[tuple]:
             stack.append(x.body)
         else:
             head = x.sym if tx is FoApp else envs[x.ns].get(x.name, x.name)
-            if type(head) is PredAbstraction:
-                if len(head.params) != len(x.args):
-                    return None
-                stack += (envs, head.body)
-                envs = [{p: (t, envs) for p, t in zip(head.params, x.args)}, {}, {}, {}]
-            else:
-                out += (tx, head, len(x.args))
-                stack.extend(reversed(x.args))
+            out += (tx, head, len(x.args))
+            stack.extend(reversed(x.args))
     return tuple(out)
 
 
@@ -513,59 +480,72 @@ def _subst(a: Formula, fo: Mapping[str, FoTerm], so: Mapping[tuple, object]) -> 
     PredAbstraction or to a renamed binder's new name. A binder that would
     capture a name brought in by the replacement of a variable free in its
     body is primed to fresh_name(var, brought | free variables of the body);
-    the renaming joins the maps, which are never changed in place.
+    the renaming joins the maps, which are never changed in place. The
+    stack is explicit, left before right, as _fold's; a node under which
+    nothing changes is returned as it is.
     """
-    if not fo and not so:
-        return a
-    ta = type(a)
-    if ta is Arrow:
-        left, right = _subst(a.left, fo, so), _subst(a.right, fo, so)
-        return a if left is a.left and right is a.right else Arrow(left, right)
-    if ta is Bot:
-        return a
-    if isinstance(a, Atom):
-        new = so.get((a.ns, a.name)) if so else None
-        if new is None and not fo:
-            return a
-        args = tuple(fo_subst(t, fo) for t in a.args) if fo else a.args
-        if new is not None:
-            return ta(new, args) if type(new) is str else new.apply(args)
-        return a if all(n is o for n, o in zip(args, a.args)) else ta(a.name, args)
-    ns, var, body = a.ns, a.var, a.body
-    if ns == 0:
-        if fo:
-            body_fv = fv_fo(body)
+    done: list = []  # results, each after those of its left siblings
+    stack: list = [(a, fo, so)]
+    while stack:
+        item = stack.pop()
+        if item is _EXIT:
+            x, var = stack.pop()  # var: a quantifier's binder name, primed or not
+            last = done.pop()
+            if type(x) is Arrow:
+                done.append(_remake(x, (done.pop(), last)))
+            else:
+                done.append(x if var is x.var and last is x.body else type(x)(var, last))
+            continue
+        a, fo, so = item
+        ta = type(a)
+        if (not fo and not so) or ta is Bot:
+            done.append(a)
+            continue
+        if ta is Arrow:
+            stack += ((a, None), _EXIT, (a.right, fo, so), (a.left, fo, so))
+            continue
+        if isinstance(a, Atom):
+            new = so.get((a.ns, a.name)) if so else None
+            if new is None and not fo:
+                done.append(a)
+                continue
+            args = tuple(fo_subst(t, fo) for t in a.args) if fo else a.args
+            if new is not None:
+                done.append(ta(new, args) if type(new) is str else new.apply(args))
+            else:
+                done.append(a if all(n is o for n, o in zip(args, a.args)) else ta(a.name, args))
+            continue
+        ns, var = a.ns, a.var
+        if ns == 0 and fo:
+            body_fv = fv_fo(a.body)
             fo = {k: v for k, v in fo.items() if k != var and k in body_fv}
-    elif not so:
-        # first-order terms bring no name a second-order binder could capture
-        body = _subst(body, fo, so)
-        return a if body is a.body else ta(var, body)
-    # drop the entries whose variable is not free here; most binders drop none
-    for k in so:
-        if k[1] not in _free_vars(a, k[0]):
-            so = {k: v for k, v in so.items() if k[1] in _free_vars(a, k[0])}
-            break
-    if not fo and not so:
-        return a
-    brought: set[str] = set()
-    if ns == 0:
-        for t in fo.values():
-            brought |= fo_vars(t)
-    for (kns, _), v in so.items():
-        if type(v) is str:
-            if kns == ns:
-                brought.add(v)
-        else:
-            brought |= v.free_fo() if ns == 0 else _free_vars(v.body, ns)
-    if var in brought:
-        new = fresh_name(var, brought | _free_vars(body, ns))
+        # drop the entries whose variable is not free here; most binders drop none
+        for k in so:
+            if k[1] not in _free_vars(a, k[0]):
+                so = {k: v for k, v in so.items() if k[1] in _free_vars(a, k[0])}
+                break
+        if not fo and not so:
+            done.append(a)
+            continue
+        brought: set[str] = set()
         if ns == 0:
-            fo = {**fo, var: FoVar(new)}
-        else:
-            so = {**so, (ns, var): new}
-        return ta(new, _subst(body, fo, so))
-    body = _subst(body, fo, so)
-    return a if body is a.body else ta(var, body)
+            for t in fo.values():
+                brought |= fo_vars(t)
+        for (kns, _), v in so.items():
+            if type(v) is str:
+                if kns == ns:
+                    brought.add(v)
+            else:
+                brought |= v.free_fo() if ns == 0 else _free_vars(v.body, ns)
+        new = var
+        if var in brought:
+            new = fresh_name(var, brought | _free_vars(a.body, ns))
+            if ns == 0:
+                fo = {**fo, var: FoVar(new)}
+            else:
+                so = {**so, (ns, var): new}
+        stack += ((a, new), _EXIT, (a.body, fo, so))
+    return done.pop()
 
 
 def subst_fo(a: Formula, m: Mapping[str, FoTerm]) -> Formula:
@@ -592,10 +572,17 @@ def instantiate(q: Quantifier, w) -> Formula:
     """The body of q with w, a term or a PredAbstraction, for its variable.
 
     The substitution is in q's namespace; binders are primed as in subst_fo.
+    The instance is cached on q by the identity of w, and the entry keeps w
+    alive, so its id is not reused while the entry lives.
     """
-    if q.ns == 0:
-        return _subst(q.body, {q.var: w}, {})
-    return _subst(q.body, {}, {(q.ns, q.var): w})
+    cache = q._inst
+    if cache is None:
+        cache = q._inst = {}
+    hit = cache.get(id(w))
+    if hit is None:
+        fo, so = ({q.var: w}, {}) if q.ns == 0 else ({}, {(q.ns, q.var): w})
+        hit = cache[id(w)] = (w, _subst(q.body, fo, so))
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------
@@ -692,15 +679,21 @@ def polarity(a: Formula, name: str, kind: str = "pred") -> str:
 # the numeral types
 
 
+def _n_parts(pvar: str, t: Optional[FoTerm]):
+    """First premise, iteration premise, and conclusion atom of N[t] opened at pvar."""
+    if t is None:
+        a = PredVarApp(pvar)
+        return a, Arrow(a, a), a
+    y = FoVar("y")
+    first = PredVarApp(pvar, (FoApp("0"),))
+    step = ForallFo("y", Arrow(PredVarApp(pvar, (y,)), PredVarApp(pvar, (FoApp("s", (y,)),))))
+    return first, step, PredVarApp(pvar, (t,))
+
+
 def n_type(t: Optional[FoTerm] = None) -> Formula:
     """N[t] = !X {X(0), !y (X(y) -> X(s(y))) -> X(t)}; N (propositional) when t is None."""
-    if t is None:
-        x = PredVarApp("X")
-        return ForallPred("X", Arrow(x, Arrow(Arrow(x, x), x)))
-    zero = FoApp("0")
-    y = FoVar("y")
-    step = ForallFo("y", Arrow(PredVarApp("X", (y,)), PredVarApp("X", (FoApp("s", (y,)),))))
-    return ForallPred("X", Arrow(PredVarApp("X", (zero,)), Arrow(step, PredVarApp("X", (t,)))))
+    first, step, last = _n_parts("X", t)
+    return ForallPred("X", Arrow(first, Arrow(step, last)))
 
 
 def n_star_type(t: Optional[FoTerm] = None) -> Formula:

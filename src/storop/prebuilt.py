@@ -11,7 +11,7 @@ checker asks for.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable
 
 from storop.formulas import (
     Arrow,
@@ -25,6 +25,7 @@ from storop.formulas import (
     Formula,
     PredAbstraction,
     PredVarApp,
+    _n_parts,
     apply_equation,
     fv_fo,
     fv_pred,
@@ -125,17 +126,6 @@ def _snum(k: int) -> FoTerm:
     for _ in range(k):
         t = FoApp("s", (t,))
     return t
-
-
-def _n_parts(pvar: str, t: Optional[FoTerm]):
-    """First premise, iteration premise, and conclusion atom of an opened numeral type."""
-    if t is None:
-        a = PredVarApp(pvar)
-        return a, Arrow(a, a), a
-    y = FoVar("y")
-    first = PredVarApp(pvar, (FoApp("0"),))
-    step = ForallFo("y", Arrow(PredVarApp(pvar, (y,)), PredVarApp(pvar, (FoApp("s", (y,)),))))
-    return first, step, PredVarApp(pvar, (t,))
 
 
 # ---------------------------------------------------------------------------

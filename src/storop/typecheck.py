@@ -18,10 +18,11 @@ which calls ``_check_node`` directly and keeps the node's path as one list.
 ``Derivation.__eq__`` compares premise pairs off a stack of its own, and a
 derivation's repr shows its root node alone.
 
-An inst node's stated type is compared with the alpha-key of the instance,
-read off the premise's quantifier body by ``formulas._instance_key``, so
-inst nodes are checked at any depth. The instance itself is built, by the
-recursive ``instantiate``, only to word a failure.
+An inst node's stated type is compared by ``==`` with ``instantiate``,
+whose substitution loops over an explicit stack, so inst nodes are checked
+and their failures worded at any depth. The instance is cached on the
+premise's quantifier (its ``_inst`` slot) by the identity of the witness,
+so a node checked again, or shared by many mutants, builds it once.
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ from storop.formulas import (
     PredVarApp,
     Quantifier,
     _EXIT,
-    _alpha_key,
     _fold,
-    _instance_key,
     _is_propositional,
     _parse_foterm_src,
     _remake,
@@ -367,8 +366,9 @@ def _check_node(node: Derivation, equations, fragment: str) -> Optional[str]:
     if ns == "bot" and not is_bot_type(w.body):
         return "inst-bot witness body must be a bottomed type"
     # an abstraction of the wrong arity makes instantiate raise the message
-    if _instance_key(p.type, w) != _alpha_key(a):
-        return f"instantiation yields {print_formula(instantiate(p.type, w))}"
+    expect = instantiate(p.type, w)
+    if a != expect:
+        return f"instantiation yields {print_formula(expect)}"
     return None
 
 

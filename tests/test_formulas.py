@@ -33,6 +33,7 @@ from storop.formulas import (
     fv_pred,
     forget_first_order,
     godel_star,
+    instantiate,
     is_bot_type,
     n_bot_type,
     n_star_type,
@@ -51,7 +52,7 @@ from storop.formulas import (
 from storop.terms import Abs, Var, parse_term, print_term
 from storop.typecheck import _intern
 
-from deep import deep
+from deep import collector_paused, deep
 from genformulas import alpha_variant, random_formula
 from genterms import random_term
 
@@ -214,8 +215,9 @@ def _arrow_chain(n, var):
 
 def test_equality_and_hash_at_depth_100000():
     # == and hash walk an explicit stack; recursion broke at depth 30000
-    a, b = _arrow_chain(100_000, "x"), _arrow_chain(100_000, "y")
-    shorter = _arrow_chain(99_999, "x")
+    with collector_paused():
+        a, b = _arrow_chain(100_000, "x"), _arrow_chain(100_000, "y")
+        shorter = _arrow_chain(99_999, "x")
     start = time.perf_counter()
     equal, unequal = deep(operator.eq, a, b), deep(operator.ne, a, shorter)
     same_hash = deep(hash, a) == deep(hash, b)
@@ -233,11 +235,13 @@ def _numeral_term(n, base=FoApp("0")):
 
 def test_first_order_equality_and_hash_at_depth_100000():
     # FoApp's == and hash walk the alpha-key's stack; the dataclass ones recursed
-    a, b = _numeral_term(100_000), _numeral_term(100_000)
+    with collector_paused():
+        a, b = _numeral_term(100_000), _numeral_term(100_000)
+        other = _numeral_term(100_000, FoVar("x"))
     assert deep(operator.eq, a, b)
     assert deep(hash, a) == deep(hash, b)
     assert deep(operator.ne, a, a.args[0])
-    assert deep(operator.ne, a, _numeral_term(100_000, FoVar("x")))
+    assert deep(operator.ne, a, other)
     assert deep(operator.ne, a, FoVar("x")) and deep(operator.ne, FoVar("x"), a)
 
 
@@ -451,8 +455,9 @@ def test_cached_free_variables_match_an_uncached_walk():
 
 def test_free_variables_at_depth_100000():
     a = PredVarApp("X", (FoVar("z"),))
-    for _ in range(100_000):
-        a = ForallPred("Y", Arrow(PredVarApp("Y", (FoVar("x"),)), a))
+    with collector_paused():
+        for _ in range(100_000):
+            a = ForallPred("Y", Arrow(PredVarApp("Y", (FoVar("x"),)), a))
     start = time.perf_counter()
     answers = deep(cached_answers, a)
     assert time.perf_counter() - start < 5
@@ -472,7 +477,8 @@ def _alternating_chain():
 
 @pytest.fixture(scope="module")
 def chain():
-    return _alternating_chain()
+    with collector_paused():
+        return _alternating_chain()
 
 
 def _spine(a):
@@ -523,7 +529,8 @@ def test_intern_at_depth_100000(chain):
     table: dict = {}
     assert deep(_intern, chain, table) is chain
     # every node of twin is a new object, yet each has its equal in the table
-    twin = _alternating_chain()
+    with collector_paused():
+        twin = _alternating_chain()
     assert deep(_intern, twin, table) is chain
 
 
@@ -539,6 +546,26 @@ def test_parameterless_abstraction_applies_without_a_walk(monkeypatch):
     body = F("!X {X(0), !y (X(y) -> X(s(y))) -> Y}")
     assert PredAbstraction((), body).apply(()) is body
     assert calls == [body]
+
+
+def test_instantiate_builds_each_instance_once_per_witness_object(monkeypatch):
+    q, w = F("!x (X(x) -> !y Y(x, y))"), FoApp("s", (FoVar("y"),))
+    first = instantiate(q, w)
+    assert print_formula(first) == "X(s(y)) -> !y' Y(s(y), y')"
+    calls = []
+    subst = formulas._subst
+
+    def counted(a, fo, so):
+        calls.append(a)
+        return subst(a, fo, so)
+
+    monkeypatch.setattr(formulas, "_subst", counted)
+    assert instantiate(q, w) is first
+    assert calls == []
+    # an equal witness that is another object is substituted afresh
+    again = instantiate(q, FoApp("s", (FoVar("y"),)))
+    assert again == first and again is not first
+    assert calls == [q.body]
 
 
 def test_pred_arities():

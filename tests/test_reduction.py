@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from deep import deep
+from deep import collector_paused, deep
 from genterms import random_closed_term, random_term
 from storop import reduction
 from storop.builtins import BUILTINS, parse
@@ -198,7 +198,8 @@ def _numeral_with_inner_redex(n):
 
 def test_normalize_normal_form_at_depth_100000():
     # normalize recursed once per argument and broke at church(30000)
-    t = church(100_000)
+    with collector_paused():
+        t = church(100_000)
     start = time.perf_counter()
     out = deep(normalize, t)
     same = deep(out.result.__eq__, t)
@@ -209,7 +210,8 @@ def test_normalize_normal_form_at_depth_100000():
 
 @pytest.mark.parametrize("fuel", [1, DEFAULT_FUEL])
 def test_normalize_redex_at_depth_100000(fuel):
-    t = _numeral_with_inner_redex(100_000)
+    with collector_paused():
+        t = _numeral_with_inner_redex(100_000)
     start = time.perf_counter()
     out = deep(normalize, t, fuel)
     same = deep(out.result.__eq__, church(100_000))
@@ -338,9 +340,11 @@ def test_kernel_output_fingerprint_through_the_stack_copy_alone(family, monkeypa
 
 
 def test_subst1_stack_past_the_recursion_limit():
-    body = church(30_000).body.body
+    with collector_paused():
+        want = church(30_000)
+        body = church(30_000).body.body
     out = deep(_subst1_stack, body, "x", Var("y"))
-    assert deep(Abs("y", Abs("f", out)).__eq__, church(30_000))
+    assert deep(Abs("y", Abs("f", out)).__eq__, want)
 
 
 def _capturing_chain(levels, binder):
@@ -353,8 +357,9 @@ def _capturing_chain(levels, binder):
 
 def test_subst1_stack_renames_binders_past_the_recursion_limit():
     # every binder captures y, so each is primed and its body renamed first
-    out = deep(_subst1_stack, _capturing_chain(30_000, "y"), "a", Var("y"))
-    want = _capturing_chain(30_000, "y'")
+    with collector_paused():
+        chain, want = _capturing_chain(30_000, "y"), _capturing_chain(30_000, "y'")
+    out = deep(_subst1_stack, chain, "a", Var("y"))
     assert deep(print_term, out) == deep(print_term, want).replace("a", "y")
 
 

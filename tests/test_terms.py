@@ -22,7 +22,7 @@ from storop.terms import (
     term_size,
 )
 
-from deep import deep
+from deep import collector_paused, deep
 from genterms import random_term
 
 
@@ -205,8 +205,10 @@ def _nested_lambdas(n):
 
 def test_print_past_the_recursion_limit():
     n = 30_000  # printing recursed once per level and broke at 20,000
-    assert deep(print_term, _nested_groups(n)) == "((h) " * (n - 1) + "(h) x a" + ") a" * (n - 1)
-    assert deep(print_term, _nested_lambdas(n)) == "\\x (x) " * n + "y"
+    with collector_paused():
+        groups, lambdas = _nested_groups(n), _nested_lambdas(n)
+    assert deep(print_term, groups) == "((h) " * (n - 1) + "(h) x a" + ") a" * (n - 1)
+    assert deep(print_term, lambdas) == "\\x (x) " * n + "y"
 
 
 @pytest.mark.parametrize(
@@ -214,7 +216,8 @@ def test_print_past_the_recursion_limit():
 )
 def test_print_parse_roundtrip_at_depth_100000(build):
     # parsing recursed once per group or lambda body and broke at 20,000
-    t = build(100_000)
+    with collector_paused():
+        t = build(100_000)
     assert deep(operator.eq, deep(parse_term, deep(print_term, t)), t)
 
 
@@ -349,7 +352,8 @@ def test_match_holes_structure_mismatch():
 
 def test_equality_and_hash_at_depth_100000():
     # == and hash walk an explicit stack; recursion broke at church(30000)
-    a, b, shorter = church(100_000), church(100_000), church(99_999)
+    with collector_paused():
+        a, b, shorter = church(100_000), church(100_000), church(99_999)
     start = time.perf_counter()
     equal, unequal = deep(operator.eq, a, b), deep(operator.ne, a, shorter)
     same_hash = deep(hash, a) == deep(hash, b)

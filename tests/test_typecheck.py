@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from deep import deep
+from deep import collector_paused, deep
 from genformulas import (
     BOT_NAMES,
     FO_NAMES,
@@ -18,6 +18,7 @@ from genformulas import (
 from storop.formulas import (
     Arrow,
     Bot,
+    BotVarApp,
     FoApp,
     FormulaError,
     FoVar,
@@ -35,6 +36,9 @@ from storop.formulas import (
     parse_equations,
     parse_formula,
     print_formula,
+    subst_bot,
+    subst_fo,
+    subst_pred,
 )
 from storop.terms import Abs, App, Var
 from storop.typecheck import (
@@ -656,7 +660,8 @@ def identity_chain(pairs: int) -> Derivation:
 
 @pytest.fixture(scope="module")
 def chain():
-    return identity_chain(PAIRS)
+    with collector_paused():
+        return identity_chain(PAIRS)
 
 
 def test_count_and_forget_a_chain_30002_nodes_deep(chain):
@@ -668,12 +673,14 @@ def test_count_and_forget_a_chain_30002_nodes_deep(chain):
 
 
 def test_equality_and_repr_of_a_chain_30002_nodes_deep(chain):
-    assert deep(chain.__eq__, identity_chain(PAIRS))
     # the same chain over an axiom that names a different variable
     a = F("X(x)")
     leaf = Derivation("ax", Context().extended("z", a), Var("z"), a)
     core = Derivation("abs", Context(), Abs("z", Var("z")), Arrow(a, a), None, (leaf,))
-    assert not deep(chain.__eq__, fo_pairs(core, "x", PAIRS))
+    with collector_paused():
+        twin, other = identity_chain(PAIRS), fo_pairs(core, "x", PAIRS)
+    assert deep(chain.__eq__, twin)
+    assert not deep(chain.__eq__, other)
     assert deep(repr, chain) == (
         "Derivation(rule='inst-fo', term=<\\y y>, type=<X(x) -> X(x)>, premises=1)"
     )
@@ -682,7 +689,8 @@ def test_equality_and_repr_of_a_chain_30002_nodes_deep(chain):
 def test_lift_above_an_axiom_30000_nodes_deep():
     star = n_star_type(FoVar("x"))
     ctx = Context().extended("nu", star)
-    body = fo_pairs(Derivation("ax", ctx, Var("nu"), star), "z", PAIRS)
+    with collector_paused():
+        body = fo_pairs(Derivation("ax", ctx, Var("nu"), star), "z", PAIRS)
     absd = Derivation("abs", Context(), Abs("nu", Var("nu")), Arrow(star, star), None, (body,))
     d = Derivation("gen-fo", Context(), absd.term, ForallFo("x", absd.type), None, (absd,))
     lifted = deep(lift_star_to_bot, d)
@@ -717,19 +725,59 @@ def binder_chain(binder, atom, layers=LAYERS):
     return a
 
 
+def primed_chain(atom):
+    """The text of binder_chain("y'", ...) whose atoms print as atom."""
+    return f"!y' ({atom} -> " * (LAYERS - 1) + f"!y' ~{atom}" + ")" * (LAYERS - 1)
+
+
 def test_inst_fo_over_a_body_100000_deep():
     # s(y) goes in under 50,000 binders of y, each of which must not capture it
     w = FoApp("s", (FoVar("y"),))
-    q = ForallFo("x", binder_chain("y", lambda v: PredVarApp("X", (FoVar("x"), v))))
-    opened = binder_chain("z", lambda v: PredVarApp("X", (w, v)))
+    with collector_paused():
+        q = ForallFo("x", binder_chain("y", lambda v: PredVarApp("X", (FoVar("x"), v))))
+        opened = binder_chain("z", lambda v: PredVarApp("X", (w, v)))
+        wrong = binder_chain("z", lambda v: PredVarApp("X", (v, w)))
     assert deep(check_derivation, inst_node("inst-fo", q, opened, w)).ok
+    # a wrong stated type is reported with the instance, its binders primed
+    report = deep(check_derivation, inst_node("inst-fo", q, wrong, w))
+    assert report.failures == [((), "instantiation yields " + primed_chain("X(s(y), y')"))]
 
 
 def test_inst_pred_over_a_body_100000_deep():
-    # each X(y) opens to ~Z(y, y') with the free y of the witness kept apart
+    # each X(y) opens to ~Z(y', y) with the free y of the witness kept apart
     w = PredAbstraction(("t",), neg(PredVarApp("Z", (FoVar("t"), FoVar("y")))))
-    q = ForallPred("X", binder_chain("y", lambda v: PredVarApp("X", (v,))))
-    opened = binder_chain("z", lambda v: neg(PredVarApp("Z", (v, FoVar("y")))))
+    with collector_paused():
+        q = ForallPred("X", binder_chain("y", lambda v: PredVarApp("X", (v,))))
+        opened = binder_chain("z", lambda v: neg(PredVarApp("Z", (v, FoVar("y")))))
+        wrong = binder_chain("z", lambda v: neg(PredVarApp("Z", (FoVar("y"), v))))
     assert deep(check_derivation, inst_node("inst-pred", q, opened, w)).ok
-    # A wrong stated type is worded through instantiate, whose substitution
-    # still recurses, so at this depth it raises RecursionError instead.
+    report = deep(check_derivation, inst_node("inst-pred", q, wrong, w))
+    assert report.failures == [((), "instantiation yields " + primed_chain("~Z(y', y)"))]
+
+
+def test_substitution_over_a_body_100000_deep():
+    # every binder y would capture the y brought in, so each is primed to y'
+    y, s_y = FoVar("y"), FoApp("s", (FoVar("y"),))
+    with collector_paused():
+        body = binder_chain("y", lambda v: PredVarApp("X", (FoVar("x"), v)))
+    assert print_formula(deep(subst_fo, body, {"x": s_y})) == primed_chain("X(s(y), y')")
+    with collector_paused():
+        body = binder_chain("y", lambda v: PredVarApp("X", (v,)))
+    pred = PredAbstraction(("t",), PredVarApp("Z", (FoVar("t"), y)))
+    assert print_formula(deep(subst_pred, body, "X", pred)) == primed_chain("Z(y', y)")
+    with collector_paused():
+        body = binder_chain("y", lambda v: BotVarApp("X", (v,)))
+    bot = PredAbstraction(("t",), BotVarApp("Z", (FoVar("t"), y)))
+    assert print_formula(deep(subst_bot, body, "X", bot)) == primed_chain("Z_|(y', y)")
+    assert print_formula(deep(instantiate, ForallBot("X", body), bot)) == primed_chain("Z_|(y', y)")
+
+
+def test_inst_failures_print_each_witness_own_binder():
+    # the two witnesses are == but distinct objects; the instance cached on q
+    # for the first must not word the failure of the second
+    q = F("!X (X -> Z)")
+    first, second = PredAbstraction((), F("!y Y(y)")), PredAbstraction((), F("!z Y(z)"))
+    assert first == second and first is not second
+    for w, text in ((first, "!y Y(y) -> Z"), (second, "!z Y(z) -> Z")):
+        report = check_derivation(inst_node("inst-pred", q, F("Z"), w))
+        assert report.failures == [((), f"instantiation yields {text}")]
