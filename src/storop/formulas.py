@@ -34,9 +34,9 @@ witness (``_inst``). A node built by substitution starts with empty caches.
 The alpha-key walk ``_key`` (behind formula and ``FoApp`` ``==`` and
 ``hash``), substitution and one post-order fold, ``_fold`` (behind the
 free-variable and propositional caches, the translations, ``polarity`` and
-``pred_arities``), loop over explicit stacks; so do parsing and printing,
-first-order terms included. None of them is bounded by Python's recursion
-limit. ``fo_vars``, ``fo_subst`` and ``apply_equation`` still recurse.
+``pred_arities``), ``fo_vars`` and ``fo_subst`` loop over explicit stacks;
+so do parsing and printing, first-order terms included. None of them is
+bounded by Python's recursion limit. ``apply_equation`` still recurses.
 """
 
 from __future__ import annotations
@@ -133,22 +133,36 @@ class FoApp(FoTerm):
 
 
 def fo_vars(t: FoTerm) -> frozenset[str]:
-    if isinstance(t, FoVar):
+    if type(t) is FoVar:
         return frozenset((t.name,))
-    out: frozenset[str] = frozenset()
-    for a in t.args:
-        out |= fo_vars(a)
-    return out
+    out: set[str] = set()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is FoVar:
+            out.add(t.name)
+        else:
+            stack += t.args
+    return frozenset(out)
 
 
 def fo_subst(t: FoTerm, m: Mapping[str, FoTerm]) -> FoTerm:
     """Substitute inside a first-order term; an unchanged term is returned as it is."""
-    if isinstance(t, FoVar):
-        return m.get(t.name, t)
-    args = tuple(fo_subst(a, m) for a in t.args)
-    if all(new is old for new, old in zip(args, t.args)):
-        return t
-    return FoApp(t.sym, args)
+    done: list = []  # results, each after those of its left siblings
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        if t is _EXIT:
+            t = stack.pop()
+            n = len(done) - len(t.args)
+            args = tuple(done[n:])
+            del done[n:]
+            done.append(t if all(a is b for a, b in zip(args, t.args)) else FoApp(t.sym, args))
+        elif type(t) is FoVar:
+            done.append(m.get(t.name, t))
+        else:
+            stack += (t, _EXIT, *reversed(t.args))
+    return done.pop()
 
 
 def _match_fo(pattern: FoTerm, target: FoTerm, sigma: dict) -> bool:
@@ -573,7 +587,9 @@ def instantiate(q: Quantifier, w) -> Formula:
 
     The substitution is in q's namespace; binders are primed as in subst_fo.
     The instance is cached on q by the identity of w, and the entry keeps w
-    alive, so its id is not reused while the entry lives.
+    alive, so its id is not reused while the entry lives. q so holds every
+    witness and instance it was opened at; a witness whose body holds q
+    itself makes a cycle, which only the cyclic collector frees.
     """
     cache = q._inst
     if cache is None:

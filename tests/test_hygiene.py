@@ -129,7 +129,7 @@ def test_self_call_scanner():
 # formulas._alpha_key and typecheck._fold_premises do.
 STILL_RECURSIVE = {
     "formulas.py": [
-        "_match_fo", "fo_subst", "fo_vars", "rewrite", "rewrite_term", "scan",
+        "_match_fo", "rewrite", "rewrite_term", "scan",
     ],
     "reduction.py": ["_subst1"],
     "terms.py": ["_match", "_subst"],

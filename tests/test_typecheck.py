@@ -755,6 +755,32 @@ def test_inst_pred_over_a_body_100000_deep():
     assert report.failures == [((), "instantiation yields " + primed_chain("~Z(y', y)"))]
 
 
+def numeral_term(depth, base):
+    """s(s(...s(base))), depth applications of s."""
+    t = base
+    for _ in range(depth):
+        t = FoApp("s", (t,))
+    return t
+
+
+def test_inst_fo_with_first_order_terms_100000_deep():
+    # the witness is brought in under the binder y, which must not capture it
+    with collector_paused():
+        w = numeral_term(100_000, FoApp("0"))
+        arg = numeral_term(100_000, FoVar("x"))
+    q = F("!x !y X(x, y)")
+    opened = ForallFo("y", PredVarApp("X", (w, FoVar("y"))))
+    assert deep(check_derivation, inst_node("inst-fo", q, opened, w)).ok
+    # an atom whose argument is deep is opened at a shallow witness
+    q = ForallFo("x", PredVarApp("X", (arg,)))
+    w = FoApp("0")
+    with collector_paused():
+        opened = PredVarApp("X", (numeral_term(100_000, w),))
+    assert deep(check_derivation, inst_node("inst-fo", q, opened, w)).ok
+    report = deep(check_derivation, inst_node("inst-fo", q, PredVarApp("X", (w,)), w))
+    assert report.failures == [((), "instantiation yields X(" + "s(" * 100_000 + "0" + ")" * 100_001)]
+
+
 def test_substitution_over_a_body_100000_deep():
     # every binder y would capture the y brought in, so each is primed to y'
     y, s_y = FoVar("y"), FoApp("s", (FoVar("y"),))
