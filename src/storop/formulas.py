@@ -32,11 +32,12 @@ variables that ``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``,
 witness (``_inst``). A node built by substitution starts with empty caches.
 
 The alpha-key walk ``_key`` (behind formula and ``FoApp`` ``==`` and
-``hash``), substitution and one post-order fold, ``_fold`` (behind the
-free-variable and propositional caches, the translations, ``polarity`` and
-``pred_arities``), ``fo_vars`` and ``fo_subst`` loop over explicit stacks;
-so do parsing and printing, first-order terms included. None of them is
-bounded by Python's recursion limit. ``apply_equation`` still recurses.
+``hash``), substitution, ``fo_vars``, ``apply_equation`` and one post-order
+fold, ``_fold``, loop over explicit stacks; so do parsing and printing.
+None of them is bounded by Python's recursion limit. ``_fold`` walks
+formulas (the free-variable and propositional caches, the translations,
+``polarity``, ``pred_arities``), first-order terms (``fo_subst``, an
+``EquationSet``'s signature) and derivations (``storop.typecheck``).
 """
 
 from __future__ import annotations
@@ -146,38 +147,35 @@ def fo_vars(t: FoTerm) -> frozenset[str]:
     return frozenset(out)
 
 
+def _args(t: FoTerm) -> tuple:
+    """The arguments of a first-order term, () for a variable: its children for _fold."""
+    return t.args if type(t) is FoApp else ()
+
+
 def fo_subst(t: FoTerm, m: Mapping[str, FoTerm]) -> FoTerm:
     """Substitute inside a first-order term; an unchanged term is returned as it is."""
-    done: list = []  # results, each after those of its left siblings
-    stack: list = [t]
-    while stack:
-        t = stack.pop()
-        if t is _EXIT:
-            t = stack.pop()
-            n = len(done) - len(t.args)
-            args = tuple(done[n:])
-            del done[n:]
-            done.append(t if all(a is b for a, b in zip(args, t.args)) else FoApp(t.sym, args))
-        elif type(t) is FoVar:
-            done.append(m.get(t.name, t))
-        else:
-            stack += (t, _EXIT, *reversed(t.args))
-    return done.pop()
+
+    def combine(t, args):
+        if type(t) is FoVar:
+            return m.get(t.name, t)
+        return t if all(a is b for a, b in zip(args, t.args)) else FoApp(t.sym, args)
+
+    return _fold(t, combine, _args)
 
 
 def _match_fo(pattern: FoTerm, target: FoTerm, sigma: dict) -> bool:
-    if isinstance(pattern, FoVar):
-        prev = sigma.get(pattern.name)
-        if prev is None:
-            sigma[pattern.name] = target
-            return True
-        return prev == target
-    return (
-        isinstance(target, FoApp)
-        and target.sym == pattern.sym
-        and len(target.args) == len(pattern.args)
-        and all(_match_fo(p, t, sigma) for p, t in zip(pattern.args, target.args))
-    )
+    """Extend sigma so that pattern under it is target, or return False; pairs wait on a stack."""
+    pairs = [(pattern, target)]
+    while pairs:
+        p, t = pairs.pop()
+        if type(p) is FoVar:
+            if sigma.setdefault(p.name, t) != t:
+                return False
+        elif type(t) is not FoApp or t.sym != p.sym or len(t.args) != len(p.args):
+            return False
+        else:
+            pairs += zip(reversed(p.args), reversed(t.args))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -340,33 +338,42 @@ def _key(a) -> tuple:
 _EXIT = object()  # sits above a node on the stack; popped once its children are done
 
 
-def _fold(a: Formula, combine, slot: Optional[str] = None):
-    """combine(x, kids) on every node x of a, children first; returns a's result.
+def _children(a: Formula) -> tuple:
+    """a's subformulas, left to right: (left, right) for an arrow, (body,) for a quantifier."""
+    if type(a) is Arrow:
+        return (a.left, a.right)
+    if isinstance(a, Quantifier):
+        return (a.body,)
+    return ()
 
-    kids holds the results of x's children: (left, right) for an arrow,
-    (body,) for a quantifier and () otherwise, so leaves are combined left
-    to right. With a slot, each result is cached on its node, and a node
-    whose slot is already filled is not entered. The stack is explicit, so
-    depth is bounded by memory, not by the recursion limit.
+
+def _fold(a, combine, children=_children, slot: Optional[str] = None):
+    """combine(x, kids) on every node x of the tree from a, children first; returns a's result.
+
+    kids holds the results of children(x), in order, so leaves are combined
+    left to right. The children are a formula's subformulas by default; a
+    first-order term's are its arguments, a derivation's its premises. With
+    a slot, each result is cached on its node, and a node whose slot is
+    already filled is not entered. The stack is explicit, so depth is
+    bounded by memory, not by the recursion limit.
     """
-    done: list = []  # results, each after those of its children
+    done: list = []  # results of the nodes whose parent is not yet combined
     stack: list = [a]
     while stack:
         x = stack.pop()
         if x is _EXIT:
+            n = stack.pop()
             x = stack.pop()
-            last = done.pop()
-            kids = (done.pop(), last) if type(x) is Arrow else (last,)
+            kids = tuple(done[-n:])
+            del done[-n:]
         elif slot is not None and getattr(x, slot) is not None:
             done.append(getattr(x, slot))
             continue
-        elif type(x) is Arrow:
-            stack += (x, _EXIT, x.right, x.left)
-            continue
-        elif isinstance(x, Quantifier):
-            stack += (x, _EXIT, x.body)
-            continue
         else:
+            ps = children(x)
+            if ps:
+                stack += (x, len(ps), _EXIT, *ps[::-1])
+                continue
             kids = ()
         out = combine(x, kids)
         if slot is not None:
@@ -414,7 +421,7 @@ def _free_vars(a: Formula, ns: int) -> frozenset[str]:
             return _EMPTY.union(*map(fo_vars, x.args)) or _EMPTY
         return frozenset((x.name,)) if x.ns == ns else _EMPTY
 
-    return _fold(a, combine, slot)
+    return _fold(a, combine, slot=slot)
 
 
 def fv_fo(a: Formula) -> frozenset[str]:
@@ -439,7 +446,7 @@ def _propositional(x: Formula, kids: tuple) -> bool:
 def _is_propositional(a: Formula) -> bool:
     """No atom arguments and no first-order quantifier; cached on a and below."""
     out = a._prop
-    return _fold(a, _propositional, "_prop") if out is None else out
+    return _fold(a, _propositional, slot="_prop") if out is None else out
 
 
 def pred_arities(a: Formula) -> dict:
@@ -472,10 +479,6 @@ class PredAbstraction:
         if len(set(self.params)) != len(self.params):
             raise FormulaError("abstraction parameters must be distinct")
 
-    @property
-    def arity(self) -> int:
-        return len(self.params)
-
     def apply(self, args: Sequence[FoTerm]) -> Formula:
         if len(args) != len(self.params):
             raise FormulaError(
@@ -494,12 +497,14 @@ def _subst(a: Formula, fo: Mapping[str, FoTerm], so: Mapping[tuple, object]) -> 
     PredAbstraction or to a renamed binder's new name. A binder that would
     capture a name brought in by the replacement of a variable free in its
     body is primed to fresh_name(var, brought | free variables of the body);
-    the renaming joins the maps, which are never changed in place. The
+    the renaming joins the maps, which are never changed in place, and
+    each first-order replacement's variables are walked once per call. The
     stack is explicit, left before right, as _fold's; a node under which
     nothing changes is returned as it is.
     """
     done: list = []  # results, each after those of its left siblings
     stack: list = [(a, fo, so)]
+    walked: dict = {}  # id of a first-order replacement -> (it, its fo_vars), one walk each
     while stack:
         item = stack.pop()
         if item is _EXIT:
@@ -544,7 +549,10 @@ def _subst(a: Formula, fo: Mapping[str, FoTerm], so: Mapping[tuple, object]) -> 
         brought: set[str] = set()
         if ns == 0:
             for t in fo.values():
-                brought |= fo_vars(t)
+                got = walked.get(id(t))
+                if got is None:
+                    got = walked[id(t)] = (t, fo_vars(t))
+                brought |= got[1]
         for (kns, _), v in so.items():
             if type(v) is str:
                 if kns == ns:
@@ -750,18 +758,13 @@ class EquationSet:
     def _infer_signature(self) -> dict[str, int]:
         sig: dict[str, int] = {"0": 0, "s": 1}
 
-        def scan(t: FoTerm) -> None:
-            if isinstance(t, FoApp):
-                if sig.setdefault(t.sym, len(t.args)) != len(t.args):
-                    raise FormulaError(
-                        f"function symbol {t.sym} used with conflicting arities"
-                    )
-                for a in t.args:
-                    scan(a)
+        def note(t: FoTerm, _kids) -> None:
+            if type(t) is FoApp and sig.setdefault(t.sym, len(t.args)) != len(t.args):
+                raise FormulaError(f"function symbol {t.sym} used with conflicting arities")
 
         for e in self.equations:
-            scan(e.lhs)
-            scan(e.rhs)
+            _fold(e.lhs, note, _args)
+            _fold(e.rhs, note, _args)
         return sig
 
     def __iter__(self):
@@ -813,55 +816,61 @@ def apply_equation(
             "these variables occur only in the replacement side"
         )
 
-    def rewrite_term(t: FoTerm, path: Sequence[int], bound: frozenset[str]) -> FoTerm:
-        if not path:
-            sigma: dict[str, FoTerm] = {}
-            if not _match_fo(pattern, t, sigma):
-                raise FormulaError(
-                    f"equation side {print_foterm(pattern)} does not match "
-                    f"{print_foterm(t)}"
-                )
-            captured = fo_vars(t) & bound
-            if captured:
-                raise FormulaError(
-                    f"occurrence mentions {sorted(captured)} bound above it; "
-                    "the equation does not apply to captured positions"
-                )
-            return fo_subst(replacement, sigma)
-        i, rest = path[0], path[1:]
-        if not isinstance(t, FoApp) or not 0 <= i < len(t.args):
-            raise FormulaError("path leaves the term")
-        return FoApp(
-            t.sym, t.args[:i] + (rewrite_term(t.args[i], rest, bound),) + t.args[i + 1 :]
-        )
-
-    def rewrite(f: Formula, path: Sequence[int], bound: frozenset[str]) -> Formula:
-        tf = type(f)
-        if isinstance(f, Atom):
-            if not path:
-                raise FormulaError("path stops at an atom, not at a term position")
-            i, rest = path[0], path[1:]
-            if not 0 <= i < len(f.args):
-                raise FormulaError("no such atom argument")
-            args = f.args[:i] + (rewrite_term(f.args[i], rest, bound),) + f.args[i + 1 :]
-            return tf(f.name, args)
-        if not path:
-            raise FormulaError("path stops before reaching an atom")
-        i, rest = path[0], path[1:]
-        if tf is Arrow:
+    # down the path: each node passed, with the index taken out of it
+    trail: list[tuple] = []
+    bound: set[str] = set()  # the first-order binders passed
+    x = a
+    for i in path:
+        tx = type(x)
+        if tx is Arrow:
             if i == 0:
-                return Arrow(rewrite(f.left, rest, bound), f.right)
-            if i == 1:
-                return Arrow(f.left, rewrite(f.right, rest, bound))
-            raise FormulaError("arrow children are 0 and 1")
-        if isinstance(f, Quantifier):
+                child = x.left
+            elif i == 1:
+                child = x.right
+            else:
+                raise FormulaError("arrow children are 0 and 1")
+        elif isinstance(x, Quantifier):
             if i != 0:
                 raise FormulaError("quantifier child is 0")
-            inner = bound | {f.var} if f.ns == 0 else bound
-            return tf(f.var, rewrite(f.body, rest, inner))
-        raise FormulaError("path leaves the formula")
-
-    return rewrite(a, tuple(path), frozenset())
+            if x.ns == 0:
+                bound.add(x.var)
+            child = x.body
+        elif tx is Bot:
+            raise FormulaError("path leaves the formula")
+        elif tx is FoVar or not 0 <= i < len(x.args):
+            atom = isinstance(x, Atom)
+            raise FormulaError("no such atom argument" if atom else "path leaves the term")
+        else:
+            child = x.args[i]
+        trail.append((x, i))
+        x = child
+    if isinstance(x, Formula):
+        if isinstance(x, Atom):
+            raise FormulaError("path stops at an atom, not at a term position")
+        raise FormulaError("path stops before reaching an atom")
+    sigma: dict[str, FoTerm] = {}
+    if not _match_fo(pattern, x, sigma):
+        raise FormulaError(
+            f"equation side {print_foterm(pattern)} does not match {print_foterm(x)}"
+        )
+    captured = fo_vars(x) & bound
+    if captured:
+        raise FormulaError(
+            f"occurrence mentions {sorted(captured)} bound above it; "
+            "the equation does not apply to captured positions"
+        )
+    # back up: every node passed is rebuilt over its new child
+    new = fo_subst(replacement, sigma)
+    for x, i in reversed(trail):
+        tx = type(x)
+        if tx is Arrow:
+            new = Arrow(new, x.right) if i == 0 else Arrow(x.left, new)
+        elif isinstance(x, Quantifier):
+            new = tx(x.var, new)
+        else:
+            args = x.args[:i] + (new,) + x.args[i + 1 :]
+            new = FoApp(x.sym, args) if tx is FoApp else tx(x.name, args)
+    return new
 
 
 # ---------------------------------------------------------------------------

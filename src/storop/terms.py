@@ -315,6 +315,7 @@ _TOKEN = re.compile(
     r"|([^ \t\r\n]))"
 )
 _PUNCT = {"\\": "lam", "λ": "lam", "(": "(", ")": ")"}
+_MAX_DIGITS = 6  # of an @church: suffix, so the numerals read are below a million
 
 
 def _tokenize(src: str):
@@ -335,6 +336,8 @@ def _tokenize(src: str):
             name, colon, digits = text[1:].partition(":")
             if colon and not digits:
                 raise ParseError("expected digits after ':'", at + len(text))
+            if len(digits) > _MAX_DIGITS:
+                raise ParseError(f"more than {_MAX_DIGITS} digits after ':'", at + len(name) + 2)
             toks.append(("at", (name, int(digits) if colon else None), at))
         at += len(text)
     toks.append(("end", "", len(src)))
@@ -345,7 +348,7 @@ def parse_term(src: str, builtins: Mapping[str, Term] | None = None) -> Term:
     """Parse the concrete syntax described in the module docstring.
 
     ``@name`` splices a term from the builtins mapping; ``@church:N`` is the
-    numeral N and needs no mapping.
+    numeral N, of at most six digits, and needs no mapping.
     """
     toks = _tokenize(src)
 

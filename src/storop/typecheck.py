@@ -10,11 +10,12 @@ inst-bot, eq. Fragments restrict the rule set: 'af2' forbids the bottomed
 rules, 'af2-bot' allows everything, 'fperp' is propositional (no
 first-order layer anywhere, no eq) with the bottomed rules allowed.
 
-No walker here recurses. One post-order fold over an explicit stack,
-``_fold_premises``, serves ``Derivation.node_count``, ``forget_derivation``,
-``lift_star_to_bot``, ``write_derivation`` and ``read_derivation`` (over the
-parsed forms). ``check_derivation`` walks the same order in its own loop,
-which calls ``_check_node`` directly and keeps the node's path as one list.
+No walker here recurses. The formulas module's post-order fold over an
+explicit stack, ``_fold``, given a node's premises as its children, serves
+``Derivation.node_count``, ``forget_derivation``, ``lift_star_to_bot``,
+``write_derivation`` and ``read_derivation`` (over the parsed forms).
+``check_derivation`` walks the same order in its own loop, which calls
+``_check_node`` directly and keeps the node's path as one list.
 ``Derivation.__eq__`` compares premise pairs off a stack of its own, and a
 derivation's repr shows its root node alone.
 
@@ -138,7 +139,7 @@ class Derivation:
     premises: tuple = ()
 
     def node_count(self) -> int:
-        return _fold_premises(self, lambda _node, kids: 1 + sum(kids))
+        return _fold(self, lambda _node, kids: 1 + sum(kids), _premises)
 
     def __eq__(self, other):
         """Field by field, as @dataclass would, over an explicit stack of premise pairs."""
@@ -195,37 +196,14 @@ _ARITY = {
     "eq": 1,
 }
 
+_premises = attrgetter("premises")  # a node's children for _fold
+
 # the namespace a gen-/inst- rule names: its quantifier, free variables, noun
 _QUANTIFIERS = {
     "fo": (ForallFo, fv_fo, "first-order"),
     "pred": (ForallPred, fv_pred, "predicate"),
     "bot": (ForallBot, fv_bot, "bottomed"),
 }
-
-
-def _fold_premises(root, combine, premises=attrgetter("premises")):
-    """combine(x, kids) on every node x from root, premises first; returns root's result.
-
-    kids holds the results of premises(x), in order. The stack is explicit,
-    so depth is bounded by memory, not by the recursion limit.
-    """
-    done: list = []  # results of the nodes whose parent is not yet combined
-    stack: list = [root]
-    while stack:
-        x = stack.pop()
-        if x is _EXIT:
-            n = stack.pop()
-            x = stack.pop()
-            kids = tuple(done[-n:])
-            del done[-n:]
-        else:
-            ps = premises(x)
-            if ps:
-                stack += (x, len(ps), _EXIT, *ps[::-1])
-                continue
-            kids = ()
-        done.append(combine(x, kids))
-    return done.pop()
 
 
 def check_derivation(
@@ -391,7 +369,7 @@ def forget_derivation(d: Derivation) -> Derivation:
             witness = PredAbstraction((), forget_first_order(witness.body))
         return Derivation(node.rule, ctx, node.term, forget_first_order(node.type), witness, kids)
 
-    return _fold_premises(d, combine)
+    return _fold(d, combine, _premises)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +426,7 @@ def lift_star_to_bot(d: Derivation) -> Derivation:
             node.rule, rewrite_ctx(node.ctx), node.term, node.type, node.witness, kids
         )
 
-    body = _fold_premises(absd.premises[0], combine, premises)
+    body = _fold(absd.premises[0], combine, premises)
     new_abs = Derivation(
         "abs", absd.ctx, absd.term, Arrow(bot, absd.type.right), None, (body,)
     )
@@ -485,7 +463,7 @@ def write_derivation(d: Derivation) -> str:
 
     # the nodes of a premises section sit two levels deeper than its opener
     pad, out = "", []
-    for line in _fold_premises(d, combine):
+    for line in _fold(d, combine, _premises):
         if line == "  )":
             pad = pad[:-4]
         out.append(pad + line)
@@ -559,7 +537,7 @@ def read_derivation(src: str) -> Derivation:
     forms = _sexp_parse(src)
     if len(forms) != 1:
         raise ValueError("expected exactly one derivation form")
-    return _fold_premises(forms[0], partial(_read_node, {}), _premise_forms)
+    return _fold(forms[0], partial(_read_node, {}), _premise_forms)
 
 
 def _read_formula(src: str, table: dict) -> Formula:

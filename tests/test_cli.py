@@ -61,6 +61,14 @@ def test_reduce_parse_error_is_exit_2(capsys, source):
     assert "does not parse" in err
 
 
+# 4,301 digits passed Python's limit on int() and exited 4; a suffix is now
+# read only up to six digits, and the numeral is never built
+def test_reduce_oversized_church_suffix_is_exit_2(capsys):
+    code, _, err = run(capsys, "reduce", "@church:" + "9" * 4301)
+    assert code == 2
+    assert "does not parse: more than 6 digits after ':' (at offset 8)" in err
+
+
 def test_reduce_trace_lists_every_intermediate(capsys):
     code, out, _ = run(capsys, "reduce", "(@succ) @church:1", "--strategy", "normal", "--trace")
     assert code == 0

@@ -568,6 +568,29 @@ def test_instantiate_builds_each_instance_once_per_witness_object(monkeypatch):
     assert calls == [q.body]
 
 
+def test_subst_walks_each_first_order_replacement_once(monkeypatch):
+    # every binder the witness passes asks for its variables; it used to walk them anew
+    ys = [f"y{i}" for i in range(100)]
+    q = F("!x " + " ".join("!" + y for y in ys) + f" X({', '.join(ys)}, x)")
+    with collector_paused():
+        w = _numeral_term(20_000)
+    walks = 0
+    fo_vars = formulas.fo_vars
+
+    def counted(t):
+        nonlocal walks
+        walks += t is w
+        return fo_vars(t)
+
+    monkeypatch.setattr(formulas, "fo_vars", counted)
+    out = instantiate(q, w)
+    assert walks == 1
+    for y in ys:
+        assert type(out) is ForallFo and out.var == y
+        out = out.body
+    assert out.args[-1] is w
+
+
 def test_pred_arities():
     got = pred_arities(F("X(0) -> X_|(x, y) -> $P"))
     assert got == {("pred", "X"): 1, ("bot", "X"): 2, ("sym", "P"): 0}
@@ -828,6 +851,61 @@ def test_apply_equation_direction_validation():
     eqs = parse_equations("p0: p(0) = 0")
     with pytest.raises(FormulaError):
         apply_equation(F("X(p(0))"), eqs.get("p0"), (0,), "sideways")
+
+
+@pytest.mark.parametrize(
+    "eq, src, path, direction, message",
+    [
+        ("p0: p(0) = 0", "X(p(0)) -> Y", (0,), "lr",
+         "path stops at an atom, not at a term position"),
+        ("p0: p(0) = 0", "X(p(0)) -> Y", (), "lr", "path stops before reaching an atom"),
+        ("p0: p(0) = 0", "X(p(0)) -> Y", (0, 1), "lr", "no such atom argument"),
+        ("p0: p(0) = 0", "X(p(0)) -> Y", (0, -1), "lr", "no such atom argument"),
+        ("p0: p(0) = 0", "X(p(0)) -> Y", (2, 0), "lr", "arrow children are 0 and 1"),
+        ("p0: p(0) = 0", "!x X(p(x))", (1, 0), "lr", "quantifier child is 0"),
+        ("p0: p(0) = 0", "X(p(0)) -> Y", (0, 0, 0, 0), "lr", "path leaves the term"),
+        ("p0: p(0) = 0", "X(p(y))", (0, 0, 0, 0), "lr", "path leaves the term"),
+        ("p0: p(0) = 0", "X(p(0)) -> bot", (1, 0), "lr", "path leaves the formula"),
+        ("p0: p(0) = 0", "X(s(0))", (0,), "lr", "equation side p(0) does not match s(0)"),
+        ("ps: p(s(x)) = x", "!y X(p(s(y)))", (0, 0), "lr",
+         "occurrence mentions ['y'] bound above it; "
+         "the equation does not apply to captured positions"),
+        ("w: f(x, y) = x", "X(0)", (0,), "rl",
+         "rewrite would not determine ['y']; "
+         "these variables occur only in the replacement side"),
+        ("p0: p(0) = 0", "X(p(0))", (0,), "sideways", "direction must be 'lr' or 'rl'"),
+    ],
+)
+def test_apply_equation_messages(eq, src, path, direction, message):
+    (equation,) = parse_equations(eq)
+    with pytest.raises(FormulaError) as exc:
+        apply_equation(F(src), equation, path, direction)
+    assert str(exc.value) == message
+
+
+DEPTH = 30_000  # each scan and rewrite level was one Python frame
+
+
+def test_parse_equations_at_depth_30000():
+    eqs = deep(parse_equations, "deep: " + "p(" * DEPTH + "x" + ")" * DEPTH + " = x")
+    assert eqs.signature == {"0": 0, "s": 1, "p": 1}
+    with collector_paused():
+        lhs = FoVar("x")
+        for _ in range(DEPTH):
+            lhs = FoApp("p", (lhs,))
+    assert deep(operator.eq, eqs.get("deep").lhs, lhs)
+    with pytest.raises(FormulaError, match="function symbol p used with conflicting arities"):
+        deep(parse_equations, "deep: " + "p(" * DEPTH + "p(0, 0)" + ")" * DEPTH + " = 0")
+
+
+def test_apply_equation_at_a_path_of_30001_indices():
+    (p0,) = parse_equations("p0: p(0) = 0")
+    with collector_paused():
+        a = PredVarApp("X", (_numeral_term(DEPTH, FoApp("p", (FoApp("0"),))),))
+        expected = PredVarApp("X", (_numeral_term(DEPTH),))
+    out = deep(apply_equation, a, p0, (0,) * (DEPTH + 1))
+    assert deep(operator.eq, out, expected)
+    assert deep(apply_equation, out, p0, (0,) * (DEPTH + 1), "rl") == a
 
 
 def test_fo_helpers():

@@ -20,6 +20,7 @@ from storop.terms import (
     print_term,
     substitute,
     term_size,
+    _tokenize,
 )
 
 from deep import collector_paused, deep
@@ -116,6 +117,14 @@ def test_parse_primes_in_names():
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         P(bad)
+
+
+def test_church_suffix_takes_at_most_six_digits():
+    # the tokenizer alone, so no numeral is built
+    assert _tokenize("@church:999999")[0] == ("at", ("church", 999_999), 0)
+    assert _tokenize("@church:000001")[0] == ("at", ("church", 1), 0)
+    with pytest.raises(ParseError, match=r"more than 6 digits after ':' \(at offset 9\)"):
+        _tokenize(" @church:1000000")
 
 
 def test_lambda_unicode_synonym():
