@@ -19,12 +19,15 @@ as it is, for the same reason.
 
 Substitution decides at the parent: a node enters only a child in which
 the name is free, and puts the value in place of a variable child without
-a call. It recurses; a body too deep for the recursion limit is substituted
-again over an explicit stack that makes the same substitutions, so a term
-of any depth reduces.
+a call. It recurses once per level, so head_reduce and normalize lift
+Python's recursion limit to terms._DEEP while they run, and put it back on
+the way out, errors included; from Python 3.11 these calls take no C
+stack, so a term of any depth reduces. Like the collector pause below,
+the lifted limit is interpreter-wide: it holds for every thread while the
+kernel runs.
 
-head_reduce and normalize pause Python's cyclic garbage collector while
-they run and restore its previous state on the way out, errors included.
+head_reduce and normalize also pause Python's cyclic garbage collector
+while they run and restore its previous state on the way out.
 The kernel allocates many nodes and keeps much of what it builds, so the
 collector's young-generation passes would rescan the live term over and
 over; kernel nodes are immutable trees, which cannot form cycles, so the
@@ -37,10 +40,11 @@ peak memory rose by a fifth.
 from __future__ import annotations
 
 import gc
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from storop.terms import Abs, App, Term, Var, subterms
+from storop.terms import _DEEP, Abs, App, Term, Var, subterms
 
 __all__ = [
     "DEFAULT_FUEL",
@@ -125,60 +129,6 @@ def _subst1(t, name, value):
     return Abs(binder, value if type(body) is Var else _subst1(body, name, value))
 
 
-# _subst1_stack's work items: substitute into a node, finish an application
-# or an abstraction from the results below it, or substitute the original
-# name into a body whose binder was just renamed
-_SUB, _APP, _ABS, _THEN = range(4)
-
-
-def _subst1_stack(t, name, value):
-    """_subst1 over an explicit stack, for a t in which name is free: the
-    same substitutions in the same order, so the same result and the same
-    primed binders."""
-    done = []  # finished subterms, the most recent on top
-    todo = [(_SUB, t, name, value)]
-    while todo:
-        op, t, name, value = todo.pop()
-        if op is _SUB:
-            tt = type(t)
-            if tt is Var:
-                done.append(value)
-            elif tt is App:
-                todo.append((_APP, t, name, value))
-                for child in (t.arg, t.fn):  # the function runs first
-                    if name in child.fv and type(child) is not Var:
-                        todo.append((_SUB, child, name, value))
-            else:
-                binder = t.binder
-                body = t.body
-                if binder in value.fv:
-                    avoid = value.fv | body.fv
-                    nb = binder
-                    while nb in avoid:
-                        nb = nb + "'"
-                    todo.append((_ABS, nb, None, None))
-                    if binder in body.fv:
-                        todo.append((_THEN, None, name, value))
-                        todo.append((_SUB, body, binder, Var(nb)))
-                        continue
-                else:
-                    todo.append((_ABS, binder, None, None))
-                todo.append((_SUB, body, name, value))
-        elif op is _APP:
-            arg = t.arg
-            if name in arg.fv:
-                arg = value if type(arg) is Var else done.pop()
-            fn = t.fn
-            if name in fn.fv:
-                fn = value if type(fn) is Var else done.pop()
-            done.append(App(fn, arg))
-        elif op is _ABS:
-            done.append(Abs(t, done.pop()))
-        else:
-            todo.append((_SUB, done.pop(), name, value))
-    return done.pop()
-
-
 def _spine(t, fuel):
     """Head-reduce t with at most fuel contractions, keeping the spine.
 
@@ -208,10 +158,7 @@ def _spine(t, fuel):
             if t.binder not in body.fv or (type(a) is Var and a.name == t.binder):
                 t = body
             else:
-                try:
-                    t = _subst1(body, t.binder, a)
-                except RecursionError:
-                    t = _subst1_stack(body, t.binder, a)
+                t = _subst1(body, t.binder, a)
             steps += 1
     args.reverse()
     return binders, t, args, steps
@@ -233,12 +180,15 @@ def head_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
     """
     _check_fuel(fuel)
     collecting = gc.isenabled()
+    limit = sys.getrecursionlimit()
     gc.disable()
+    sys.setrecursionlimit(_DEEP)
     try:
         binders, head, args, steps = _spine(t, fuel)
         status = FUEL_EXHAUSTED if type(head) is Abs else HEAD_NORMAL_FORM
         return ReductionOutcome(_rebuild(binders, head, args) if steps else t, steps, status)
     finally:
+        sys.setrecursionlimit(limit)
         if collecting:
             gc.enable()
 
@@ -256,7 +206,9 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
     # (binders, head, args, i, node): argument i is being normalized; node is
     # the spine's own term while nothing in it has changed, else None
     collecting = gc.isenabled()
+    limit = sys.getrecursionlimit()
     gc.disable()
+    sys.setrecursionlimit(_DEEP)
     try:
         waiting = []
         while True:
@@ -277,6 +229,7 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
             waiting.append((binders, head, args, i, node))
             t = args[i]
     finally:
+        sys.setrecursionlimit(limit)
         if collecting:
             gc.enable()
 

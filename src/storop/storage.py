@@ -186,6 +186,24 @@ def _reduce_within(run, t: Term, fuel: int) -> ReductionOutcome:
     return out if out.steps == 0 else ReductionOutcome(t, 0, FUEL_EXHAUSTED)
 
 
+def _read_output(tau: Term, n: int, fuel: int, strict: bool) -> tuple[str, Optional[int], str]:
+    """The verdict on tau, what f received: (status, value, detail).
+
+    tau must normalize within fuel, as _reduce_within counts it, to a
+    numeral, which under strict must be n; value is that numeral, None when
+    there is none.
+    """
+    norm = _reduce_within(normalize, tau, fuel)
+    if not norm.completed:
+        return FUEL_EXHAUSTED, None, "the output did not normalize in fuel"
+    value = numeral_of(norm.result)
+    if value is None:
+        return TAU_NOT_NUMERAL, None, f"the output normalizes to {print_term(norm.result)}"
+    if strict and value != n:
+        return TAU_WRONG_VALUE, value, f"expected {n}, got {value}"
+    return OK, value, ""
+
+
 def certify(
     op: Term,
     n: int,
@@ -237,20 +255,8 @@ def certify(
                     detail=f"terminal must carry exactly one argument, found {len(args)}",
                 )
             tau = args[0]
-            norm = _reduce_within(normalize, tau, fuel_left)
-            fuel_left -= norm.steps
-            if not norm.completed:
-                return done(FUEL_EXHAUSTED, print_term(tau), detail="the output did not normalize in fuel")
-            value = numeral_of(norm.result)
-            if value is None:
-                return done(
-                    TAU_NOT_NUMERAL,
-                    print_term(tau),
-                    detail=f"the output normalizes to {print_term(norm.result)}",
-                )
-            if strict and value != n:
-                return done(TAU_WRONG_VALUE, print_term(tau), value, f"expected {n}, got {value}")
-            return done(OK, print_term(tau), value)
+            status, value, detail = _read_output(tau, n, fuel_left, strict)
+            return done(status, print_term(tau), value, detail)
 
         # the iterator at the head, v or an indexed variable: its value, its two
         # arguments and the rest; both kinds then expand the same way
@@ -386,13 +392,5 @@ def behavioral_check(
     r = out.result
     if not (type(r) is App and type(r.fn) is Var and r.fn.name == f):
         return BehavioralResult(False, BAD_HEAD_SHAPE)
-    tau = r.arg
-    norm = normalize(tau, fuel)
-    if not norm.completed:
-        return BehavioralResult(False, FUEL_EXHAUSTED, tau)
-    value = numeral_of(norm.result)
-    if value is None:
-        return BehavioralResult(False, TAU_NOT_NUMERAL, tau)
-    if strict and value != n:
-        return BehavioralResult(False, TAU_WRONG_VALUE, tau, value)
-    return BehavioralResult(True, OK, tau, value)
+    status, value, _ = _read_output(r.arg, n, fuel, strict)
+    return BehavioralResult(status == OK, status, r.arg, value)

@@ -10,7 +10,9 @@ numeral zero.
 
 Term equality is alpha-equivalence; hashing agrees with it. Equality,
 hashing, printing and parsing walk explicit stacks, so they work at any
-depth; ``substitute`` and ``match_holes`` still recurse once per level.
+depth. ``substitute`` and ``match_holes`` recurse once per level, with the
+recursion limit lifted while they run (see ``_deep``), so they work at any
+depth too.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from __future__ import annotations
 import re
 import sys
 from typing import Iterator, Mapping, Optional
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 __all__ = [
     "Term",
@@ -164,6 +164,22 @@ def fresh_name(stem: str, avoid) -> str:
 # ---------------------------------------------------------------------------
 # substitution
 
+# The largest recursion limit CPython accepts. From Python 3.11 a call from
+# one Python function to another takes no C stack, so under this limit a
+# recursive walker is bounded by memory alone.
+_DEEP = 2**31 - 1
+
+
+def _deep(fn, *args):
+    """fn(*args) with the recursion limit lifted to _DEEP, and put back as it
+    was afterwards, errors included. The limit is interpreter-wide."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_DEEP)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
 
 def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     """Simultaneous capture-avoiding substitution of free variables.
@@ -173,7 +189,7 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     """
     if not mapping:
         return t
-    return _subst(t, dict(mapping))
+    return _deep(_subst, t, dict(mapping))
 
 
 def _subst(t: Term, m: dict[str, Term]) -> Term:
@@ -251,7 +267,7 @@ def match_holes(
     or one hole would need two non-alpha-equal values.
     """
     sigma: dict[str, Term] = {}
-    if not _match(pattern, term, holes, {}, {}, 0, sigma):
+    if not _deep(_match, pattern, term, holes, {}, {}, 0, sigma):
         return None
     if substitute(pattern, sigma) != term:
         return None

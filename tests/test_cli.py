@@ -9,7 +9,7 @@ import pytest
 
 import storop
 from deep import deep
-from storop import cli, reduction
+from storop import cli
 from storop.cli import main
 from storop.builtins import BUILTINS
 from storop.reduction import normalize
@@ -128,12 +128,6 @@ def _reduce_digest(capsys) -> str:
 
 
 def test_reduce_output_fingerprint(capsys):
-    assert _reduce_digest(capsys) == REDUCE_DIGEST
-
-
-def test_reduce_output_fingerprint_through_the_stack_copy_alone(capsys, monkeypatch):
-    # no substitution recurses: every one is made by reduction._subst1_stack
-    monkeypatch.setattr(reduction, "_subst1", reduction._subst1_stack)
     assert _reduce_digest(capsys) == REDUCE_DIGEST
 
 

@@ -2,6 +2,9 @@
 every private module-level name in the package is read somewhere in it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,11 +126,12 @@ def test_self_call_scanner():
     assert recursive_functions(src) == ["even", "f", "odd", "un", "walk"]
 
 
-# The walkers that still recurse once per node, so a deep enough input hits the
-# recursion limit, for every module of the package. The lists may only
-# shrink: a new walker uses an explicit stack, as formulas._key does, or
-# formulas._fold, the one post-order fold over formulas, first-order terms
-# and derivations.
+# The walkers that still recurse once per node, for every module of the
+# package. They run with the recursion limit lifted (terms._deep,
+# head_reduce, normalize), so their depth is bounded by memory. The lists
+# may only shrink: a new walker uses an explicit stack, as formulas._key
+# does, or formulas._fold, the one post-order fold over formulas,
+# first-order terms and derivations.
 STILL_RECURSIVE = {
     "reduction.py": ["_subst1"],
     "terms.py": ["_match", "_subst"],
@@ -140,31 +144,31 @@ def test_no_new_recursive_walkers(path):
     assert recursive_functions(source) == STILL_RECURSIVE.get(path.name, [])
 
 
-def _pauses_collector(node: ast.AST) -> bool:
+def _calls(node: ast.AST, module: str, attr: str) -> bool:
     return any(
         isinstance(n, ast.Call)
         and isinstance(n.func, ast.Attribute)
-        and n.func.attr == "disable"
+        and n.func.attr == attr
         and isinstance(n.func.value, ast.Name)
-        and n.func.value.id == "gc"
+        and n.func.value.id == module
         for n in ast.walk(node)
     )
 
 
-def collector_pauses(source: str) -> list[str]:
-    """The functions that call gc.disable(), "<module>" for a call outside
-    any function, and "from gc" for a name imported from gc."""
+def callers(source: str, module: str, attr: str) -> list[str]:
+    """The functions that call module.attr(), "<module>" for a call outside
+    any function, and "from <module>" for a name imported from module."""
     tree = ast.parse(source)
     found = {
         fn.name
         for fn in ast.walk(tree)
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _pauses_collector(fn)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls(fn, module, attr)
     }
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    if any(_pauses_collector(s) for s in tree.body if not isinstance(s, defs)):
+    if any(_calls(s, module, attr) for s in tree.body if not isinstance(s, defs)):
         found.add("<module>")
-    if any(isinstance(n, ast.ImportFrom) and n.module == "gc" for n in ast.walk(tree)):
-        found.add("from gc")
+    if any(isinstance(n, ast.ImportFrom) and n.module == module for n in ast.walk(tree)):
+        found.add(f"from {module}")
     return sorted(found)
 
 
@@ -175,8 +179,8 @@ def test_collector_pause_scanner():
         "def g():\n    gc.enable()\n"
         "class C:\n    def m(self):\n        gc.disable()\n"
     )
-    assert collector_pauses(src) == ["<module>", "f", "m"]
-    assert collector_pauses("from gc import disable\n") == ["from gc"]
+    assert callers(src, "gc", "disable") == ["<module>", "f", "m"]
+    assert callers("from gc import disable\n", "gc", "disable") == ["from gc"]
 
 
 # The kernel's two loops pause the cyclic collector while they build terms,
@@ -187,4 +191,43 @@ PAUSES_COLLECTOR = {"reduction.py": ["head_reduce", "normalize"]}
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_only_the_kernel_pauses_the_collector(path):
     source = path.read_text(encoding="utf-8")
-    assert collector_pauses(source) == PAUSES_COLLECTOR.get(path.name, [])
+    assert callers(source, "gc", "disable") == PAUSES_COLLECTOR.get(path.name, [])
+
+
+def test_recursion_limit_scanner():
+    src = (
+        "import sys\nsys.setrecursionlimit(10**6)\n"
+        "def f():\n    sys.setrecursionlimit(10**6)\n"
+        "def g():\n    sys.getrecursionlimit()\n"
+        "class C:\n    def m(self):\n        sys.setrecursionlimit(10**6)\n"
+    )
+    assert callers(src, "sys", "setrecursionlimit") == ["<module>", "f", "m"]
+    assert callers("from sys import setrecursionlimit\n", "sys", "setrecursionlimit") == [
+        "from sys"
+    ]
+
+
+# The recursive walkers in STILL_RECURSIVE run with the recursion limit lifted,
+# and only these functions lift it, each for as long as its own call runs.
+# No module sets it on import.
+SETS_RECURSION_LIMIT = {"reduction.py": ["head_reduce", "normalize"], "terms.py": ["_deep"]}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_deep_walks_set_the_recursion_limit(path):
+    source = path.read_text(encoding="utf-8")
+    assert callers(source, "sys", "setrecursionlimit") == SETS_RECURSION_LIMIT.get(path.name, [])
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    code = (
+        "import sys\n"
+        "before = sys.getrecursionlimit()\n"
+        "import storop, storop.cli\n"
+        "print(before, sys.getrecursionlimit())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout.split()
+    assert out[0] == out[1]

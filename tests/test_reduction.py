@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import sys
 import time
 
 import pytest
@@ -14,13 +15,12 @@ from storop.reduction import (
     FUEL_EXHAUSTED,
     HEAD_NORMAL_FORM,
     NORMAL_FORM,
-    _subst1_stack,
     beta_equiv,
     head_reduce,
     is_normal,
     normalize,
 )
-from storop.terms import Abs, App, Var, church, numeral_of, print_term
+from storop.terms import _DEEP, Abs, App, Var, church, numeral_of, print_term
 
 
 OMEGA = BUILTINS["omega"]
@@ -324,27 +324,12 @@ def test_kernel_output_fingerprint(family):
     assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGESTS[family]
 
 
-@pytest.mark.parametrize("family", sorted(KERNEL_DIGESTS))
-def test_kernel_output_fingerprint_through_the_stack_copy_alone(family, monkeypatch):
-    # every substitution is made by _subst1_stack
-    copies = []
-
-    def counted_copy(t, name, value):
-        copies.append(name)
-        return _subst1_stack(t, name, value)
-
-    monkeypatch.setattr(reduction, "_subst1", counted_copy)
-    text = "\n".join(_kernel_lines(family))
-    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGESTS[family]
-    assert copies
-
-
-def test_subst1_stack_past_the_recursion_limit():
+def test_head_reduce_contracts_into_a_numeral_body_100000_deep():
     with collector_paused():
-        want = church(30_000)
-        body = church(30_000).body.body
-    out = deep(_subst1_stack, body, "x", Var("y"))
-    assert deep(Abs("y", Abs("f", out)).__eq__, want)
+        t = App(church(100_000), Var("y"))
+    out = deep(head_reduce, t)
+    assert (out.steps, out.status) == (1, HEAD_NORMAL_FORM)
+    assert deep(Abs("y", out.result).__eq__, church(100_000))
 
 
 def _capturing_chain(levels, binder):
@@ -355,21 +340,20 @@ def _capturing_chain(levels, binder):
     return t
 
 
-def test_subst1_stack_renames_binders_past_the_recursion_limit():
+def test_head_reduce_renames_binders_in_a_chain_100000_deep():
     # every binder captures y, so each is primed and its body renamed first
     with collector_paused():
-        chain, want = _capturing_chain(30_000, "y"), _capturing_chain(30_000, "y'")
-    out = deep(_subst1_stack, chain, "a", Var("y"))
-    assert deep(print_term, out) == deep(print_term, want).replace("a", "y")
+        t = App(Abs("a", _capturing_chain(100_000, "y")), Var("y"))
+        want = _capturing_chain(100_000, "y'")
+    out = deep(head_reduce, t)
+    assert out.steps == 1
+    assert deep(print_term, out.result) == deep(print_term, want).replace("a", "y")
 
 
 @pytest.mark.parametrize("run", [head_reduce, normalize])
 def test_contraction_past_the_recursion_limit(run):
-    # _subst1 takes two frames a level and runs out of stack in this body;
-    # the step is retried on _subst1_stack
+    # _subst1 takes two frames a level, far more than the default limit allows
     t = App(Abs("a", _capturing_chain(12_000, "y")), Var("y"))
-    with pytest.raises(RecursionError):
-        reduction._subst1(t.fn.body, "a", Var("y"))
     out = deep(run, t)
     want = _capturing_chain(12_000, "y'")
     assert out.steps == 1
@@ -379,14 +363,15 @@ def test_contraction_past_the_recursion_limit(run):
 @pytest.mark.parametrize("run", [head_reduce, normalize])
 @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
 def test_collector_paused_in_the_kernel_and_restored(run, collecting, monkeypatch):
-    seen = []  # whether the collector ran while the spine loop worked
+    seen = []  # whether the collector ran, and the recursion limit, while the spine loop worked
     spine = reduction._spine
 
     def watched(t, fuel):
-        seen.append(gc.isenabled())
+        seen.append((gc.isenabled(), sys.getrecursionlimit()))
         return spine(t, fuel)
 
     monkeypatch.setattr(reduction, "_spine", watched)
+    limit = sys.getrecursionlimit()
     before = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:
@@ -395,17 +380,24 @@ def test_collector_paused_in_the_kernel_and_restored(run, collecting, monkeypatc
     finally:
         (gc.enable if before else gc.disable)()
     assert out.steps > 0
-    assert seen and not any(seen)
+    assert seen and set(seen) == {(False, _DEEP)}
     assert after is collecting
+    assert sys.getrecursionlimit() == limit
 
 
 @pytest.mark.parametrize("run", [head_reduce, normalize])
 def test_collector_restarts_after_a_kernel_error(run, monkeypatch):
+    seen = []
+
     def broken(t, fuel):
+        seen.append(sys.getrecursionlimit())
         raise RuntimeError("spine broke")
 
     monkeypatch.setattr(reduction, "_spine", broken)
+    limit = sys.getrecursionlimit()
     assert gc.isenabled()
     with pytest.raises(RuntimeError, match="spine broke"):
         run(OMEGA)
     assert gc.isenabled()
+    assert seen == [_DEEP]
+    assert sys.getrecursionlimit() == limit

@@ -1,13 +1,16 @@
 import itertools
 import operator
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storop import terms
 from storop.terms import (
+    _DEEP,
     Abs,
     App,
     ParseError,
@@ -290,6 +293,38 @@ def test_substitute_into_nested_binders():
     assert out == P("\\a \\b (a) (b) (x) y")
 
 
+def test_substitute_into_a_body_100000_deep():
+    with collector_paused():
+        body = church(100_000).body.body
+    limit = sys.getrecursionlimit()
+    out = deep(substitute, body, {"x": Var("y")})
+    assert deep(Abs("y", Abs("f", out)).__eq__, church(100_000))
+    assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize(
+    "walker, call",
+    [
+        ("_subst", lambda: substitute(P("x"), {"x": Var("y")})),
+        ("_match", lambda: match_holes(P("x"), P("y"), {"x"})),
+    ],
+    ids=["substitute", "match_holes"],
+)
+def test_recursion_limit_lifted_while_walking_and_restored_on_error(walker, call, monkeypatch):
+    seen = []
+
+    def broken(*args):
+        seen.append(sys.getrecursionlimit())
+        raise RuntimeError("walk broke")
+
+    monkeypatch.setattr(terms, walker, broken)
+    limit = sys.getrecursionlimit()
+    with pytest.raises(RuntimeError, match="walk broke"):
+        call()
+    assert seen == [_DEEP]
+    assert sys.getrecursionlimit() == limit
+
+
 # ---------------------------------------------------------------- numerals
 
 
@@ -353,6 +388,17 @@ def test_match_holes_structure_mismatch():
     pat = App(Var("H"), Var("z"))
     assert match_holes(pat, P("\\x x"), {"H"}) is None
     assert match_holes(pat, P("(a) w"), {"H"}) is None
+
+
+def test_match_holes_on_a_body_100000_deep():
+    with collector_paused():
+        pat = church(100_000).body.body
+        t = App(Var("g"), Var("z"))
+        for _ in range(100_000):
+            t = App(Var("f"), t)
+    limit = sys.getrecursionlimit()
+    assert deep(match_holes, pat, t, {"x"}) == {"x": P("(g) z")}
+    assert sys.getrecursionlimit() == limit
 
 
 # ---------------------------------------------------------------- misc
