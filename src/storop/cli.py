@@ -135,7 +135,15 @@ def cmd_certify(args) -> int:
 
 
 def _certify_range(term, max_n: int, corpus_size: int, fuel: int, out) -> int:
-    """Certify n = 0..max_n, writing each certificate to out as it is made."""
+    """Certify n = 0..max_n, writing each certificate to out as it is made,
+    and check n's corpus against n's certificate before certifying n + 1.
+
+    The behavioural lines are printed after the last certificate line. The
+    first behavioural failure ends the behavioural runs, and is reported
+    once every n is certified.
+    """
+    passed: list[str] = []
+    failed = None  # (n, theta index, status) of the first behavioural failure
     for n in range(max_n + 1):
         cert = certify(term, n, fuel=fuel)
         if out is not None:
@@ -153,18 +161,25 @@ def _certify_range(term, max_n: int, corpus_size: int, fuel: int, out) -> int:
             print(f"certify: failed at n={n} ({cert.status})")
             exhausted = cert.status in (FUEL_EXHAUSTED, STEP_BUDGET_EXHAUSTED)
             return EXIT_FUEL if exhausted else EXIT_FAIL
-
-    for n in range(max_n + 1):
+        if failed is not None:
+            continue
         try:
             corpus = theta_corpus(n, limit=corpus_size, fuel=fuel)
         except CorpusFuelExhausted as e:
-            return _behavioral_failed(n, e.index, FUEL_EXHAUSTED)
+            failed = (n, e.index, FUEL_EXHAUSTED)
+            continue
         for i, theta in enumerate(corpus):
-            res = behavioral_check(term, theta, n, fuel=fuel)
+            res = behavioral_check(term, theta, n, fuel=fuel, cert=cert)
             if not res.ok:
-                return _behavioral_failed(n, i, res.status)
-        print(f"behavioral n={n}: {len(corpus)}/{len(corpus)} ok")
+                failed = (n, i, res.status)
+                break
+        else:
+            passed.append(f"behavioral n={n}: {len(corpus)}/{len(corpus)} ok")
 
+    for line in passed:
+        print(line)
+    if failed is not None:
+        return _behavioral_failed(*failed)
     print(f"certify: ok for n <= {max_n}")
     return EXIT_OK
 

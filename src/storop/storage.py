@@ -10,6 +10,13 @@ exactly one argument; that argument must normalize to the expected numeral.
 A certificate records the whole run, machine step by machine step, and is
 deterministic: replaying the same operator at the same value reproduces the
 same text.
+
+A behavioural check runs the operator on one concrete argument. Given the
+certificate for its n, made under the same strictness and with no more fuel,
+it takes the certificate's verdict when f receives a term alpha-equal to
+the certified tau: alpha-equal terms normalize in the same steps to the
+same numeral. Any other output is normalized and read as the certifier
+reads tau.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from storop.terms import (
     App,
     Term,
     Var,
+    _alpha_eq,
     church,
     fresh_name,
     numeral_of,
@@ -134,6 +142,7 @@ class Certificate:
     tau_value: Optional[int] = None
     detail: str = ""
     registry_terms: tuple[tuple[str, int, Term, Term], ...] = ()
+    tau_term: Optional[Term] = None  # what f received; tau is its text
 
     @property
     def ok(self) -> bool:
@@ -227,8 +236,8 @@ def certify(
 
     def done(status, tau=None, tau_value=None, detail=""):
         return Certificate(
-            printed_op, n, strict, status, tuple(steps), total, tau, tau_value, detail,
-            registry.rows(),
+            printed_op, n, strict, status, tuple(steps), total,
+            None if tau is None else print_term(tau), tau_value, detail, registry.rows(), tau,
         )
 
     while True:
@@ -256,7 +265,7 @@ def certify(
                 )
             tau = args[0]
             status, value, detail = _read_output(tau, n, fuel_left, strict)
-            return done(status, print_term(tau), value, detail)
+            return done(status, tau, value, detail)
 
         # the iterator at the head, v or an indexed variable: its value, its two
         # arguments and the rest; both kinds then expand the same way
@@ -378,12 +387,22 @@ class BehavioralResult:
 
 
 def behavioral_check(
-    op: Term, theta: Term, n: int, fuel: int = DEFAULT_FUEL, strict: bool = True
+    op: Term,
+    theta: Term,
+    n: int,
+    fuel: int = DEFAULT_FUEL,
+    strict: bool = True,
+    cert: Optional[Certificate] = None,
 ) -> BehavioralResult:
     """Run the operator on one concrete argument and inspect the output.
 
     Head-reduces ((op) theta) f for a fresh f; the run must end as f applied
     to exactly one argument, which must normalize to the numeral n.
+
+    ``cert``, when given, must come from certify at a fuel no larger than
+    ``fuel``. When it is ok, for this n and this strict, and the argument f
+    received is alpha-equal to its tau, the verdict is the certificate's and
+    nothing is normalized; otherwise the argument is normalized as without it.
     """
     f = fresh_name("f", op.fv | theta.fv)
     out = head_reduce(App(App(op, theta), Var(f)), fuel)
@@ -392,5 +411,14 @@ def behavioral_check(
     r = out.result
     if not (type(r) is App and type(r.fn) is Var and r.fn.name == f):
         return BehavioralResult(False, BAD_HEAD_SHAPE)
-    status, value, _ = _read_output(r.arg, n, fuel, strict)
-    return BehavioralResult(status == OK, status, r.arg, value)
+    tau = r.arg
+    if (
+        cert is not None
+        and cert.ok
+        and cert.n == n
+        and cert.strict == strict
+        and _alpha_eq(tau, cert.tau_term)
+    ):
+        return BehavioralResult(True, OK, tau, cert.tau_value)
+    status, value, _ = _read_output(tau, n, fuel, strict)
+    return BehavioralResult(status == OK, status, tau, value)

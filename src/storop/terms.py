@@ -10,9 +10,10 @@ numeral zero.
 
 Term equality is alpha-equivalence; hashing agrees with it. Equality,
 hashing, printing and parsing walk explicit stacks, so they work at any
-depth. ``substitute`` and ``match_holes`` recurse once per level, with the
-recursion limit lifted while they run (see ``_deep``), so they work at any
-depth too.
+depth; so does ``_alpha_eq``, which decides equality by walking two terms
+side by side, without their keys. ``substitute`` and ``match_holes`` recurse
+once per level, with the recursion limit lifted while they run (see
+``_deep``), so they work at any depth too.
 """
 
 from __future__ import annotations
@@ -133,6 +134,60 @@ def _alpha_key(t: Term) -> tuple:
                 env[name] = outer
     key = t._k = tuple(out)  # type: ignore[attr-defined]
     return key
+
+
+def _alpha_eq(a: Term, b: Term) -> bool:
+    """a == b, decided by walking the two terms side by side.
+
+    It stops at the first difference, and it builds and caches no key.
+    Where both sides hold one and the same node, the node is equal to itself
+    exactly when each of its free variables has the same binding on both
+    sides, so its subterms are not walked. Two terms that share most of
+    their nodes are compared in time proportional to the nodes they do
+    not share.
+    """
+    # per side, binder name -> the number of its innermost binder; the two
+    # binders of a pair get one number, which no other pair gets
+    enva: dict[str, int] = {}
+    envb: dict[str, int] = {}
+    numbered = 0
+    # pairs to compare, pushed as two entries, b's on top; a restore marker
+    # is None followed by the binders' outer bindings, put back after the bodies
+    stack: list = [a, b]
+    while stack:
+        y = stack.pop()
+        x = stack.pop()
+        if x is None:
+            na, oa, nb, ob = y
+            if oa is None:
+                del enva[na]
+            else:
+                enva[na] = oa
+            if ob is None:
+                del envb[nb]
+            else:
+                envb[nb] = ob
+            continue
+        if x is y:
+            for name in x.fv:
+                if enva.get(name) != envb.get(name):
+                    return False
+            continue
+        tx = type(x)
+        if tx is not type(y):
+            return False
+        if tx is App:
+            stack += (x.arg, y.arg, x.fn, y.fn)
+        elif tx is Var:
+            bound = enva.get(x.name)
+            if bound != envb.get(y.name) or (bound is None and x.name != y.name):
+                return False
+        else:
+            stack += (None, (x.binder, enva.get(x.binder), y.binder, envb.get(y.binder)))
+            enva[x.binder] = envb[y.binder] = numbered
+            numbered += 1
+            stack += (x.body, y.body)
+    return True
 
 
 def subterms(t: Term) -> Iterator[Term]:

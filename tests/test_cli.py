@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -13,7 +14,7 @@ from storop import cli
 from storop.cli import main
 from storop.builtins import BUILTINS
 from storop.reduction import normalize
-from storop.storage import certify
+from storop.storage import TAU_WRONG_VALUE, BehavioralResult, behavioral_check, certify
 from storop.terms import church, parse_term
 
 SUCC2_PRINT = "(f) (\\n x f (f) (n) x f) (\\n x f (f) (n) x f) \\x f x"
@@ -331,6 +332,59 @@ def test_certify_behavioral_catches_the_forwarder(capsys):
     code, out, _ = run(capsys, "certify", "\\v \\f (f) v", "--max-n", "0")
     assert code == 1
     assert "tau-not-numeral" in out
+
+
+def _fail_behavioral_at(monkeypatch, failing_n):
+    def check(term, theta, n, **kwargs):
+        if n == failing_n:
+            return BehavioralResult(False, TAU_WRONG_VALUE)
+        return behavioral_check(term, theta, n, **kwargs)
+
+    monkeypatch.setattr(cli, "behavioral_check", check)
+
+
+_T_CERTIFY_LINES = [
+    "n=0: ok machine-steps=3 contractions=4 tau=\\x f x",
+    "n=1: ok machine-steps=5 contractions=8 tau=(\\n x f (f) (n) x f) \\x f x",
+    "n=2: ok machine-steps=7 contractions=12"
+    " tau=(\\n x f (f) (n) x f) (\\n x f (f) (n) x f) \\x f x",
+    "n=3: ok machine-steps=9 contractions=16 tau=(\\n x f (f) (n) x f)"
+    " (\\n x f (f) (n) x f) (\\n x f (f) (n) x f) \\x f x",
+]
+
+
+def test_certify_failure_is_the_verdict_over_an_earlier_behavioral_failure(capsys, monkeypatch):
+    # the behavioural runs at n=0 fail before n=2 is certified, yet the
+    # verdict is the certificate's, and no behavioural line is printed;
+    # the expected text was recorded when every n was certified first
+    _fail_behavioral_at(monkeypatch, 0)
+
+    def certify_failing_at_2(term, n, fuel):
+        cert = certify(term, n, fuel=fuel)
+        return dataclasses.replace(cert, status=TAU_WRONG_VALUE) if n == 2 else cert
+
+    monkeypatch.setattr(cli, "certify", certify_failing_at_2)
+    code, out, _ = run(capsys, "certify", "@T", "--max-n", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        *_T_CERTIFY_LINES[:2],
+        _T_CERTIFY_LINES[2].replace(": ok ", ": tau-wrong-value "),
+        "certify: failed at n=2 (tau-wrong-value)",
+    ]
+
+
+@pytest.mark.parametrize("failing_n", [0, 1])
+def test_behavioral_failure_is_reported_after_every_certificate(capsys, monkeypatch, failing_n):
+    # the expected text was recorded when every n was certified first
+    _fail_behavioral_at(monkeypatch, failing_n)
+    code, out, _ = run(capsys, "certify", "@T", "--max-n", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        *_T_CERTIFY_LINES,
+        *[f"behavioral n={n}: 4/4 ok" for n in range(failing_n)],
+        f"behavioral n={failing_n} theta=0: tau-wrong-value",
+        f"certify: behavioral check failed at n={failing_n} (tau-wrong-value)",
+    ]
 
 
 # ---------------------------------------------------------------- check

@@ -10,6 +10,7 @@ from storop.storage import (
     BAD_HEAD_SHAPE,
     FUEL_EXHAUSTED,
     INDEXED_REUSE,
+    OK,
     STEP_BUDGET_EXHAUSTED,
     TAU_NOT_NUMERAL,
     TAU_WRONG_VALUE,
@@ -20,6 +21,8 @@ from storop.storage import (
     theta_corpus,
 )
 from storop.terms import Abs, App, Var, church, numeral_of, parse_term, print_term
+
+from genterms import single_node_mutants
 
 
 def test_registry_freshness_and_flags():
@@ -313,3 +316,112 @@ def test_concrete_head_reduction_step_counts():
         assert print_term(out.result).startswith("(f) ")
         value = numeral_of(normalize(out.result.arg).result)
         assert value == n
+
+
+# ---------------------------------------------------------------- checked against the certificate
+
+
+def _verdict(res):
+    return res.ok, res.status, res.value, res.tau
+
+
+@pytest.fixture
+def normalized(monkeypatch):
+    """The taus whose verdict is read by normalizing them, in call order."""
+    taus = []
+    read = storage._read_output
+
+    def counting(tau, *rest):
+        taus.append(tau)
+        return read(tau, *rest)
+
+    monkeypatch.setattr(storage, "_read_output", counting)
+    return taus
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_behavioral_run_takes_the_verdict_of_its_certificate(n, normalized):
+    op = t_operator(1)
+    cert, corpus = certify(op, n), theta_corpus(n)
+    del normalized[:]
+    for theta in corpus:
+        res = behavioral_check(op, theta, n, cert=cert)
+        assert _verdict(res) == _verdict(behavioral_check(op, theta, n))
+        assert res.tau_term == cert.tau_term and res.value == n
+    # one normalization per run without the certificate, none with it
+    assert len(normalized) == len(corpus)
+
+
+def test_tau_that_mentions_the_argument_falls_back_to_normalizing(normalized):
+    op = parse_term("\\v f (f) ((\\d @church:3) v)")
+    cert = certify(op, 3)
+    assert cert.ok and cert.tau_value == 3 and "v" in cert.tau_term.fv
+    del normalized[:]
+    theta = theta_corpus(3, limit=2)[1]
+    res = behavioral_check(op, theta, 3, cert=cert)
+    assert len(normalized) == 1  # missed: f received (\d 3) theta, not (\d 3) v
+    assert res.ok and res.value == 3
+    assert _verdict(res) == _verdict(behavioral_check(op, theta, 3))
+
+
+def test_failed_certificate_leaves_the_forwarder_verdict_alone():
+    op = parse_term("\\v f (f) v")
+    cert = certify(op, 2)
+    assert not cert.ok and cert.tau_term == Var("v")
+    for theta in theta_corpus(2):
+        res = behavioral_check(op, theta, 2, cert=cert)
+        assert res.ok and res.value == 2 and res.tau_term is theta
+        assert _verdict(res) == _verdict(behavioral_check(op, theta, 2))
+
+
+def test_certificate_for_another_n_or_strictness_is_ignored(normalized):
+    # the constant operator hands f the numeral 0 whatever its argument, so
+    # taking either certificate's verdict would say ok at n = 1
+    op = parse_term("\\v f (f) \\x f x")
+    other_n, lenient = certify(op, 0), certify(op, 1, strict=False)
+    assert other_n.ok and lenient.ok
+    del normalized[:]
+    for cert in (other_n, lenient):
+        res = behavioral_check(op, church(1), 1, cert=cert)
+        assert not res.ok and res.status == TAU_WRONG_VALUE and res.value == 0
+    assert len(normalized) == 2
+    assert behavioral_check(op, church(1), 1, strict=False, cert=lenient).ok
+    assert len(normalized) == 2  # the lenient certificate holds at n = 1 when lenient
+
+
+# sha256 of one line per (mutant, n): the mutant printed, n, the
+# certificate's status and the statuses of the four corpus runs, recorded
+# before the runs took the certificate's verdict
+MUTANT_SWEEP_DIGEST = "a30c5ab3aa2ade9ff9c31a49c4d8a683d6559f4c7910b183536585c4ddd7f685"
+
+
+def test_mutant_operators_certify_as_their_concrete_runs_behave(normalized):
+    fuel = 20_000
+    mutants = [
+        m
+        for name in ("T1", "T2", "T", "Tp", "T_2", "Tp_2")
+        for m in single_node_mutants(BUILTINS[name])
+        if not m.fv
+    ]
+    assert len(mutants) == 930
+    corpora = [theta_corpus(n, limit=4, fuel=fuel) for n in range(4)]
+    lines, misses = [], 0
+    for m in mutants:
+        for n, corpus in enumerate(corpora):
+            cert = certify(m, n, fuel=fuel)
+            statuses = []
+            for theta in corpus:
+                plain = behavioral_check(m, theta, n, fuel=fuel)
+                before = len(normalized)
+                checked = behavioral_check(m, theta, n, fuel=fuel, cert=cert)
+                assert _verdict(checked) == _verdict(plain), (print_term(m), n)
+                if cert.ok and len(normalized) > before:
+                    # only a tau that mentions v or an indexed variable may miss
+                    assert cert.tau_term.fv, (print_term(m), n)
+                    misses += 1
+                statuses.append(plain.status)
+            assert cert.ok == (statuses == [OK] * 4), (print_term(m), n)
+            lines.append(f"{print_term(m)} n={n} {cert.status} {' '.join(statuses)}")
+    assert misses == 24
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == MUTANT_SWEEP_DIGEST

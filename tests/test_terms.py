@@ -23,6 +23,7 @@ from storop.terms import (
     print_term,
     substitute,
     term_size,
+    _alpha_eq,
     _tokenize,
 )
 
@@ -415,6 +416,42 @@ def test_equality_and_hash_at_depth_100000():
     elapsed = time.perf_counter() - start
     assert equal and unequal and same_hash
     assert elapsed < 5.0
+
+
+def test_lockstep_equality_agrees_with_keys_on_the_seeded_pools():
+    # the pools of test_equality_relation_fingerprint[terms], each member
+    # also against an alpha-variant and under binders of either name
+    for seed in range(10):
+        rng = random.Random(seed)
+        pool = [random_term(rng) for _ in range(120)]
+        for i, a in enumerate(pool):
+            for b in pool[i:]:
+                assert _alpha_eq(a, b) == (a == b) == _alpha_eq(b, a)
+            assert _alpha_eq(a, _alpha_variant(a))
+            for x, y in (("x", "y"), ("a", "x"), ("x", "x")):
+                u, v = Abs(x, a), Abs(y, a)  # one body, two binders
+                assert _alpha_eq(u, v) == (u == v)
+
+
+def test_lockstep_equality_of_one_node_under_two_bindings():
+    n = P("(x) y")
+    assert not _alpha_eq(Abs("x", Abs("y", n)), Abs("y", Abs("x", n)))
+    assert _alpha_eq(Abs("x", Abs("y", n)), Abs("x", Abs("y", n)))
+    assert not _alpha_eq(Abs("x", n), n) and not _alpha_eq(Abs("x", n), Abs("z", n))
+    # shared below binders that the two sides name apart: equal exactly when
+    # the shared node's free names resolve to the same binders
+    m = P("(a) b")
+    assert _alpha_eq(Abs("x", App(Var("x"), m)), Abs("y", App(Var("y"), m)))
+    assert not _alpha_eq(Abs("a", App(Var("a"), m)), Abs("y", App(Var("y"), m)))
+
+
+def test_lockstep_equality_at_depth_100000():
+    with collector_paused():
+        a, b, shorter = church(100_000), church(100_000), church(99_999)
+    assert deep(_alpha_eq, a, b)
+    assert not deep(_alpha_eq, a, shorter)
+    assert a._k is None and b._k is None  # no key was built
+
 
 def test_term_size():
     assert term_size(Var("x")) == 1
