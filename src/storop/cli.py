@@ -152,8 +152,9 @@ def _certify_range(term, max_n: int, corpus_size: int, fuel: int, out) -> int:
             f"n={n}: {cert.status} machine-steps={len(cert.steps)}"
             f" contractions={cert.total_contractions}"
         )
-        if cert.tau is not None:
-            line += f" tau={cert.tau}"
+        tau = cert.tau
+        if tau is not None:
+            line += f" tau={tau}"
         print(line)
         if not cert.ok:
             if cert.detail:

@@ -138,15 +138,19 @@ class Certificate:
     status: str
     steps: tuple[MachineStep, ...]
     total_contractions: int
-    tau: Optional[str] = None
+    tau_term: Optional[Term] = None  # what f received
     tau_value: Optional[int] = None
     detail: str = ""
     registry_terms: tuple[tuple[str, int, Term, Term], ...] = ()
-    tau_term: Optional[Term] = None  # what f received; tau is its text
 
     @property
     def ok(self) -> bool:
         return self.status == OK
+
+    @property
+    def tau(self) -> Optional[str]:
+        """What f received, printed; None when the run did not reach f."""
+        return None if self.tau_term is None else print_term(self.tau_term)
 
     @property
     def registry(self) -> tuple[tuple[str, int, str, str], ...]:
@@ -177,8 +181,8 @@ class Certificate:
                 f"  {name} := level={level} first={print_term(first, cache)}"
                 f" second={print_term(second, cache)}"
             )
-        if self.tau is not None:
-            lines.append(f"tau: {self.tau}")
+        if self.tau_term is not None:
+            lines.append(f"tau: {print_term(self.tau_term, cache)}")
         if self.tau_value is not None:
             lines.append(f"tau-value: {self.tau_value}")
         if self.detail:
@@ -236,8 +240,8 @@ def certify(
 
     def done(status, tau=None, tau_value=None, detail=""):
         return Certificate(
-            printed_op, n, strict, status, tuple(steps), total,
-            None if tau is None else print_term(tau), tau_value, detail, registry.rows(), tau,
+            printed_op, n, strict, status, tuple(steps), total, tau, tau_value, detail,
+            registry.rows(),
         )
 
     while True:

@@ -8,12 +8,14 @@ Abstraction is ``\\x y BODY`` (or with a literal lambda); a trailing run of
 bare variables uses its last variable as the body, so ``\\x f x`` is the
 numeral zero.
 
-Term equality is alpha-equivalence; hashing agrees with it. Equality,
-hashing, printing and parsing walk explicit stacks, so they work at any
-depth; so does ``_alpha_eq``, which decides equality by walking two terms
-side by side, without their keys. ``substitute`` and ``match_holes`` recurse
-once per level, with the recursion limit lifted while they run (see
-``_deep``), so they work at any depth too.
+Term equality is alpha-equivalence, decided by ``_alpha_eq``, which walks
+the two terms side by side and skips a node both sides share. A term hashes
+as its set of free variables, which alpha-equal terms share, so hashing
+takes constant time and every closed term hashes alike. Equality, printing
+and parsing walk explicit stacks, so they work at any depth.
+``substitute`` and ``match_holes`` recurse once per level, with the
+recursion limit lifted while they run (see ``_deep``), so they work at any
+depth too.
 """
 
 from __future__ import annotations
@@ -48,98 +50,52 @@ class Term:
     fv: frozenset[str]
 
     def __eq__(self, other: object) -> bool:
+        """Alpha-equivalence, decided by ``_alpha_eq``."""
         if self is other:
             return True
         if not isinstance(other, Term):
             return NotImplemented
-        mine, theirs = self._k, other._k  # type: ignore[attr-defined]
-        if mine is None:
-            mine = _alpha_key(self)
-        if theirs is None:
-            theirs = _alpha_key(other)
-        return mine == theirs
+        return _alpha_eq(self, other)
 
     def __hash__(self) -> int:
-        key = self._k  # type: ignore[attr-defined]
-        return hash(_alpha_key(self) if key is None else key)
+        """The hash of the free variables, which alpha-equal terms share:
+        constant time, but every closed term hashes alike."""
+        return hash(self.fv)
 
     def __repr__(self) -> str:
         return f"<{print_term(self)}>"
 
 
 class Var(Term):
-    __slots__ = ("name", "fv", "_k")
+    __slots__ = ("name", "fv")
 
     def __init__(self, name: str):
         self.name = name
         self.fv = frozenset((name,))
-        self._k = None
 
 
 class Abs(Term):
-    __slots__ = ("binder", "body", "fv", "_k")
+    __slots__ = ("binder", "body", "fv")
 
     def __init__(self, binder: str, body: Term):
         self.binder = binder
         self.body = body
         self.fv = body.fv - {binder}
-        self._k = None
 
 
 class App(Term):
-    __slots__ = ("fn", "arg", "fv", "_k")
+    __slots__ = ("fn", "arg", "fv")
 
     def __init__(self, fn: Term, arg: Term):
         self.fn = fn
         self.arg = arg
         self.fv = fn.fv | arg.fv
-        self._k = None
-
-
-def _alpha_key(t: Term) -> tuple:
-    """t in nameless form, cached on t: equal exactly for alpha-equal terms.
-
-    A flat preorder tuple: App and Abs are their classes, a bound variable
-    is the depth of its binder (an int), a free variable its name (a str).
-    """
-    key = t._k  # type: ignore[attr-defined]
-    if key is not None:
-        return key
-    out: list = []
-    env: dict[str, int] = {}  # binder name -> depth of the innermost one
-    depth = 0
-    stack: list = [t]
-    while stack:
-        cur = stack.pop()
-        tc = type(cur)
-        if tc is App:
-            out.append(App)
-            stack.append(cur.arg)
-            stack.append(cur.fn)
-        elif tc is Var:
-            out.append(env.get(cur.name, cur.name))
-        elif tc is Abs:
-            out.append(Abs)
-            # restore marker: the name's outer binding, put back after the body
-            stack.append((cur.binder, env.get(cur.binder)))
-            env[cur.binder] = depth
-            depth += 1
-            stack.append(cur.body)
-        else:
-            name, outer = cur
-            depth -= 1
-            if outer is None:
-                del env[name]
-            else:
-                env[name] = outer
-    key = t._k = tuple(out)  # type: ignore[attr-defined]
-    return key
 
 
 def _alpha_eq(a: Term, b: Term) -> bool:
     """a == b, decided by walking the two terms side by side.
 
-    It stops at the first difference, and it builds and caches no key.
+    It stops at the first difference and caches nothing.
     Where both sides hold one and the same node, the node is equal to itself
     exactly when each of its free variables has the same binding on both
     sides, so its subterms are not walked. Two terms that share most of

@@ -19,6 +19,11 @@ explicit stack, ``_fold``, given a node's premises as its children, serves
 ``Derivation.__eq__`` compares premise pairs off a stack of its own, and a
 derivation's repr shows its root node alone.
 
+``read_derivation`` interns formulas and subject terms, each by its own
+interner over ``_fold``. At a well-formed node a premise's subject is then
+the very subterm of its conclusion's that the rule names, so the checker's
+term comparisons end at the identity test.
+
 An inst node's stated type is compared by ``==`` with ``instantiate``,
 whose substitution loops over an explicit stack, so inst nodes are checked
 and their failures worded at any depth. The instance is cached on the
@@ -527,12 +532,15 @@ def _sexp_parse(src: str):
 def read_derivation(src: str) -> Derivation:
     """Read the text write_derivation produces.
 
-    Every formula read from one text is interned in a table built for the
-    call: contexts, types and witness bodies share one object per exact
-    named structure, subformulas included, so the checker compares
-    unchanged formulas by identity. These shared nodes must be treated as
-    immutable. Alpha-variants such as ``!x X(x)`` and ``!y X(y)`` stay
-    distinct objects, each printing its own binder.
+    Every formula and subject term read from one text is interned in a
+    table built for the call: contexts, types, witness bodies and subject
+    terms share one object per exact named structure, subformulas and
+    subterms included, so the checker compares unchanged formulas by
+    identity, and the premise of a well-formed abs or app node holds the
+    very body, function or argument of its conclusion's subject. These
+    shared nodes must be treated as immutable. Alpha-variants such as
+    ``!x X(x)`` and ``!y X(y)``, or ``\\x x`` and ``\\y y``, stay distinct
+    objects, each printing its own binder.
     """
     forms = _sexp_parse(src)
     if len(forms) != 1:
@@ -570,6 +578,40 @@ def _intern(a: Formula, table: dict) -> Formula:
         return found
 
     return _fold(a, combine)
+
+
+def _term_children(t: Term) -> tuple:
+    """A term's subterms: its children for _fold."""
+    if type(t) is App:
+        return (t.fn, t.arg)
+    return (t.body,) if type(t) is Abs else ()
+
+
+def _intern_term(t: Term, table: dict) -> Term:
+    """table's object for the exact named structure of t, subterms interned first.
+
+    As in _intern, a node's key is its class, its name or binder and the
+    identities of its interned children, and a node whose children are
+    already the interned ones is itself kept.
+    """
+    def combine(x, kids):
+        tx = type(x)
+        if tx is Var:
+            key = (tx, x.name)
+        elif tx is Abs:
+            key = (tx, x.binder, id(kids[0]))
+        else:
+            key = (tx, id(kids[0]), id(kids[1]))
+        found = table.get(key)
+        if found is None:
+            if tx is Abs and kids[0] is not x.body:
+                x = Abs(x.binder, kids[0])
+            elif tx is App and (kids[0] is not x.fn or kids[1] is not x.arg):
+                x = App(*kids)
+            found = table[key] = x
+        return found
+
+    return _fold(t, combine, _term_children)
 
 
 def _atom(x) -> str:
@@ -626,7 +668,7 @@ def _read_node(table: dict, form, premises: tuple) -> Derivation:
             text = _string(body)
             term = table.get(("term", text))
             if term is None:
-                term = table[("term", text)] = parse_term(text)
+                term = table[("term", text)] = _intern_term(parse_term(text), table)
         elif head == "type":
             ftype = _read_formula(_string(body), table)
         elif head == "witness":

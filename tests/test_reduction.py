@@ -1,13 +1,18 @@
 import gc
 import hashlib
+import os
 import random
+import resource
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from deep import collector_paused, deep
 from genterms import random_closed_term, random_term
+import storop
 from storop import reduction
 from storop.builtins import BUILTINS, parse
 from storop.reduction import (
@@ -401,3 +406,39 @@ def test_collector_restarts_after_a_kernel_error(run, monkeypatch):
     assert gc.isenabled()
     assert seen == [_DEEP]
     assert sys.getrecursionlimit() == limit
+
+
+_HASH_A_DAG_RESULT = """
+import time
+from storop.reduction import head_reduce
+from storop.terms import parse_term
+
+k = 24
+e = f"(g) x{k} x{k}"
+for i in range(k, 0, -1):
+    p = f"x{i-1}" if i > 1 else "z"
+    e = f"(\\\\x{i} {e}) ((g) {p} {p})"
+out = head_reduce(parse_term(e))
+start = time.perf_counter()
+hash(out.result)
+print(out.steps, out.completed, time.perf_counter() - start)
+"""
+
+
+def test_hash_of_a_result_whose_tree_is_exponential_in_its_nodes():
+    # the head normal form is the normal form: g applied to values that each
+    # occur twice, 2**27 - 3 tree nodes over 77 distinct ones; hashing
+    # walked the tree and ran out of 200 MB (normalize reaches the same term
+    # but enters each occurrence of an argument, so it walks the tree too)
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(storop.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", _HASH_A_DAG_RESULT],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    steps, completed, elapsed = run.stdout.split()
+    assert (steps, completed) == ("24", "True")
+    assert float(elapsed) < 1.0

@@ -20,7 +20,16 @@ from storop.storage import (
     certify,
     theta_corpus,
 )
-from storop.terms import Abs, App, Var, church, numeral_of, parse_term, print_term
+from storop.terms import (
+    Abs,
+    App,
+    Var,
+    church,
+    numeral_of,
+    parse_term,
+    print_term,
+    substitute,
+)
 
 from genterms import single_node_mutants
 
@@ -405,16 +414,25 @@ def test_mutant_operators_certify_as_their_concrete_runs_behave(normalized):
     ]
     assert len(mutants) == 930
     corpora = [theta_corpus(n, limit=4, fuel=fuel) for n in range(4)]
-    lines, misses = [], 0
+    lines, misses, v_taus, v_runs = [], 0, 0, 0
     for m in mutants:
         for n, corpus in enumerate(corpora):
             cert = certify(m, n, fuel=fuel)
+            # a tau that mentions v and no indexed variable is handed to f
+            # with v := theta (one with an indexed variable is exempt: the
+            # concrete run discards what that variable stands for)
+            indexed = {name for name, *_ in cert.registry_terms}
+            v_tau = cert.ok and "v" in cert.tau_term.fv and not cert.tau_term.fv & indexed
+            v_taus += v_tau
             statuses = []
             for theta in corpus:
                 plain = behavioral_check(m, theta, n, fuel=fuel)
                 before = len(normalized)
                 checked = behavioral_check(m, theta, n, fuel=fuel, cert=cert)
                 assert _verdict(checked) == _verdict(plain), (print_term(m), n)
+                if v_tau:
+                    assert plain.tau_term == substitute(cert.tau_term, {"v": theta})
+                    v_runs += 1
                 if cert.ok and len(normalized) > before:
                     # only a tau that mentions v or an indexed variable may miss
                     assert cert.tau_term.fv, (print_term(m), n)
@@ -423,5 +441,6 @@ def test_mutant_operators_certify_as_their_concrete_runs_behave(normalized):
             assert cert.ok == (statuses == [OK] * 4), (print_term(m), n)
             lines.append(f"{print_term(m)} n={n} {cert.status} {' '.join(statuses)}")
     assert misses == 24
+    assert (v_taus, v_runs) == (4, 16)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == MUTANT_SWEEP_DIGEST

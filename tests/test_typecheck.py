@@ -471,6 +471,22 @@ def test_read_parses_each_term_text_once():
     terms = {id(node.term) for node in derivation_nodes(first) if node.rule != "ax"}
     assert len(terms) == 1
     assert first.term == second.term and first.term is not second.term
+    # a premise's subject is the very subterm of its conclusion's
+    shared = Counter()
+    for name in prebuilt_names():
+        d = load_prebuilt(name)
+        for node in derivation_nodes(d):
+            if node.rule == "abs":
+                assert node.premises[0].term is node.term.body, name
+            elif node.rule == "app":
+                pf, pa = node.premises
+                assert pf.term is node.term.fn and pa.term is node.term.arg, name
+            shared[node.rule] += 1
+        again = load_prebuilt(name)
+        assert not {id(n.term) for n in derivation_nodes(d)} & {
+            id(n.term) for n in derivation_nodes(again)
+        }
+    assert shared["abs"] and shared["app"]
 
 
 REPEATED = {
