@@ -11,6 +11,20 @@ One spine loop serves both: it keeps the binders, the head and the argument
 stack of a term across steps, so nothing is rebuilt between contractions.
 head_reduce runs it once; normalize runs it on the root, then on each
 argument of every head normal form. A single step is a call with fuel=1.
+
+A contraction substitutes straight into the loop's state rather than
+building the substituted body first. Down an application spine that
+mentions the variable, each argument goes onto the argument stack,
+substituted where the variable is free, and no spine node is built. An
+abstraction reached this way, as the body or as the head of its spine, is
+not built either when the next step would contract it at once: an
+argument waits, fuel is left, and its binder is not free in the value, so
+no binder is primed. The value goes into its body, and that next
+contraction follows. Everything else goes to _subst1 whole: an
+abstraction that would prime its binder, that has no argument waiting,
+or that the fuel does not reach. Counts, binder names and partial
+reducts are those of substituting first and contracting after.
+
 Contracting a variable into a binder of its own name, as in
 (\\x M) x, continues with M itself: that substitution could prime no
 binder and would rebuild the same term, but the step still counts. A
@@ -136,6 +150,14 @@ def _spine(t, fuel):
     abstraction that has no argument, and contracts an abstraction that has
     one. Returns (binders, head, args, steps) with args left to right; head
     is an abstraction exactly when the fuel ran out before a head normal form.
+
+    A contraction x := a walks the body's spine while it mentions x,
+    pushing each argument with a in place of x. A head that is a variable
+    is x itself and becomes a. A head abstraction whose binder a does not
+    mention, with an argument waiting and fuel left, takes a into its body
+    and is contracted in turn without being built. Any other abstraction
+    goes to _subst1, which primes its binder if need be, and the loop goes
+    on from there.
     """
     binders = []
     args = []  # the first argument on top
@@ -154,12 +176,37 @@ def _spine(t, fuel):
             break
         else:
             a = args.pop()
-            body = t.body
-            if t.binder not in body.fv or (type(a) is Var and a.name == t.binder):
-                t = body
-            else:
-                t = _subst1(body, t.binder, a)
+            x = t.binder
+            t = t.body
             steps += 1
+            if type(a) is Var and a.name == x:
+                continue
+            # t := t[x := a], written into the loop's own state
+            while x in t.fv:
+                tt = type(t)
+                if tt is App:
+                    arg = t.arg
+                    if x in arg.fv:
+                        arg = a if type(arg) is Var else _subst1(arg, x, a)
+                    args.append(arg)
+                    t = t.fn
+                elif tt is Var:
+                    t = a
+                    break
+                elif args and steps < fuel and t.binder not in a.fv:
+                    # the next step contracts this abstraction, and no
+                    # binder is primed: substitute into its body instead
+                    y = t.binder
+                    body = t.body
+                    t = a if type(body) is Var else _subst1(body, x, a)
+                    x = y
+                    a = args.pop()
+                    steps += 1
+                    if type(a) is Var and a.name == x:
+                        break
+                else:
+                    t = _subst1(t, x, a)
+                    break
     args.reverse()
     return binders, t, args, steps
 

@@ -149,8 +149,12 @@ class Certificate:
 
     @property
     def tau(self) -> Optional[str]:
-        """What f received, printed; None when the run did not reach f."""
-        return None if self.tau_term is None else print_term(self.tau_term)
+        """What f received, printed; None when the run did not reach f.
+
+        A tau repeats one shared node at each of its n layers, so it is
+        printed through a cache of its own.
+        """
+        return None if self.tau_term is None else print_term(self.tau_term, {})
 
     @property
     def registry(self) -> tuple[tuple[str, int, str, str], ...]:

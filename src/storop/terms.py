@@ -20,6 +20,7 @@ depth too.
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
 from typing import Iterator, Mapping, Optional
@@ -230,14 +231,26 @@ def _subst(t: Term, m: dict[str, Term]) -> Term:
 
 
 def church(n: int) -> Term:
-    """The Church-style numeral \\x f (f)^n x."""
+    """The Church-style numeral \\x f (f)^n x.
+
+    Pauses Python's cyclic garbage collector while it builds, and restores
+    its previous state on the way out, as the kernel does: the nodes form a
+    chain, which holds no cycle, yet for a large n most of the time would
+    go to collections that rescan the chain and find nothing.
+    """
     if n < 0:
         raise ValueError("numeral index must be >= 0")
-    body: Term = Var("x")
-    f = Var("f")
-    for _ in range(n):
-        body = App(f, body)
-    return Abs("x", Abs("f", body))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        body: Term = Var("x")
+        f = Var("f")
+        for _ in range(n):
+            body = App(f, body)
+        return Abs("x", Abs("f", body))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def numeral_of(t: Term) -> Optional[int]:

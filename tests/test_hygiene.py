@@ -183,9 +183,10 @@ def test_collector_pause_scanner():
     assert callers("from gc import disable\n", "gc", "disable") == ["from gc"]
 
 
-# The kernel's two loops pause the cyclic collector while they build terms,
-# which are trees and cannot form cycles. Nothing else may pause it.
-PAUSES_COLLECTOR = {"reduction.py": ["head_reduce", "normalize"]}
+# The kernel's two loops and the numeral builder pause the cyclic collector
+# while they build terms, which are trees and cannot form cycles. Nothing
+# else may pause it.
+PAUSES_COLLECTOR = {"reduction.py": ["head_reduce", "normalize"], "terms.py": ["church"]}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

@@ -203,8 +203,7 @@ def _numeral_with_inner_redex(n):
 
 def test_normalize_normal_form_at_depth_100000():
     # normalize recursed once per argument and broke at church(30000)
-    with collector_paused():
-        t = church(100_000)
+    t = church(100_000)
     start = time.perf_counter()
     out = deep(normalize, t)
     same = deep(out.result.__eq__, t)
@@ -233,8 +232,10 @@ def test_default_fuel_is_reasonable():
 # reduced one step at a time, as head_reduce(t, 1) and as normalize(t, 1),
 # one line per call, plus ("own_name") inputs that contract a variable into a
 # binder of its own name, recorded before the kernel skipped those
-# substitutions. Any change to a step count or to a primed binder name
-# changes a digest; a faster kernel must keep all seven.
+# substitutions, plus ("every_fuel") inputs reduced at every fuel from 1 to
+# one past their step count, recorded before the kernel fused contractions
+# that follow one another. Any change to a step count or to a primed binder
+# name changes a digest; a faster kernel must keep all eight.
 KERNEL_DIGESTS = {
     "subst1": "df10aa5f0284656451a392f2485867067835cef6b6b162befead059ef3ad8ec7",
     "head_reduce": "bee4e764dac2e4b77128671081c15012dcb54d9de593142fbc2ddaf0fad97ff6",
@@ -243,6 +244,7 @@ KERNEL_DIGESTS = {
     "steps": "f95861be2409849a6ddafee74f42d4d805412b4c66a43e26add6655e3cf1bfe6",
     "storage_run": "de6cc3ed35668e7dffa81da68dc327052a2cfed8f1556f109f8283f1c5ae51ad",
     "own_name": "cfa9d522561578d4c368d76233db8c659c2f1f7a0a3661fcee04b0087051a057",
+    "every_fuel": "b34d4a3e7e3d53f6b0d90bd4fdc18b7a9b935a859cdf3325be806eb42ea436fa",
 }
 
 
@@ -317,6 +319,37 @@ def _kernel_lines(family):
                     if out.steps == 0:
                         break
                     cur = out.result
+    elif family == "every_fuel":
+        # every partial reduct, so fuel runs out at each point of a chain of
+        # contractions; the third kind of random input and the hand-made ones
+        # pass free x and y into binders named x and y, so binders get primed
+        rng = random.Random(606)
+        cases = []
+        for i in range(300):
+            if i % 3 == 0:
+                t = App(random_closed_term(rng, depth=5), random_closed_term(rng, depth=4))
+            elif i % 3 == 1:
+                t = App(random_term(rng, depth=5), random_term(rng, depth=4))
+            else:
+                t = App(random_term(rng, depth=5), random_term(rng, depth=4, scope=["x", "y"]))
+            cases.append(t)
+        for src in (
+            "(\\a x y (a) x y) y x",
+            "(\\a x y (a) x y) y x w",
+            "(\\a b x y (a) (b) x y) x y u w",
+            "(\\a x (\\y (a) x y) x) y",
+            "\\z ((\\a x y z (y) (x) a) x) z y",
+        ):
+            cases.append(parse(src))
+        cases.append(parse("((\\m n x f ((m) x) \\y ((n) y) f) @church:2 @church:3)"))
+        for name in ("T", "Tp"):
+            for k in range(4):
+                cases.append(parse(f"(@{name} @church:{k}) f"))
+        for t in cases:
+            for run in (head_reduce, normalize):
+                steps = run(t, 80).steps
+                for fuel in range(1, steps + 2):
+                    yield _row(run(t, fuel))
     else:
         T = BUILTINS["T"]
         for n in range(6):
@@ -330,8 +363,7 @@ def test_kernel_output_fingerprint(family):
 
 
 def test_head_reduce_contracts_into_a_numeral_body_100000_deep():
-    with collector_paused():
-        t = App(church(100_000), Var("y"))
+    t = App(church(100_000), Var("y"))
     out = deep(head_reduce, t)
     assert (out.steps, out.status) == (1, HEAD_NORMAL_FORM)
     assert deep(Abs("y", out.result).__eq__, church(100_000))

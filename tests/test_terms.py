@@ -1,3 +1,4 @@
+import gc
 import itertools
 import operator
 import random
@@ -295,8 +296,7 @@ def test_substitute_into_nested_binders():
 
 
 def test_substitute_into_a_body_100000_deep():
-    with collector_paused():
-        body = church(100_000).body.body
+    body = church(100_000).body.body
     limit = sys.getrecursionlimit()
     out = deep(substitute, body, {"x": Var("y")})
     assert deep(Abs("y", Abs("f", out)).__eq__, church(100_000))
@@ -332,6 +332,28 @@ def test_recursion_limit_lifted_while_walking_and_restored_on_error(walker, call
 def test_church_numeral_roundtrip():
     for n in range(11):
         assert numeral_of(church(n)) == n
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_church_builds_with_the_collector_paused_and_restores_it(collecting):
+    started = []  # the generation of each collection that started
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    gc.callbacks.append(hook)
+    try:
+        t = church(100_000)
+        after = gc.isenabled()
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if before else gc.disable)()
+    assert started == []
+    assert after is collecting
+    assert numeral_of(t) == 100_000
 
 
 def test_numeral_of_is_structural():
@@ -408,8 +430,7 @@ def test_match_holes_on_a_body_100000_deep():
 
 def test_equality_and_hash_at_depth_100000():
     # == and hash walk an explicit stack; recursion broke at church(30000)
-    with collector_paused():
-        a, b, shorter = church(100_000), church(100_000), church(99_999)
+    a, b, shorter = church(100_000), church(100_000), church(99_999)
     start = time.perf_counter()
     equal, unequal = deep(operator.eq, a, b), deep(operator.ne, a, shorter)
     same_hash = deep(hash, a) == deep(hash, b)
@@ -446,8 +467,7 @@ def test_lockstep_equality_of_one_node_under_two_bindings():
 
 
 def test_lockstep_equality_at_depth_100000():
-    with collector_paused():
-        a, b, shorter = church(100_000), church(100_000), church(99_999)
+    a, b, shorter = church(100_000), church(100_000), church(99_999)
     assert deep(_alpha_eq, a, b)
     assert not deep(_alpha_eq, a, shorter)
 
