@@ -16,14 +16,20 @@ A contraction substitutes straight into the loop's state rather than
 building the substituted body first. Down an application spine that
 mentions the variable, each argument goes onto the argument stack,
 substituted where the variable is free, and no spine node is built. An
-abstraction reached this way, as the body or as the head of its spine, is
-not built either when the next step would contract it at once: an
-argument waits, fuel is left, and its binder is not free in the value, so
-no binder is primed. The value goes into its body, and that next
-contraction follows. Everything else goes to _subst1 whole: an
-abstraction that would prime its binder, that has no argument waiting,
-or that the fuel does not reach. Counts, binder names and partial
-reducts are those of substituting first and contracting after.
+abstraction \\y M reached this way, as the body or as the head of its
+spine, is not built either when the next step would contract it at once:
+an argument b waits, fuel is left, and y is not free in the value a, so
+no binder is primed. That next contraction is made first. If b is y
+itself, (\\y M[x := a]) y is M[x := a], so the walk goes on down M with
+x := a still pending and builds nothing. If x and y are both free in M,
+one walk of _subst1 makes both substitutions, M[x := a][y := b], where
+two walks would build M[x := a] only to take it apart; a binder that
+either value would prime sends its subtree through the two walks in
+turn. Otherwise y is not free in M, and M[x := a] is the reduct.
+Everything else goes to _subst1 whole: an abstraction that would prime
+its binder, that has no argument waiting, or that the fuel does not
+reach. Counts, binder names and partial reducts are those of
+substituting first and contracting after.
 
 Contracting a variable into a binder of its own name, as in
 (\\x M) x, continues with M itself: that substitution could prime no
@@ -107,9 +113,11 @@ def _check_fuel(fuel: int) -> None:
         raise ValueError("fuel must be a positive integer")
 
 
-def _subst1(t, name, value):
+def _subst1(t, name, value, name2=None, value2=None):
     """Capture-avoiding substitution of a single free variable, for a t in
-    which name is free.
+    which name is free; given name2 and value2 as well, t[name := value]
+    [name2 := value2] in one walk, for a t in which both are free and a
+    value in which name2 is not.
 
     A binder that would capture a free variable of value is primed until it
     is fresh for value and the body. terms.substitute primes differently;
@@ -117,21 +125,46 @@ def _subst1(t, name, value):
 
     Each node decides for its children: it enters only a child in which
     name is free, and puts value in place of a variable child without a
-    call.
+    call. With two names, a child that holds one of them takes the walk of
+    that name alone, and one that holds both takes the walk of both. An
+    abstraction whose binder either value mentions goes to the two walks
+    one after the other, so every binder is primed as they prime it.
     """
     tt = type(t)
     if tt is App:
         fn = t.fn
-        if name in fn.fv:
-            fn = value if type(fn) is Var else _subst1(fn, name, value)
         arg = t.arg
-        if name in arg.fv:
-            arg = value if type(arg) is Var else _subst1(arg, name, value)
+        if name2 is None:
+            if name in fn.fv:
+                fn = value if type(fn) is Var else _subst1(fn, name, value)
+            if name in arg.fv:
+                arg = value if type(arg) is Var else _subst1(arg, name, value)
+            return App(fn, arg)
+        fv = fn.fv
+        if name in fv:
+            if name2 in fv:
+                fn = _subst1(fn, name, value, name2, value2)
+            else:
+                fn = value if type(fn) is Var else _subst1(fn, name, value)
+        elif name2 in fv:
+            fn = value2 if type(fn) is Var else _subst1(fn, name2, value2)
+        fv = arg.fv
+        if name in fv:
+            if name2 in fv:
+                arg = _subst1(arg, name, value, name2, value2)
+            else:
+                arg = value if type(arg) is Var else _subst1(arg, name, value)
+        elif name2 in fv:
+            arg = value2 if type(arg) is Var else _subst1(arg, name2, value2)
         return App(fn, arg)
     if tt is Var:
         return value
     binder = t.binder
     body = t.body
+    if name2 is not None:
+        if binder in value.fv or binder in value2.fv:
+            return _subst1(_subst1(t, name, value), name2, value2)
+        return Abs(binder, _subst1(body, name, value, name2, value2))
     if binder in value.fv:
         avoid = value.fv | body.fv
         nb = binder
@@ -153,11 +186,12 @@ def _spine(t, fuel):
 
     A contraction x := a walks the body's spine while it mentions x,
     pushing each argument with a in place of x. A head that is a variable
-    is x itself and becomes a. A head abstraction whose binder a does not
-    mention, with an argument waiting and fuel left, takes a into its body
-    and is contracted in turn without being built. Any other abstraction
-    goes to _subst1, which primes its binder if need be, and the loop goes
-    on from there.
+    is x itself and becomes a. A head abstraction \\y M whose binder a does
+    not mention, with an argument b waiting and fuel left, is contracted in
+    turn without being built: the walk goes on down M if b is y, and
+    otherwise one call of _subst1 builds M[x := a][y := b], or M[x := a]
+    if y is not free in M. Any other abstraction goes to _subst1, which
+    primes its binder if need be, and the loop goes on from there.
     """
     binders = []
     args = []  # the first argument on top
@@ -194,16 +228,19 @@ def _spine(t, fuel):
                     t = a
                     break
                 elif args and steps < fuel and t.binder not in a.fv:
-                    # the next step contracts this abstraction, and no
-                    # binder is primed: substitute into its body instead
+                    # the next step contracts this abstraction, and x := a
+                    # primes no binder of it: contract it first
                     y = t.binder
-                    body = t.body
-                    t = a if type(body) is Var else _subst1(body, x, a)
-                    x = y
-                    a = args.pop()
+                    t = t.body
+                    b = args.pop()
                     steps += 1
-                    if type(a) is Var and a.name == x:
-                        break
+                    if type(b) is Var and b.name == y:
+                        continue  # (\y M[x := a]) y is M[x := a]
+                    if y in t.fv:
+                        t = _subst1(t, x, a, y, b)
+                    else:
+                        t = a if type(t) is Var else _subst1(t, x, a)
+                    break
                 else:
                     t = _subst1(t, x, a)
                     break

@@ -3,6 +3,7 @@ import hashlib
 import os
 import random
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -234,8 +235,11 @@ def test_default_fuel_is_reasonable():
 # binder of its own name, recorded before the kernel skipped those
 # substitutions, plus ("every_fuel") inputs reduced at every fuel from 1 to
 # one past their step count, recorded before the kernel fused contractions
-# that follow one another. Any change to a step count or to a primed binder
-# name changes a digest; a faster kernel must keep all eight.
+# that follow one another, plus ("two_names") inputs reduced the same way
+# whose second contraction follows the first at once, recorded before the
+# kernel made both substitutions in one walk. Any change to a step count or
+# to a primed binder name changes a digest; a faster kernel must keep all
+# nine.
 KERNEL_DIGESTS = {
     "subst1": "df10aa5f0284656451a392f2485867067835cef6b6b162befead059ef3ad8ec7",
     "head_reduce": "bee4e764dac2e4b77128671081c15012dcb54d9de593142fbc2ddaf0fad97ff6",
@@ -245,11 +249,30 @@ KERNEL_DIGESTS = {
     "storage_run": "de6cc3ed35668e7dffa81da68dc327052a2cfed8f1556f109f8283f1c5ae51ad",
     "own_name": "cfa9d522561578d4c368d76233db8c659c2f1f7a0a3661fcee04b0087051a057",
     "every_fuel": "b34d4a3e7e3d53f6b0d90bd4fdc18b7a9b935a859cdf3325be806eb42ea436fa",
+    "two_names": "dc22f0b17135ca1dc05d4ef2d83773c64745053c51c2a8e215f556ced21e8d73",
 }
 
 
-def _row(out):
+def _row(out, fuel):
+    # a chain of contractions that ran past its fuel fails here, whatever
+    # the digest; one that never stops is caught by the fingerprint's timer
+    assert out.steps <= fuel, f"{out.steps} steps on fuel {fuel}"
     return f"{print_term(out.result)}|{out.steps}|{out.status}"
+
+
+def _without(rng, names, scope=()):
+    t = random_term(rng, depth=3, scope=scope)
+    while names & t.fv:
+        t = random_term(rng, depth=3, scope=scope)
+    return t
+
+
+def _at_every_fuel(cases):
+    for t in cases:
+        for run in (head_reduce, normalize):
+            steps = run(t, 80).steps
+            for fuel in range(1, steps + 2):
+                yield _row(run(t, fuel), fuel)
 
 
 def _kernel_lines(family):
@@ -264,15 +287,15 @@ def _kernel_lines(family):
     elif family == "head_reduce":
         rng = random.Random(202)
         for _ in range(400):
-            yield _row(head_reduce(random_term(rng, depth=rng.randint(2, 7)), 150))
+            yield _row(head_reduce(random_term(rng, depth=rng.randint(2, 7)), 150), 150)
     elif family == "normalize":
         rng = random.Random(303)
         for _ in range(400):
-            yield _row(normalize(random_term(rng, depth=rng.randint(2, 6)), 200))
+            yield _row(normalize(random_term(rng, depth=rng.randint(2, 6)), 200), 200)
     elif family == "normalize_closed":
         rng = random.Random(404)
         for _ in range(200):
-            yield _row(normalize(random_closed_term(rng, depth=6), 300))
+            yield _row(normalize(random_closed_term(rng, depth=6), 300), 300)
     elif family == "steps":
         # application-rooted inputs, so most take steps; the third kind
         # passes free x and y into binders named x and y, so binders get primed
@@ -288,7 +311,7 @@ def _kernel_lines(family):
                 cur = t
                 for _ in range(60):
                     out = run(cur, 1)
-                    yield _row(out)
+                    yield _row(out, 1)
                     if out.steps == 0:
                         break
                     cur = out.result
@@ -308,14 +331,14 @@ def _kernel_lines(family):
             src = f"((\\m n x f ((m) x) \\y ((n) y) f) @church:{a} @church:{b})"
             cases.append((parse(src), a + b <= 3))
         for t, _ in cases:
-            yield _row(head_reduce(t))
-            yield _row(normalize(t))
+            yield _row(head_reduce(t), DEFAULT_FUEL)
+            yield _row(normalize(t), DEFAULT_FUEL)
         for t in [t for t, small in cases if small]:
             for run in (head_reduce, normalize):
                 cur = t
                 for _ in range(60):
                     out = run(cur, 1)
-                    yield _row(out)
+                    yield _row(out, 1)
                     if out.steps == 0:
                         break
                     cur = out.result
@@ -345,20 +368,66 @@ def _kernel_lines(family):
         for name in ("T", "Tp"):
             for k in range(4):
                 cases.append(parse(f"(@{name} @church:{k}) f"))
-        for t in cases:
-            for run in (head_reduce, normalize):
-                steps = run(t, 80).steps
-                for fuel in range(1, steps + 2):
-                    yield _row(run(t, fuel))
+        yield from _at_every_fuel(cases)
+    elif family == "two_names":
+        # (\x y M) a b with x and y free in M and y not free in a, so the
+        # contraction of y follows that of x at once, as applying a numeral
+        # to two arguments does. a, b or both are open in names that M may
+        # bind, so either value can prime a binder; b is sometimes y itself,
+        # and (\x (\y M) N) a b takes its second value from the body
+        rng = random.Random(707)
+        cases = []
+        for i in range(240):
+            body = random_term(rng, depth=5, scope=["x", "y"])
+            while not {"x", "y"} <= body.fv:
+                body = random_term(rng, depth=5, scope=["x", "y"])
+            a = _without(rng, {"y"}, ["z", "u", "w"] if i % 3 != 1 else [])
+            b = random_term(rng, depth=3, scope=["z", "u", "w", "x"] if i % 3 != 0 else [])
+            if i % 8 == 7:
+                b = Var("y")
+            if i % 5 == 4:
+                t = App(Abs("x", App(Abs("y", body), b)), a)
+            else:
+                t = App(App(Abs("x", Abs("y", body)), a), b)
+            cases.append(App(t, Var("z")) if i % 4 == 3 else t)
+        for src in (
+            "(\\x y \\z (x) (y) z) a z",
+            "(\\x y \\z (x) (y) z) z b",
+            "(\\x y \\z (x) (y) z) z z",
+            "(\\x y \\z \\u (x) (y) (z) u) u z w",
+            "((@succ) m) x f",
+            "((@succ) @church:2) x f",
+            "((@succ) (@succ) @church:1) a g",
+            "(@church:3) a g",
+            "(@church:0) a g",
+            "(\\x f ((@church:2) x) f) a g",
+        ):
+            cases.append(parse(src))
+        yield from _at_every_fuel(cases)
     else:
         T = BUILTINS["T"]
         for n in range(6):
-            yield _row(head_reduce(App(App(T, church(n)), Var("f")), 100_000))
+            yield _row(head_reduce(App(App(T, church(n)), Var("f")), 100_000), 100_000)
+
+
+# A family takes under a second; a kernel that never stops fails at this limit
+# rather than hanging the suite
+FINGERPRINT_SECONDS = 120
+
+
+def _overran(signum, frame):
+    pytest.fail(f"ran past {FINGERPRINT_SECONDS} s", pytrace=False)
 
 
 @pytest.mark.parametrize("family", sorted(KERNEL_DIGESTS))
 def test_kernel_output_fingerprint(family):
-    text = "\n".join(_kernel_lines(family))
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, FINGERPRINT_SECONDS)
+    try:
+        text = "\n".join(_kernel_lines(family))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_DIGESTS[family]
 
 
@@ -369,9 +438,9 @@ def test_head_reduce_contracts_into_a_numeral_body_100000_deep():
     assert deep(Abs("y", out.result).__eq__, church(100_000))
 
 
-def _capturing_chain(levels, binder):
-    """\\b (b) \\b (b) .. a, levels binders deep, each named binder."""
-    t = Var("a")
+def _capturing_chain(levels, binder, last=Var("a")):
+    """\\b (b) \\b (b) .. last, levels binders deep, each named binder."""
+    t = last
     for _ in range(levels):
         t = Abs(binder, App(Var(binder), t))
     return t
@@ -385,6 +454,53 @@ def test_head_reduce_renames_binders_in_a_chain_100000_deep():
     out = deep(head_reduce, t)
     assert out.steps == 1
     assert deep(print_term, out.result) == deep(print_term, want).replace("a", "y")
+
+
+@pytest.mark.parametrize("run", [head_reduce, normalize])
+def test_numeral_applied_to_two_arguments_100000_deep(run):
+    # both substitutions go down the numeral's body in one walk
+    t = App(App(church(100_000), Var("a")), Var("g"))
+    with collector_paused():
+        want = Var("a")
+        for _ in range(100_000):
+            want = App(Var("g"), want)
+    out = deep(run, t)
+    assert out.steps == 2
+    assert deep(out.result.__eq__, want)
+
+
+def test_second_value_primes_every_binder_of_a_chain_100000_deep():
+    # every binder z captures the second value z, so both walks run in turn
+    with collector_paused():
+        chain = _capturing_chain(100_000, "z", App(Var("x"), Var("y")))
+        t = App(App(Abs("x", Abs("y", chain)), Var("a")), Var("z"))
+        want = _capturing_chain(100_000, "z'", App(Var("a"), Var("z")))
+    out = deep(head_reduce, t)
+    assert out.steps == 2
+    assert deep(print_term, out.result) == deep(print_term, want)
+
+
+def test_two_names_in_one_walk_as_in_two():
+    # the first value, the second or both are open in a name that t may
+    # bind, so each of them primes binders; a part of t that holds neither
+    # name comes back as itself
+    rng = random.Random(808)
+    for i in range(3000):
+        t = random_term(rng, depth=6, scope=["x", "y"])
+        while not {"x", "y"} <= t.fv:
+            t = random_term(rng, depth=6, scope=["x", "y"])
+        a = _without(rng, {"y"}, ["x"])
+        if i % 4 in (0, 2):
+            a = App(a, Var(rng.choice(["z", "u", "w"])))
+        b = random_term(rng, depth=3, scope=["x", "y"])
+        if i % 4 in (1, 2):
+            b = App(Var(rng.choice(["z", "u", "w"])), b)
+        kept = _without(rng, {"x", "y"}, ["z", "u", "w"])
+        t = App(t, kept) if i % 2 else App(kept, t)
+        once = reduction._subst1(t, "x", a, "y", b)
+        twice = reduction._subst1(reduction._subst1(t, "x", a), "y", b)
+        assert print_term(once) == print_term(twice)
+        assert (once.arg if i % 2 else once.fn) is kept
 
 
 @pytest.mark.parametrize("run", [head_reduce, normalize])
