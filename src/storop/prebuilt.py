@@ -150,7 +150,7 @@ def numeral_derivation(k: int, ctx: Context = Context(), propositional: bool = F
     return _gen_pred(_abs(_abs(d)), pvar)
 
 
-def succ_derivation(ctx: Context = Context(), propositional: bool = False, genvar: str = "x") -> Derivation:
+def succ_derivation(ctx: Context = Context(), propositional: bool = False) -> Derivation:
     """Type the successor: !x (N[x] -> N[s(x)]), or N -> N when propositional."""
     n, x, f = _fresh_terms(ctx, "n", "x", "f")
     pvar = fresh_name("X", _ambient(ctx, fv_pred))
@@ -159,7 +159,7 @@ def succ_derivation(ctx: Context = Context(), propositional: bool = False, genva
         nty = n_type(None)
         witness = PredAbstraction((), PredVarApp(pvar))
     else:
-        gv = fresh_name(genvar, _ambient(ctx, fv_fo))
+        gv = fresh_name("x", _ambient(ctx, fv_fo))
         xv = FoVar(gv)
         nty = n_type(xv)
         witness = PredAbstraction(("w",), PredVarApp(pvar, (FoVar("w"),)))
@@ -207,11 +207,11 @@ def _g_derivation(ctx: Context) -> Derivation:
     return _gen_fo(_abs(_abs(d)), gv)
 
 
-def t1_star_derivation(ctx: Context = Context(), genvar: str = "x") -> Derivation:
+def t1_star_derivation(ctx: Context = Context()) -> Derivation:
     """Storage over iteration against the negative translation:
     !x (N*[x] -> ~~N[x])."""
     (nu,) = _fresh_terms(ctx, "n")
-    gv = fresh_name(genvar, _ambient(ctx, fv_fo))
+    gv = fresh_name("x", _ambient(ctx, fv_fo))
     xv = FoVar(gv)
     c1 = ctx.extended(nu, n_star_type(xv))
     witness = PredAbstraction(("w",), neg(n_type(FoVar("w"))))
@@ -287,7 +287,7 @@ def _wrapped_bot(second_arg: str) -> Derivation:
     dnu = _inst(_ax(c2, nu), PredAbstraction(("w",), Bot()))
 
     def inner_call(cc: Context) -> Derivation:
-        dt1 = lift_star_to_bot(t1_star_derivation(cc, genvar="x"))
+        dt1 = lift_star_to_bot(t1_star_derivation(cc))
         d = _app(_inst(dt1, xv), _ax(cc, nu))
         return _app(d, _ax(cc, f))
 

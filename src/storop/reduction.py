@@ -37,34 +37,17 @@ binder and would rebuild the same term, but the step still counts. A
 contraction whose binder is not free in its body continues with the body
 as it is, for the same reason.
 
-Substitution decides at the parent: a node enters only a child in which
-the name is free, and puts the value in place of a variable child without
-a call. It recurses once per level, so head_reduce and normalize lift
-Python's recursion limit to terms._DEEP while they run, and put it back on
-the way out, errors included; from Python 3.11 these calls take no C
-stack, so a term of any depth reduces. Like the collector pause below,
-the lifted limit is interpreter-wide: it holds for every thread while the
-kernel runs.
-
-head_reduce and normalize also pause Python's cyclic garbage collector
-while they run and restore its previous state on the way out.
-The kernel allocates many nodes and keeps much of what it builds, so the
-collector's young-generation passes would rescan the live term over and
-over; kernel nodes are immutable trees, which cannot form cycles, so the
-pause holds back no garbage of theirs. The pause is no wider than these
-two functions, because around a whole command it also held back the
-reference cycles that the rest of the command leaves, and the command's
-peak memory rose by a fifth.
+Substitution (terms._subst1) recurses once per level, so head_reduce and
+normalize run under terms._deep, which lifts the recursion limit and
+pauses the cyclic garbage collector while they run.
 """
 
 from __future__ import annotations
 
-import gc
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from storop.terms import _DEEP, Abs, App, Term, Var, subterms
+from storop.terms import Abs, App, Term, Var, _deep, _subst1, subterms
 
 __all__ = [
     "DEFAULT_FUEL",
@@ -111,69 +94,6 @@ class ReductionOutcome:
 def _check_fuel(fuel: int) -> None:
     if not isinstance(fuel, int) or isinstance(fuel, bool) or fuel <= 0:
         raise ValueError("fuel must be a positive integer")
-
-
-def _subst1(t, name, value, name2=None, value2=None):
-    """Capture-avoiding substitution of a single free variable, for a t in
-    which name is free; given name2 and value2 as well, t[name := value]
-    [name2 := value2] in one walk, for a t in which both are free and a
-    value in which name2 is not.
-
-    A binder that would capture a free variable of value is primed until it
-    is fresh for value and the body. terms.substitute primes differently;
-    step-for-step output depends on this exact rule.
-
-    Each node decides for its children: it enters only a child in which
-    name is free, and puts value in place of a variable child without a
-    call. With two names, a child that holds one of them takes the walk of
-    that name alone, and one that holds both takes the walk of both. An
-    abstraction whose binder either value mentions goes to the two walks
-    one after the other, so every binder is primed as they prime it.
-    """
-    tt = type(t)
-    if tt is App:
-        fn = t.fn
-        arg = t.arg
-        if name2 is None:
-            if name in fn.fv:
-                fn = value if type(fn) is Var else _subst1(fn, name, value)
-            if name in arg.fv:
-                arg = value if type(arg) is Var else _subst1(arg, name, value)
-            return App(fn, arg)
-        fv = fn.fv
-        if name in fv:
-            if name2 in fv:
-                fn = _subst1(fn, name, value, name2, value2)
-            else:
-                fn = value if type(fn) is Var else _subst1(fn, name, value)
-        elif name2 in fv:
-            fn = value2 if type(fn) is Var else _subst1(fn, name2, value2)
-        fv = arg.fv
-        if name in fv:
-            if name2 in fv:
-                arg = _subst1(arg, name, value, name2, value2)
-            else:
-                arg = value if type(arg) is Var else _subst1(arg, name, value)
-        elif name2 in fv:
-            arg = value2 if type(arg) is Var else _subst1(arg, name2, value2)
-        return App(fn, arg)
-    if tt is Var:
-        return value
-    binder = t.binder
-    body = t.body
-    if name2 is not None:
-        if binder in value.fv or binder in value2.fv:
-            return _subst1(_subst1(t, name, value), name2, value2)
-        return Abs(binder, _subst1(body, name, value, name2, value2))
-    if binder in value.fv:
-        avoid = value.fv | body.fv
-        nb = binder
-        while nb in avoid:
-            nb = nb + "'"
-        if binder in body.fv:
-            body = _subst1(body, binder, Var(nb))
-        binder = nb
-    return Abs(binder, value if type(body) is Var else _subst1(body, name, value))
 
 
 def _spine(t, fuel):
@@ -263,18 +183,9 @@ def head_reduce(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
     form takes no step and comes back as the same object.
     """
     _check_fuel(fuel)
-    collecting = gc.isenabled()
-    limit = sys.getrecursionlimit()
-    gc.disable()
-    sys.setrecursionlimit(_DEEP)
-    try:
-        binders, head, args, steps = _spine(t, fuel)
-        status = FUEL_EXHAUSTED if type(head) is Abs else HEAD_NORMAL_FORM
-        return ReductionOutcome(_rebuild(binders, head, args) if steps else t, steps, status)
-    finally:
-        sys.setrecursionlimit(limit)
-        if collecting:
-            gc.enable()
+    binders, head, args, steps = _deep(_spine, t, fuel)
+    status = FUEL_EXHAUSTED if type(head) is Abs else HEAD_NORMAL_FORM
+    return ReductionOutcome(_rebuild(binders, head, args) if steps else t, steps, status)
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
@@ -286,36 +197,31 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> ReductionOutcome:
     normal form returns itself.
     """
     _check_fuel(fuel)
+    return _deep(_normalize, t, fuel)
+
+
+def _normalize(t, fuel):
     steps = 0
     # (binders, head, args, i, node): argument i is being normalized; node is
     # the spine's own term while nothing in it has changed, else None
-    collecting = gc.isenabled()
-    limit = sys.getrecursionlimit()
-    gc.disable()
-    sys.setrecursionlimit(_DEEP)
-    try:
-        waiting = []
-        while True:
-            binders, head, args, n = _spine(t, fuel - steps)
-            steps += n
-            node = None if n else t
-            exhausted = type(head) is Abs
-            i = len(args) if exhausted else 0
-            while i == len(args):
-                t = _rebuild(binders, head, args) if node is None else node
-                if not waiting:
-                    return ReductionOutcome(t, steps, FUEL_EXHAUSTED if exhausted else NORMAL_FORM)
-                binders, head, args, i, node = waiting.pop()
-                if args[i] is not t:
-                    args[i] = t
-                    node = None
-                i = len(args) if exhausted else i + 1
-            waiting.append((binders, head, args, i, node))
-            t = args[i]
-    finally:
-        sys.setrecursionlimit(limit)
-        if collecting:
-            gc.enable()
+    waiting = []
+    while True:
+        binders, head, args, n = _spine(t, fuel - steps)
+        steps += n
+        node = None if n else t
+        exhausted = type(head) is Abs
+        i = len(args) if exhausted else 0
+        while i == len(args):
+            t = _rebuild(binders, head, args) if node is None else node
+            if not waiting:
+                return ReductionOutcome(t, steps, FUEL_EXHAUSTED if exhausted else NORMAL_FORM)
+            binders, head, args, i, node = waiting.pop()
+            if args[i] is not t:
+                args[i] = t
+                node = None
+            i = len(args) if exhausted else i + 1
+        waiting.append((binders, head, args, i, node))
+        t = args[i]
 
 
 def is_normal(t: Term) -> bool:

@@ -41,7 +41,6 @@ from storop.terms import (
     App,
     Term,
     Var,
-    _alpha_eq,
     church,
     fresh_name,
     numeral_of,
@@ -409,8 +408,9 @@ def behavioral_check(
 
     ``cert``, when given, must come from certify at a fuel no larger than
     ``fuel``. When it is ok, for this n and this strict, and the argument f
-    received is alpha-equal to its tau, the verdict is the certificate's and
-    nothing is normalized; otherwise the argument is normalized as without it.
+    received is ``==`` (alpha-equal) to its tau, the verdict is the
+    certificate's and nothing is normalized; otherwise the argument is
+    normalized as without it.
     """
     f = fresh_name("f", op.fv | theta.fv)
     out = head_reduce(App(App(op, theta), Var(f)), fuel)
@@ -425,7 +425,7 @@ def behavioral_check(
         and cert.ok
         and cert.n == n
         and cert.strict == strict
-        and _alpha_eq(tau, cert.tau_term)
+        and tau == cert.tau_term
     ):
         return BehavioralResult(True, OK, tau, cert.tau_value)
     status, value, _ = _read_output(tau, n, fuel, strict)

@@ -13,9 +13,11 @@ the two terms side by side and skips a node both sides share. A term hashes
 as its set of free variables, which alpha-equal terms share, so hashing
 takes constant time and every closed term hashes alike. Equality, printing
 and parsing walk explicit stacks, so they work at any depth.
-``substitute`` and ``match_holes`` recurse once per level, with the
-recursion limit lifted while they run (see ``_deep``), so they work at any
-depth too.
+
+One capture-avoiding substitution, ``_subst1``, serves the kernel and
+``substitute``. It and ``_match`` recurse once per level, under ``_deep``,
+the one guard that lifts the recursion limit and pauses the cyclic
+collector, so they work at any depth too.
 """
 
 from __future__ import annotations
@@ -183,47 +185,117 @@ _DEEP = 2**31 - 1
 
 
 def _deep(fn, *args):
-    """fn(*args) with the recursion limit lifted to _DEEP, and put back as it
-    was afterwards, errors included. The limit is interpreter-wide."""
+    """fn(*args) with Python's cyclic garbage collector paused and the
+    recursion limit lifted to _DEEP, both put back as they were afterwards,
+    errors included. It is the one place that changes either.
+
+    The walkers that recurse once per level (_subst1, _match) run under it,
+    so a term of any depth is bounded by memory alone. The functions that
+    build many nodes run under it too: they keep much of what they build,
+    so the collector's young-generation passes would rescan the live term
+    over and over, and terms are immutable trees, which cannot form cycles,
+    so the pause holds back no garbage of theirs. The pause is no wider than
+    one call, because around a whole command it also held back the reference
+    cycles that the rest of the command leaves, and the command's peak
+    memory rose by a fifth. Both settings are interpreter-wide: they hold
+    for every thread while fn runs.
+    """
+    collecting = gc.isenabled()
     limit = sys.getrecursionlimit()
+    gc.disable()
     sys.setrecursionlimit(_DEEP)
     try:
         return fn(*args)
     finally:
         sys.setrecursionlimit(limit)
+        if collecting:
+            gc.enable()
+
+
+def _subst1(t, name, value, name2=None, value2=None):
+    """Capture-avoiding substitution of a single free variable, for a t in
+    which name is free; given name2 and value2 as well, t[name := value]
+    [name2 := value2] in one walk, for a t in which both are free and a
+    value in which name2 is not.
+
+    A binder that would capture a free variable of value is primed until it
+    is fresh for value and the body; step-for-step output depends on this
+    exact rule.
+
+    Each node decides for its children: it enters only a child in which
+    name is free, and puts value in place of a variable child without a
+    call. With two names, a child that holds one of them takes the walk of
+    that name alone, and one that holds both takes the walk of both. An
+    abstraction whose binder either value mentions goes to the two walks
+    one after the other, so every binder is primed as they prime it.
+    """
+    tt = type(t)
+    if tt is App:
+        fn = t.fn
+        arg = t.arg
+        if name2 is None:
+            if name in fn.fv:
+                fn = value if type(fn) is Var else _subst1(fn, name, value)
+            if name in arg.fv:
+                arg = value if type(arg) is Var else _subst1(arg, name, value)
+            return App(fn, arg)
+        fv = fn.fv
+        if name in fv:
+            if name2 in fv:
+                fn = _subst1(fn, name, value, name2, value2)
+            else:
+                fn = value if type(fn) is Var else _subst1(fn, name, value)
+        elif name2 in fv:
+            fn = value2 if type(fn) is Var else _subst1(fn, name2, value2)
+        fv = arg.fv
+        if name in fv:
+            if name2 in fv:
+                arg = _subst1(arg, name, value, name2, value2)
+            else:
+                arg = value if type(arg) is Var else _subst1(arg, name, value)
+        elif name2 in fv:
+            arg = value2 if type(arg) is Var else _subst1(arg, name2, value2)
+        return App(fn, arg)
+    if tt is Var:
+        return value
+    binder = t.binder
+    body = t.body
+    if name2 is not None:
+        if binder in value.fv or binder in value2.fv:
+            return _subst1(_subst1(t, name, value), name2, value2)
+        return Abs(binder, _subst1(body, name, value, name2, value2))
+    if binder in value.fv:
+        avoid = value.fv | body.fv
+        nb = binder
+        while nb in avoid:
+            nb = nb + "'"
+        if binder in body.fv:
+            body = _subst1(body, binder, Var(nb))
+        binder = nb
+    return Abs(binder, value if type(body) is Var else _subst1(body, name, value))
 
 
 def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     """Simultaneous capture-avoiding substitution of free variables.
 
-    Binders are renamed (with primes) only when they would capture a free
-    variable of a substituted term.
+    Made of _subst1's walks, so binders are primed by the kernel's rule,
+    only when they would capture a free variable of a substituted term. A
+    single free key takes one walk. Several first become fresh temporaries,
+    one walk each, and the values go in after, so no value's own free
+    variables are substituted. A term in which no key is free comes back as
+    the same object.
     """
-    if not mapping:
-        return t
-    return _deep(_subst, t, dict(mapping))
-
-
-def _subst(t: Term, m: dict[str, Term]) -> Term:
-    if not (t.fv & m.keys()):
-        return t
-    if type(t) is Var:
-        return m.get(t.name, t)
-    if type(t) is App:
-        return App(_subst(t.fn, m), _subst(t.arg, m))
-    # Abs: restrict to the keys that actually occur free in the body
-    body = t.body
-    live = {k: v for k, v in m.items() if k != t.binder and k in body.fv}
-    if not live:
-        return t
-    captured = set()
-    for v in live.values():
-        captured |= v.fv
-    if t.binder in captured:
-        new_binder = fresh_name(t.binder, captured | body.fv | set(live))
-        live[t.binder] = Var(new_binder)
-        return Abs(new_binder, _subst(body, live))
-    return Abs(t.binder, _subst(body, live))
+    walks = [(k, v) for k, v in mapping.items() if k in t.fv]
+    if len(walks) > 1:
+        # names no parsed term holds, fresh for t and every value
+        avoid = t.fv.union(*(v.fv for _, v in walks))
+        temps = [fresh_name(str(i), avoid) for i in range(len(walks))]
+        walks = [(k, Var(tmp)) for (k, _), tmp in zip(walks, temps)] + [
+            (tmp, v) for (_, v), tmp in zip(walks, temps)
+        ]
+    for name, value in walks:
+        t = _deep(_subst1, t, name, value)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -231,26 +303,20 @@ def _subst(t: Term, m: dict[str, Term]) -> Term:
 
 
 def church(n: int) -> Term:
-    """The Church-style numeral \\x f (f)^n x.
-
-    Pauses Python's cyclic garbage collector while it builds, and restores
-    its previous state on the way out, as the kernel does: the nodes form a
-    chain, which holds no cycle, yet for a large n most of the time would
-    go to collections that rescan the chain and find nothing.
-    """
+    """The Church-style numeral \\x f (f)^n x, built under _deep, whose
+    collector pause spares a large n the collections that would rescan the
+    chain and find nothing."""
     if n < 0:
         raise ValueError("numeral index must be >= 0")
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        body: Term = Var("x")
-        f = Var("f")
-        for _ in range(n):
-            body = App(f, body)
-        return Abs("x", Abs("f", body))
-    finally:
-        if collecting:
-            gc.enable()
+    return _deep(_numeral, n)
+
+
+def _numeral(n: int) -> Term:
+    body: Term = Var("x")
+    f = Var("f")
+    for _ in range(n):
+        body = App(f, body)
+    return Abs("x", Abs("f", body))
 
 
 def numeral_of(t: Term) -> Optional[int]:

@@ -127,15 +127,11 @@ def test_self_call_scanner():
 
 
 # The walkers that still recurse once per node, for every module of the
-# package. They run with the recursion limit lifted (terms._deep,
-# head_reduce, normalize), so their depth is bounded by memory. The lists
-# may only shrink: a new walker uses an explicit stack, as formulas._key
-# does, or formulas._fold, the one post-order fold over formulas,
-# first-order terms and derivations.
-STILL_RECURSIVE = {
-    "reduction.py": ["_subst1"],
-    "terms.py": ["_match", "_subst"],
-}
+# package. They run under terms._deep, with the recursion limit lifted, so
+# their depth is bounded by memory. The lists may only shrink: a new walker
+# uses an explicit stack, as formulas._key does, or formulas._fold, the one
+# post-order fold over formulas, first-order terms and derivations.
+STILL_RECURSIVE = {"terms.py": ["_match", "_subst1"]}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
@@ -183,10 +179,9 @@ def test_collector_pause_scanner():
     assert callers("from gc import disable\n", "gc", "disable") == ["from gc"]
 
 
-# The kernel's two loops and the numeral builder pause the cyclic collector
-# while they build terms, which are trees and cannot form cycles. Nothing
-# else may pause it.
-PAUSES_COLLECTOR = {"reduction.py": ["head_reduce", "normalize"], "terms.py": ["church"]}
+# Only terms._deep pauses the cyclic collector, for the one call it guards;
+# DEEP_CALLERS pins who goes through it.
+PAUSES_COLLECTOR = {"terms.py": ["_deep"]}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
@@ -208,16 +203,68 @@ def test_recursion_limit_scanner():
     ]
 
 
-# The recursive walkers in STILL_RECURSIVE run with the recursion limit lifted,
-# and only these functions lift it, each for as long as its own call runs.
-# No module sets it on import.
-SETS_RECURSION_LIMIT = {"reduction.py": ["head_reduce", "normalize"], "terms.py": ["_deep"]}
+# The recursive walkers in STILL_RECURSIVE run with the recursion limit
+# lifted, and only terms._deep lifts it, for as long as the call it guards
+# runs. No module sets it on import.
+SETS_RECURSION_LIMIT = {"terms.py": ["_deep"]}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_only_the_deep_walks_set_the_recursion_limit(path):
     source = path.read_text(encoding="utf-8")
     assert callers(source, "sys", "setrecursionlimit") == SETS_RECURSION_LIMIT.get(path.name, [])
+
+
+def users(source: str, name: str) -> list[str]:
+    """The functions that read name, bare or as an attribute, and "<module>"
+    for such a read outside any function."""
+    tree = ast.parse(source)
+
+    def reads(node: ast.AST) -> bool:
+        return any(
+            (isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load))
+            or (isinstance(n, ast.Attribute) and n.attr == name)
+            for n in ast.walk(node)
+        )
+
+    found = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and reads(fn)
+    }
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    if any(reads(s) for s in tree.body if not isinstance(s, defs)):
+        found.add("<module>")
+    return sorted(found)
+
+
+def test_guard_user_scanner():
+    src = (
+        "from terms import _deep\n"
+        "def _deep(fn):\n    return fn()\n"
+        "def f():\n    return _deep(g)\n"
+        "def h():\n    return terms._deep(g)\n"
+        "def k():\n    return map(_deep, [])\n"
+        "def m():\n    _deep = 1\n"
+        "class C:\n    def n(self):\n        return _deep(g)\n"
+        "x = _deep\n"
+    )
+    assert users(src, "_deep") == ["<module>", "f", "h", "k", "n"]
+
+
+# The functions that run a call under terms._deep, which pauses the
+# collector and lifts the recursion limit, interpreter-wide, while it runs.
+# A new caller widens who changes that state, so it is named here.
+DEEP_CALLERS = {
+    "reduction.py": ["head_reduce", "normalize"],
+    "terms.py": ["church", "match_holes", "substitute"],
+}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_named_functions_go_through_the_guard(path):
+    source = path.read_text(encoding="utf-8")
+    assert users(source, "_deep") == DEEP_CALLERS.get(path.name, [])
 
 
 def test_import_leaves_the_recursion_limit_alone():

@@ -303,10 +303,68 @@ def test_substitute_into_a_body_100000_deep():
     assert sys.getrecursionlimit() == limit
 
 
+def _reference_subst(t, m):
+    """Simultaneous substitution by the rule substitute followed before it
+    ran on the kernel's walk: a binder that would capture is primed until it
+    avoids every value's free names, the body's and the keys."""
+    if not (t.fv & m.keys()):
+        return t
+    if type(t) is Var:
+        return m.get(t.name, t)
+    if type(t) is App:
+        return App(_reference_subst(t.fn, m), _reference_subst(t.arg, m))
+    body = t.body
+    live = {k: v for k, v in m.items() if k != t.binder and k in body.fv}
+    if not live:
+        return t
+    captured = set()
+    for v in live.values():
+        captured |= v.fv
+    if t.binder in captured:
+        new_binder = fresh_name(t.binder, captured | body.fv | set(live))
+        live[t.binder] = Var(new_binder)
+        return Abs(new_binder, _reference_subst(body, live))
+    return Abs(t.binder, _reference_subst(body, live))
+
+
+def test_substitute_agrees_with_a_reference_substitution_on_seeded_terms():
+    # keys, inner binders and the values' free names all come from one pool
+    # of names, primed ones included, so values collide with the binders they
+    # pass under, a primed binder with the body's free names, and values with
+    # the keys themselves; some maps swap two keys or map keys to themselves,
+    # and one seed in eight has no key free
+    names = ["x", "y", "z", "x'", "y'"]
+    for seed in range(300):
+        rng = random.Random(seed)
+        t = random_term(rng, depth=6, scope=names)
+        while len(t.fv) < 2:
+            t = random_term(rng, depth=6, scope=names)
+        pool = sorted(t.fv) if seed % 8 else sorted(set(names) - t.fv) or ["q"]
+        keys = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+        m = {k: random_term(rng, depth=3, scope=names) for k in keys}
+        if seed % 4 == 1:
+            m[keys[0]] = Var(keys[0])
+        elif seed % 4 == 2 and len(keys) > 1:
+            m[keys[0]], m[keys[1]] = Var(keys[1]), Var(keys[0])
+        elif seed % 4 == 3:
+            m = {k: Var(k) for k in keys}
+        got = substitute(t, m)
+        assert got == _reference_subst(t, m)
+        if seed % 4 == 3:
+            assert got == t
+        if not (t.fv & m.keys()):
+            assert got is t
+    t = P("\\y (x) (y) z")
+    assert substitute(t, {"x": Var("z"), "z": Var("x")}) == P("\\y (z) (y) x")
+    assert substitute(t, {"x": Var("x"), "z": Var("z")}) == t
+    assert substitute(t, {"x": Var("y"), "z": Var("x")}) == P("\\w (y) (w) x")
+    assert substitute(t, {"y": Var("x"), "q": Var("x")}) is t
+
+
 @pytest.mark.parametrize(
     "walker, call",
     [
-        ("_subst", lambda: substitute(P("x"), {"x": Var("y")})),
+        ("_subst1", lambda: substitute(P("(x) z"), {"x": Var("y")})),
         ("_match", lambda: match_holes(P("x"), P("y"), {"x"})),
     ],
     ids=["substitute", "match_holes"],
