@@ -36,7 +36,6 @@ from storop.reduction import (
 )
 from storop.storage import (
     STEP_BUDGET_EXHAUSTED,
-    CorpusFuelExhausted,
     behavioral_check,
     certify,
     theta_corpus,
@@ -136,11 +135,13 @@ def cmd_certify(args) -> int:
 
 def _certify_range(term, max_n: int, corpus_size: int, fuel: int, out) -> int:
     """Certify n = 0..max_n, writing each certificate to out as it is made,
-    and check n's corpus against n's certificate before certifying n + 1.
+    and run the operator on n's corpus, checked against n's certificate,
+    before certifying n + 1.
 
-    The behavioural lines are printed after the last certificate line. The
-    first behavioural failure ends the behavioural runs, and is reported
-    once every n is certified.
+    The corpus terms equal n by construction and are not normalized here;
+    each run on one is bounded by fuel. The behavioural lines are printed
+    after the last certificate line. The first behavioural failure ends the
+    behavioural runs, and is reported once every n is certified.
     """
     passed: list[str] = []
     failed = None  # (n, theta index, status) of the first behavioural failure
@@ -164,11 +165,7 @@ def _certify_range(term, max_n: int, corpus_size: int, fuel: int, out) -> int:
             return EXIT_FUEL if exhausted else EXIT_FAIL
         if failed is not None:
             continue
-        try:
-            corpus = theta_corpus(n, limit=corpus_size, fuel=fuel)
-        except CorpusFuelExhausted as e:
-            failed = (n, e.index, FUEL_EXHAUSTED)
-            continue
+        corpus = theta_corpus(n, limit=corpus_size)
         for i, theta in enumerate(corpus):
             res = behavioral_check(term, theta, n, fuel=fuel, cert=cert)
             if not res.ok:

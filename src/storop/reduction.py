@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from storop.terms import Abs, App, Term, Var, _deep, _subst1, subterms
+from storop.terms import Abs, App, Term, Var, _deep, _subst1
 
 __all__ = [
     "DEFAULT_FUEL",
@@ -58,7 +58,6 @@ __all__ = [
     "backend_name",
     "head_reduce",
     "normalize",
-    "is_normal",
     "beta_equiv",
 ]
 
@@ -222,11 +221,6 @@ def _normalize(t, fuel):
             i = len(args) if exhausted else i + 1
         waiting.append((binders, head, args, i, node))
         t = args[i]
-
-
-def is_normal(t: Term) -> bool:
-    """True when t contains no beta redex at all."""
-    return not any(type(s) is App and type(s.fn) is Abs for s in subterms(t))
 
 
 def beta_equiv(t: Term, u: Term, fuel: int = DEFAULT_FUEL) -> Optional[bool]:

@@ -54,7 +54,6 @@ __all__ = [
     "Certificate",
     "certify",
     "theta_corpus",
-    "CorpusFuelExhausted",
     "behavioral_check",
     "BehavioralResult",
     "OK",
@@ -305,14 +304,6 @@ def certify(
 # concrete argument corpus
 
 
-class CorpusFuelExhausted(Exception):
-    """A corpus candidate did not normalize within the fuel."""
-
-    def __init__(self, index: int):
-        super().__init__(f"corpus term {index} did not normalize in fuel")
-        self.index = index
-
-
 def _round_robin(families: Sequence[Iterable[Term]]) -> Iterator[Term]:
     pending = deque(iter(f) for f in families)
     while pending:
@@ -328,19 +319,21 @@ def theta_corpus(
     extra: int = 4,
     seed: int = 0,
     limit: Optional[int] = None,
-    fuel: int = DEFAULT_FUEL,
 ) -> list[Term]:
-    """Closed terms provably equal to the n-th numeral, in varied shapes.
+    """Closed terms equal to the n-th numeral by construction, in varied shapes.
 
-    There are four shape families: the numeral itself, successor towers over
-    smaller numerals, identity wrappings, and seeded redex insertions inside
-    the body. Candidates are taken round-robin over the families, so every
-    prefix mixes the shapes, and verified one at a time: each candidate is
-    normalized once and its normal form read as a numeral, which must be n.
-    Nothing past the first ``limit`` terms (None: all) is verified or,
-    beyond the two identity wrappings, built.
-    Raises CorpusFuelExhausted when a candidate does not normalize within
-    ``fuel`` steps.
+    There are four shape families, each equal to n for one reason:
+
+    - the numeral itself;
+    - succ^k applied to church(n - k), for k = 1..n: each succ adds one;
+    - (\\x x) N and (\\x x) (\\x x) N for the numeral N: I M = M;
+    - seeded wrappings of N in I or in a discarding redex (\\d M) I, where
+      d is not free in M: either contracts to M.
+
+    Terms are taken round-robin over the families, so every prefix mixes
+    the shapes. Nothing is normalized here, and nothing past the first
+    ``limit`` terms (None: all) is built, beyond the two identity wrappings.
+    The test suite normalizes every term to check that it equals n.
     """
     if n < 0:
         raise ValueError("the stored value must be non-negative")
@@ -369,15 +362,7 @@ def theta_corpus(
                     t = App(Abs(pad, t), ident)
             yield t
 
-    out: list[Term] = []
-    for t in islice(_round_robin(((target,), towers(), wraps, seeded())), limit):
-        norm = normalize(t, fuel)
-        if not norm.completed:
-            raise CorpusFuelExhausted(len(out))
-        if numeral_of(norm.result) != n:
-            raise AssertionError(f"corpus term is not equal to the numeral: {print_term(t)}")
-        out.append(t)
-    return out
+    return list(islice(_round_robin(((target,), towers(), wraps, seeded())), limit))
 
 
 @dataclass(frozen=True)

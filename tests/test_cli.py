@@ -302,16 +302,15 @@ def test_certify_failed_run_writes_certificates_so_far(capsys, tmp_path):
 
 
 def test_certify_corpus_verification_obeys_fuel(capsys, monkeypatch, tmp_path):
-    # No operator's symbolic run is cheaper than verifying its corpus: the
-    # output's own normalization outweighs it. So the symbolic stage gets the
-    # default fuel here, and --fuel 1 first bites on the third corpus term
-    # at n=0, which takes two steps to verify.
+    # The corpus is not normalized before it is used, so --fuel bites on the
+    # runs themselves. The symbolic stage gets the default fuel here, and
+    # with --fuel 1 every run of @T2 at n=0 exhausts it, the first one first.
     monkeypatch.setattr(cli, "certify", lambda term, n, fuel: certify(term, n))
     path = tmp_path / "certs.txt"
     code, out, _ = run(capsys, "certify", "@T2", "--max-n", "0", "--fuel", "1", "--out", str(path))
     assert code == 3
     assert out.splitlines()[1:] == [
-        "behavioral n=0 theta=2: fuel-exhausted",
+        "behavioral n=0 theta=0: fuel-exhausted",
         "certify: behavioral check failed at n=0 (fuel-exhausted)",
     ]
     assert path.read_text(encoding="utf-8") == certify(BUILTINS["T2"], 0).to_text()

@@ -14,7 +14,6 @@ from storop.storage import (
     STEP_BUDGET_EXHAUSTED,
     TAU_NOT_NUMERAL,
     TAU_WRONG_VALUE,
-    CorpusFuelExhausted,
     IndexedVarRegistry,
     behavioral_check,
     certify,
@@ -232,18 +231,6 @@ def test_theta_corpus_prefix_takes_one_term_per_family(n):
     assert seeded == App(ident, App(Abs("d", church(n)), ident))
 
 
-def test_theta_corpus_verifies_only_what_it_returns(monkeypatch):
-    calls = []
-
-    def counting(t, fuel):
-        calls.append(t)
-        return normalize(t, fuel)
-
-    monkeypatch.setattr(storage, "normalize", counting)
-    assert len(theta_corpus(90, limit=4)) == 4
-    assert len(calls) == 4
-
-
 def test_theta_corpus_reordering_keeps_the_terms():
     # sha256 of each n's sorted printed corpus, recorded before the families
     # were interleaved: the same terms, from the same seeded draws
@@ -254,20 +241,29 @@ def test_theta_corpus_reordering_keeps_the_terms():
     assert digest == "68359db8261cb88671d1fae32e164f1cc70bfb1e1630b415b14e8a76a88c1552"
 
 
-def test_theta_corpus_fuel():
-    # at n=2 the fifth candidate is the succ tower of height 2: six steps
-    assert len(theta_corpus(2, limit=5, fuel=6)) == 5
-    with pytest.raises(CorpusFuelExhausted) as info:
-        theta_corpus(2, limit=5, fuel=5)
-    assert info.value.index == 4
-
-
 def test_theta_corpus_is_seeded():
     a = [print_term(t) for t in theta_corpus(2, seed=9)]
     b = [print_term(t) for t in theta_corpus(2, seed=9)]
     c = [print_term(t) for t in theta_corpus(2, seed=10)]
     assert a == b
     assert a != c
+
+
+# theta_corpus builds terms equal to n by construction and normalizes none,
+# so this checks it: every corpus the command line draws (--max-n 90, the
+# default extra and seed), some larger n, and every (n, extra, seed) the
+# tests draw
+@pytest.mark.parametrize(
+    "ns, extra, seed",
+    [(range(91), 4, 0), ((91, 200, 500), 4, 0), (range(7), 5, 41), (range(7), 3, 5)]
+    + [(range(7), 4, seed) for seed in (9, 10)],
+    ids=["n<=90", "n=91,200,500", "seed41", "seed5", "seed9", "seed10"],
+)
+def test_every_corpus_term_normalizes_to_its_numeral(ns, extra, seed):
+    for n in ns:
+        for t in theta_corpus(n, extra=extra, seed=seed):
+            out = normalize(t)
+            assert out.completed and numeral_of(out.result) == n, (n, print_term(t))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -413,7 +409,7 @@ def _mutant_sweep(ns, normalized):
         if not m.fv
     ]
     assert len(mutants) == 930
-    corpora = {n: theta_corpus(n, limit=4, fuel=fuel) for n in ns}
+    corpora = {n: theta_corpus(n, limit=4) for n in ns}
     lines, misses, v_taus, v_runs = [], 0, 0, 0
     for m in mutants:
         for n, corpus in corpora.items():
