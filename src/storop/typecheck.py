@@ -20,9 +20,13 @@ explicit stack, ``_fold``, given a node's premises as its children, serves
 derivation's repr shows its root node alone.
 
 ``read_derivation`` interns formulas and subject terms, each by its own
-interner over ``_fold``. At a well-formed node a premise's subject is then
-the very subterm of its conclusion's that the rule names, so the checker's
-term comparisons end at the identity test.
+interner over ``_fold``, and contexts by their names and formulas. At a
+well-formed node a premise's context, subject and type are then the very
+objects the rule names in its conclusion, so the checker tries ``is``
+before ``==`` on each. The ``==`` fallback decides nodes built apart, as in
+mutants and ``build_prebuilt``'s derivations, and the ``abs`` rule compares
+the premise's entries with the conclusion's plus the binder's entry,
+building no ``Context``.
 
 An inst node's stated type is compared by ``==`` with ``instantiate``,
 whose substitution loops over an explicit stack, so inst nodes are checked
@@ -263,7 +267,7 @@ def _check_node(node: Derivation, equations, fragment: str) -> Optional[str]:
         found = ctx.lookup(term.name)
         if found is None:
             return f"{term.name} is not in the context"
-        if found != a:
+        if found is not a and found != a:
             return f"context gives {term.name} : {print_formula(found)}, node says {print_formula(a)}"
         return None
 
@@ -275,11 +279,12 @@ def _check_node(node: Derivation, equations, fragment: str) -> Optional[str]:
             return "abs type must be an arrow"
         if ctx.lookup(term.binder) is not None:
             return f"binder {term.binder} shadows a context entry"
-        if p.ctx != ctx.extended(term.binder, a.left):
+        # the entries' tuple comparison tries identity first, item by item
+        if p.ctx.entries != ctx.entries + ((term.binder, a.left),):
             return "premise context must extend the conclusion context with the binder"
-        if p.term != term.body:
+        if p.term is not term.body and p.term != term.body:
             return "premise subject must be the abstraction body"
-        if p.type != a.right:
+        if p.type is not a.right and p.type != a.right:
             return "premise type must be the arrow target"
         return None
 
@@ -287,23 +292,26 @@ def _check_node(node: Derivation, equations, fragment: str) -> Optional[str]:
         pf, pa = node.premises
         if type(term) is not App:
             return "app subject must be an application"
-        if pf.ctx != ctx or pa.ctx != ctx:
+        if (pf.ctx is not ctx and pf.ctx != ctx) or (pa.ctx is not ctx and pa.ctx != ctx):
             return "premises must share the conclusion context"
-        if pf.term != term.fn or pa.term != term.arg:
+        if (pf.term is not term.fn and pf.term != term.fn) or (
+            pa.term is not term.arg and pa.term != term.arg
+        ):
             return "premise subjects must be the function and argument"
-        if type(pf.type) is not Arrow:
+        arrow = pf.type
+        if type(arrow) is not Arrow:
             return "function premise must have an arrow type"
-        if pa.type != pf.type.left:
+        if pa.type is not arrow.left and pa.type != arrow.left:
             return "argument type must match the arrow source"
-        if a != pf.type.right:
+        if a is not arrow.right and a != arrow.right:
             return "conclusion type must be the arrow target"
         return None
 
     # the remaining rules keep subject and context fixed
     (p,) = node.premises
-    if p.ctx != ctx:
+    if p.ctx is not ctx and p.ctx != ctx:
         return "premise context must match"
-    if p.term != term:
+    if p.term is not term and p.term != term:
         return "premise subject must match"
 
     if rule == "eq":
@@ -323,7 +331,7 @@ def _check_node(node: Derivation, equations, fragment: str) -> Optional[str]:
             except KeyError as exc:
                 return str(exc)
             cur = apply_equation(cur, eq, tuple(spath), direction)
-        if a != cur:
+        if a is not cur and a != cur:
             return f"rewrites yield {print_formula(cur)}"
         return None
 
@@ -332,7 +340,7 @@ def _check_node(node: Derivation, equations, fragment: str) -> Optional[str]:
     if kind == "gen":
         if type(a) is not quant:
             return f"{rule} conclusion must be a {noun} quantification"
-        if p.type != a.body:
+        if p.type is not a.body and p.type != a.body:
             return "premise type must be the quantifier body"
         for name, b in ctx:
             if a.var in fv(b):
@@ -350,7 +358,7 @@ def _check_node(node: Derivation, equations, fragment: str) -> Optional[str]:
         return "inst-bot witness body must be a bottomed type"
     # an abstraction of the wrong arity makes instantiate raise the message
     expect = instantiate(p.type, w)
-    if a != expect:
+    if a is not expect and a != expect:
         return f"instantiation yields {print_formula(expect)}"
     return None
 
@@ -532,15 +540,18 @@ def _sexp_parse(src: str):
 def read_derivation(src: str) -> Derivation:
     """Read the text write_derivation produces.
 
-    Every formula and subject term read from one text is interned in a
-    table built for the call: contexts, types, witness bodies and subject
-    terms share one object per exact named structure, subformulas and
-    subterms included, so the checker compares unchanged formulas by
-    identity, and the premise of a well-formed abs or app node holds the
-    very body, function or argument of its conclusion's subject. These
-    shared nodes must be treated as immutable. Alpha-variants such as
-    ``!x X(x)`` and ``!y X(y)``, or ``\\x x`` and ``\\y y``, stay distinct
-    objects, each printing its own binder.
+    Every formula, subject term and context read from one text is interned
+    in a table built for the call: context entries, types, witness bodies
+    and subject terms share one object per exact named structure,
+    subformulas and subterms included, and equal contexts (the same names
+    bound to the same interned formulas) are one ``Context``. So the
+    checker finds unchanged contexts, subjects and types by identity before
+    it tries ``==``: every premise of a well-formed app node holds its
+    conclusion's context, and the premise of a well-formed abs or app node
+    holds the very body, function or argument of its conclusion's subject.
+    These shared objects must be treated as immutable; two calls share
+    none. Alpha-variants such as ``!x X(x)`` and ``!y X(y)``, or ``\\x x``
+    and ``\\y y``, stay distinct objects, each printing its own binder.
     """
     forms = _sexp_parse(src)
     if len(forms) != 1:
@@ -646,7 +657,7 @@ def _read_node(table: dict, form, premises: tuple) -> Derivation:
     if not isinstance(form, list) or len(form) < 2 or _atom(form[0]) != "rule":
         raise ValueError("expected a (rule ...) form")
     rule = _atom(form[1])
-    ctx = Context()
+    ctx = _read_context((), table)
     term = ftype = witness = None
     seen = set()
     for part in form[2:]:
@@ -663,7 +674,7 @@ def _read_node(table: dict, form, premises: tuple) -> Derivation:
             for entry in part[1:]:
                 name, src = _form(entry, '(name "formula") in ctx', 2)
                 entries.append((_atom(name), _read_formula(_string(src), table)))
-            ctx = Context(tuple(entries))
+            ctx = _read_context(tuple(entries), table)
         elif head == "term":
             text = _string(body)
             term = table.get(("term", text))
@@ -678,6 +689,16 @@ def _read_node(table: dict, form, premises: tuple) -> Derivation:
     if term is None or ftype is None:
         raise ValueError("derivation node needs term and type")
     return Derivation(rule, ctx, term, ftype, witness, premises)
+
+
+def _read_context(entries: tuple, table: dict) -> Context:
+    """table's Context for entries, keyed by their names and the identities of their
+    formulas, which table interned and keeps alive."""
+    key = ("ctx", *[(n, id(a)) for n, a in entries])
+    ctx = table.get(key)
+    if ctx is None:
+        ctx = table[key] = Context(entries)
+    return ctx
 
 
 def _read_witness(form, table: dict):

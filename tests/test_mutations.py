@@ -15,7 +15,7 @@ from storop.formulas import (
     n_type,
     neg,
 )
-from storop.prebuilt import build_prebuilt, prebuilt_check_args, prebuilt_names
+from storop.prebuilt import build_prebuilt, load_prebuilt, prebuilt_check_args, prebuilt_names
 from storop.typecheck import Context, check_derivation
 
 _BUILT = {name: build_prebuilt(name) for name in prebuilt_names()}
@@ -168,3 +168,32 @@ def test_mutant_failure_lists_fingerprint():
                 count += 1
     assert count == 1153
     assert h.hexdigest() == MUTANT_FAILURES_DIGEST
+
+
+# A read derivation is interned, so the checker decides most comparisons by
+# identity; a built one reuses some objects but interns nothing, so many of
+# its comparisons fall back to ==. The two must give the same verdicts, with
+# the same messages, on every bundled derivation and on every mutant of it.
+
+
+@pytest.mark.parametrize("name", prebuilt_names())
+def test_read_and_built_derivations_get_the_same_reports(name):
+    read, built = load_prebuilt(name), _BUILT[name]
+    kwargs = prebuilt_check_args(name)
+    assert read == built
+    rep = check_derivation(read, **kwargs)
+    assert rep.ok and check_derivation(built, **kwargs) == rep
+    mutants = 0
+    for opname in sorted(OPERATORS):
+        op = OPERATORS[opname]
+        for (path, node), (same_path, twin) in zip(paths(read), paths(built)):
+            assert path == same_path
+            mutated, mutated_twin = op(node), op(twin)
+            assert (mutated is None) == (mutated_twin is None)
+            if mutated is None:
+                continue
+            mine = check_derivation(rebuild_at(read, path, lambda _n: mutated), **kwargs)
+            theirs = check_derivation(rebuild_at(built, path, lambda _n: mutated_twin), **kwargs)
+            assert mine == theirs, (opname, path)  # ok flags and failure lists
+            mutants += 1
+    assert mutants > 0

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # the rest of the process. Prints the exit codes, the check's verdict and
 # the tracer's metrics as one JSON line.
 SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, dataclasses, io, json, sys
 sys.path[:0] = sys.argv[1:3]
 from tracing import Tracer
 
@@ -20,7 +20,7 @@ tracer = Tracer()
 tracer.install()
 import storop.cli
 from storop.prebuilt import load_prebuilt
-from storop.typecheck import check_derivation
+from storop.typecheck import Context, check_derivation
 
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
@@ -30,7 +30,10 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["check", sys.argv[3]],
     ):
         codes.append(storop.cli.main(argv))
-ok = check_derivation(load_prebuilt("two")).ok
+d = load_prebuilt("two")
+# a root context equal to its premise's, but not the same object, is the
+# one context the checker compares by ==
+ok = check_derivation(d).ok and check_derivation(dataclasses.replace(d, ctx=Context(d.ctx.entries))).ok
 print(json.dumps({"codes": codes, "ok": ok, "metrics": tracer.metrics()}))
 """
 
@@ -60,7 +63,7 @@ def test_traced_calls_answer_and_are_counted():
         "prebuilt.load_prebuilt",
     ):
         assert metrics[layer + ".calls"] > 0, layer
-    # one check through the CLI, one directly
-    assert metrics["typecheck.check_derivation.calls"] == 2
+    # one check through the CLI, two directly
+    assert metrics["typecheck.check_derivation.calls"] == 3
     assert metrics["typecheck.check_derivation.nodes"] > 0
     assert metrics["reduction.normalize.steps"] > 0

@@ -592,6 +592,86 @@ def test_reads_share_no_formula_node():
     assert not {id(a) for a in formula_nodes(first)} & {id(a) for a in formula_nodes(second)}
 
 
+def test_read_shares_one_context_per_equal_context():
+    d = load_prebuilt("tp_bot")
+    apps = [node for node in derivation_nodes(d) if node.rule == "app"]
+    assert len(apps) == 24
+    assert all(p.ctx is node.ctx for node in apps for p in node.premises)
+    by_entries = {}
+    for node in derivation_nodes(d):
+        by_entries.setdefault(node.ctx.entries, set()).add(id(node.ctx))
+    assert all(len(ids) == 1 for ids in by_entries.values())
+
+
+def test_reads_share_no_context():
+    text = write_derivation(load_prebuilt("tp_bot"))
+    first, second = read_derivation(text), read_derivation(text)
+    assert first == second
+    assert not {id(n.ctx) for n in derivation_nodes(first)} & {
+        id(n.ctx) for n in derivation_nodes(second)
+    }
+
+
+# nodes whose premise context, subject or type equals the expected one
+# without being the same object: the checker's identity test misses, and
+# its == fallback decides
+
+
+def test_abs_accepts_an_equal_premise_built_apart():
+    arrow = Arrow(F("!x X(x)"), F("!y X(y)"))
+    ctx = Context((("v", F("bot")),))
+    # alpha-variants of the arrow's halves, in a context and subject of their own
+    premise_ctx = Context((("v", F("bot")), ("u", F("!z X(z)"))))
+    leaf = Derivation("ax", premise_ctx, Var("u"), F("!w X(w)"))
+    d = Derivation("abs", ctx, Abs("u", Var("u")), arrow, None, (leaf,))
+    assert premise_ctx.entries[0][1] is not ctx.entries[0][1]
+    assert leaf.term is not d.term.body
+    assert check_derivation(d).ok
+
+
+def test_app_accepts_equal_premises_built_apart():
+    a, b = F("!x X(x)"), F("!y X(y)")
+    fn_type = Arrow(a, F("bot"))
+    ctx = Context((("f", fn_type), ("u", b)))
+    twin = Context((("f", Arrow(F("!z X(z)"), F("bot"))), ("u", F("!w X(w)"))))
+    df = Derivation("ax", twin, Var("f"), Arrow(F("!z X(z)"), F("bot")))
+    du = Derivation("ax", Context(ctx.entries), Var("u"), F("!w X(w)"))
+    d = Derivation("app", ctx, App(Var("f"), Var("u")), F("bot"), None, (df, du))
+    assert df.ctx is not ctx and du.ctx is not ctx and du.term is not d.term.arg
+    assert check_derivation(d).ok
+
+
+def test_inst_accepts_an_equal_premise_built_apart():
+    q = F("!X (X -> X)")
+    w = PredAbstraction((), F("bot"))
+    ctx = Context((("u", q),))
+    leaf = Derivation("ax", Context((("u", F("!Y (Y -> Y)")),)), Var("u"), F("!Y (Y -> Y)"))
+    d = Derivation("inst-pred", ctx, Var("u"), F("bot -> bot"), w, (leaf,))
+    assert leaf.ctx is not ctx and leaf.term is not d.term
+    assert check_derivation(d).ok
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [("y", F("A")), ("x", F("B")), ("x", F("A -> A"))],
+    ids=["wrong-name", "wrong-formula", "wrong-arrow-source"],
+)
+def test_abs_rejects_a_wrong_context_extension(entry):
+    message = "at []: premise context must extend the conclusion context with the binder"
+    a = F("A")
+    ctx = Context((("v", F("bot")),))
+    premise_ctx = Context(ctx.entries + (entry,))
+    leaf = Derivation("ax", premise_ctx, Var(entry[0]), entry[1])
+    d = Derivation("abs", ctx, Abs("x", Var("x")), Arrow(a, a), None, (leaf,))
+    assert check_derivation(d).first_message() == message
+    # read back, where both contexts are interned
+    assert check_derivation(read_derivation(write_derivation(d))).first_message() == message
+    # an extension of a context other than the conclusion's is rejected too
+    stray = Derivation("ax", Context((("x", a),)), Var("x"), a)
+    d = Derivation("abs", ctx, Abs("x", Var("x")), Arrow(a, a), None, (stray,))
+    assert check_derivation(d).first_message() == message
+
+
 # forgetting
 
 
