@@ -5,7 +5,8 @@ counts as one step; step counts are exact and binder names are part of the
 result (substitution renames a capturing binder by priming it). normalize
 counts every head step it takes, at the root and inside arguments, in
 normal (leftmost-outermost) order. On fuel exhaustion the result is the
-partial reduct.
+partial reduct. Fuel 0 takes no step: the term comes back as itself, as
+completed if it has nothing to contract and as fuel-exhausted otherwise.
 
 One spine loop serves both: it keeps the binders, the head and the argument
 stack of a term across steps, so nothing is rebuilt between contractions.
@@ -91,8 +92,8 @@ class ReductionOutcome:
 
 
 def _check_fuel(fuel: int) -> None:
-    if not isinstance(fuel, int) or isinstance(fuel, bool) or fuel <= 0:
-        raise ValueError("fuel must be a positive integer")
+    if not isinstance(fuel, int) or isinstance(fuel, bool) or fuel < 0:
+        raise ValueError("fuel must be a non-negative integer")
 
 
 def _spine(t, fuel):

@@ -6,6 +6,8 @@ worth 0 it selects its first argument, worth k+1 it applies its second
 argument to a fresh indexed variable worth k. Indexed variables expand the
 same way and may be consumed only once. The run must end with f applied to
 exactly one argument; that argument must normalize to the expected numeral.
+All reduction, the machine's and the output's, shares one fuel, and a run
+at value n takes at most 8 * (n + 1) + 32 machine steps.
 
 A certificate records the whole run, machine step by machine step, and is
 deterministic: replaying the same operator at the same value reproduces the
@@ -30,7 +32,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from storop.reduction import (
     DEFAULT_FUEL,
     FUEL_EXHAUSTED,
-    ReductionOutcome,
     _rebuild,
     _spine,
     head_reduce,
@@ -49,7 +50,6 @@ from storop.terms import (
 )
 
 __all__ = [
-    "IndexedVarRegistry",
     "MachineStep",
     "Certificate",
     "certify",
@@ -66,39 +66,6 @@ __all__ = [
 ]
 
 
-@dataclass
-class _Entry:
-    value: int
-    first: Term
-    second: Term
-    used: bool = False
-
-
-class IndexedVarRegistry:
-    """Fresh single-use stand-ins for partially consumed iterators."""
-
-    def __init__(self, avoid: Iterable[str] = ()):
-        self._avoid = set(avoid)
-        self._entries: dict[str, _Entry] = {}
-
-    def fresh(self, value: int, first: Term, second: Term) -> str:
-        name = f"x_{value}"
-        while name in self._avoid or name in self._entries:
-            name += "'"
-        self._entries[name] = _Entry(value, first, second)
-        return name
-
-    def lookup(self, name: str) -> Optional[_Entry]:
-        return self._entries.get(name)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._entries)
-
-    def rows(self) -> tuple[tuple[str, int, Term, Term], ...]:
-        """(name, level, first, second) per entry, in creation order."""
-        return tuple((name, e.value, e.first, e.second) for name, e in self._entries.items())
-
-
 @dataclass(frozen=True)
 class MachineStep:
     kind: str  # "nu-head", "indexed-head", "f-terminal"
@@ -106,17 +73,6 @@ class MachineStep:
     args: int
     contractions: int
     term: Term  # the term after this step
-
-    @property
-    def state(self) -> str:
-        """The term after this step, printed."""
-        return print_term(self.term)
-
-    def describe(self, _cache: Optional[dict] = None) -> str:
-        return (
-            f"{self.kind} head={self.head} args={self.args} "
-            f"contractions={self.contractions} -> {print_term(self.term, _cache)}"
-        )
 
 
 # failure tags are stable strings; tests and the command line rely on them
@@ -154,14 +110,6 @@ class Certificate:
         """
         return None if self.tau_term is None else print_term(self.tau_term, {})
 
-    @property
-    def registry(self) -> tuple[tuple[str, int, str, str], ...]:
-        """(name, level, first, second) per indexed variable, terms printed."""
-        return tuple(
-            (name, level, print_term(first), print_term(second))
-            for name, level, first, second in self.registry_terms
-        )
-
     def to_text(self) -> str:
         # Successive states share all but their spines, and the certificate
         # keeps every node alive meanwhile, so one print cache keyed by node
@@ -176,7 +124,10 @@ class Certificate:
             f"total-contractions: {self.total_contractions}",
         ]
         for i, s in enumerate(self.steps, start=1):
-            lines.append(f"step {i}: {s.describe(cache)}")
+            lines.append(
+                f"step {i}: {s.kind} head={s.head} args={s.args}"
+                f" contractions={s.contractions} -> {print_term(s.term, cache)}"
+            )
         lines.append(f"registry: {len(self.registry_terms)} entries")
         for name, level, first, second in self.registry_terms:
             lines.append(
@@ -192,23 +143,13 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-def _reduce_within(run, t: Term, fuel: int) -> ReductionOutcome:
-    """run(t, fuel), where no fuel left is not an error: a term that run
-    leaves alone needs no fuel, any other has run out of it."""
-    if fuel:
-        return run(t, fuel)
-    out = run(t, 1)
-    return out if out.steps == 0 else ReductionOutcome(t, 0, FUEL_EXHAUSTED)
-
-
 def _read_output(tau: Term, n: int, fuel: int, strict: bool) -> tuple[str, Optional[int], str]:
     """The verdict on tau, what f received: (status, value, detail).
 
-    tau must normalize within fuel, as _reduce_within counts it, to a
-    numeral, which under strict must be n; value is that numeral, None when
-    there is none.
+    tau must normalize within fuel, which may be 0, to a numeral, which
+    under strict must be n; value is that numeral, None when there is none.
     """
-    norm = _reduce_within(normalize, tau, fuel)
+    norm = normalize(tau, fuel)
     if not norm.completed:
         return FUEL_EXHAUSTED, None, "the output did not normalize in fuel"
     value = numeral_of(norm.result)
@@ -219,22 +160,17 @@ def _read_output(tau: Term, n: int, fuel: int, strict: bool) -> tuple[str, Optio
     return OK, value, ""
 
 
-def certify(
-    op: Term,
-    n: int,
-    fuel: int = DEFAULT_FUEL,
-    strict: bool = True,
-    max_machine_steps: Optional[int] = None,
-) -> Certificate:
+def certify(op: Term, n: int, fuel: int = DEFAULT_FUEL, strict: bool = True) -> Certificate:
     """Run the symbolic storage machine on an operator at value n."""
     if n < 0:
         raise ValueError("the stored value must be non-negative")
-    if max_machine_steps is None:
-        max_machine_steps = 8 * (n + 1) + 32
+    budget = 8 * (n + 1) + 32
     printed_op = print_term(op)
     nu = fresh_name("v", op.fv)
     f = fresh_name("f", op.fv | {nu})
-    registry = IndexedVarRegistry(op.fv | {nu, f})
+    avoid = op.fv | {nu, f}
+    # indexed variable name -> [level, first, second, expanded], in creation order
+    registry: dict[str, list] = {}
     term: Term = App(App(op, Var(nu)), Var(f))
     steps: list[MachineStep] = []
     total = 0
@@ -243,13 +179,13 @@ def certify(
     def done(status, tau=None, tau_value=None, detail=""):
         return Certificate(
             printed_op, n, strict, status, tuple(steps), total, tau, tau_value, detail,
-            registry.rows(),
+            tuple((name, e[0], e[1], e[2]) for name, e in registry.items()),
         )
 
     while True:
-        if len(steps) >= max_machine_steps:
-            return done(STEP_BUDGET_EXHAUSTED, detail=f"more than {max_machine_steps} machine steps")
-        out = _reduce_within(head_reduce, term, fuel_left)
+        if len(steps) >= budget:
+            return done(STEP_BUDGET_EXHAUSTED, detail=f"more than {budget} machine steps")
+        out = head_reduce(term, fuel_left)
         total += out.steps
         fuel_left -= out.steps
         term = out.result
@@ -282,20 +218,24 @@ def certify(
                 return done(BAD_HEAD_SHAPE, detail="the iterator needs at least two arguments")
             value, first, second, rest = n, args[0], args[1], args[2:]
         else:
-            entry = registry.lookup(head.name)
+            entry = registry.get(head.name)
             if entry is None:
                 steps.append(MachineStep("bad", head.name, len(args), out.steps, term))
                 return done(BAD_HEAD_SHAPE, detail=f"unexpected head variable {head.name}")
             kind = "indexed-head"
-            if entry.used:
+            if entry[3]:
                 steps.append(MachineStep(kind, head.name, len(args), out.steps, term))
                 return done(INDEXED_REUSE, detail=f"{head.name} was expanded twice")
-            entry.used = True
-            value, first, second, rest = entry.value, entry.first, entry.second, args
+            entry[3] = True
+            value, first, second, _ = entry
+            rest = args
         if value == 0:
             term = _rebuild((), first, rest)
         else:
-            name = registry.fresh(value - 1, first, second)
+            name = f"x_{value - 1}"
+            while name in avoid or name in registry:
+                name += "'"
+            registry[name] = [value - 1, first, second, False]
             term = _rebuild((), App(second, Var(name)), rest)
         steps.append(MachineStep(kind, head.name, len(args), out.steps, term))
 

@@ -220,6 +220,14 @@ def test_nonpositive_fuel_flag_is_exit_2(capsys):
     assert "--fuel" in err
 
 
+def test_zero_fuel_env_is_exit_2(capsys, monkeypatch):
+    # the kernel takes fuel 0, but a command that may reduce nothing is refused
+    monkeypatch.setenv("STOROP_FUEL", "0")
+    code, _, err = run(capsys, "reduce", "@omega")
+    assert code == 2
+    assert "STOROP_FUEL" in err
+
+
 # ---------------------------------------------------------------- certify
 
 

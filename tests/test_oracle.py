@@ -2,7 +2,7 @@
 
 reference.py reduces nameless terms one leftmost-outermost step at a time.
 Each case runs through it once; then head_reduce and normalize run at every
-fuel from 1 to one past its step count, and each result must be alpha-equal
+fuel from 0 to one past its step count, and each result must be alpha-equal
 to the reference's term after that many steps, with the same count and the
 same verdict on whether the run stopped on its own.
 """
@@ -84,7 +84,7 @@ def test_kernel_agrees_with_the_reference_at_every_fuel(run, step):
     for t in CASES:
         terms, stopped = trace(step, nameless(t), LIMIT)
         steps = len(terms) - 1
-        for fuel in range(1, steps + 2 if stopped else steps + 1):
+        for fuel in range(0, steps + 2 if stopped else steps + 1):
             out = run(t, fuel)
             taken = min(fuel, steps)
             where = (print_term(t), fuel)

@@ -82,12 +82,30 @@ def test_head_reduce_exact_fuel_still_reports_hnf():
     assert out.steps == 2 and out.status == HEAD_NORMAL_FORM
 
 
-@pytest.mark.parametrize("fuel", [0, -1, 2.5, True])
+@pytest.mark.parametrize("fuel", [-1, 2.5, True])
 def test_fuel_must_be_positive_int(fuel):
     with pytest.raises(ValueError):
         head_reduce(Var("x"), fuel=fuel)
     with pytest.raises(ValueError):
         normalize(Var("x"), fuel=fuel)
+
+
+@pytest.mark.parametrize(
+    "src, head_status, normal_status",
+    [
+        ("y", HEAD_NORMAL_FORM, NORMAL_FORM),
+        ("\\x f (f) x", HEAD_NORMAL_FORM, NORMAL_FORM),
+        ("(f) (\\x x) y", HEAD_NORMAL_FORM, FUEL_EXHAUSTED),
+        ("(\\x x) y", FUEL_EXHAUSTED, FUEL_EXHAUSTED),
+        ("@omega", FUEL_EXHAUSTED, FUEL_EXHAUSTED),
+    ],
+)
+def test_fuel_zero_returns_the_term_itself(src, head_status, normal_status):
+    t = parse(src)
+    for run, status in ((head_reduce, head_status), (normalize, normal_status)):
+        out = run(t, 0)
+        assert out.result is t and out.steps == 0
+        assert out.status == status
 
 
 def test_normalize_full():

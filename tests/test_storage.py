@@ -14,7 +14,6 @@ from storop.storage import (
     STEP_BUDGET_EXHAUSTED,
     TAU_NOT_NUMERAL,
     TAU_WRONG_VALUE,
-    IndexedVarRegistry,
     behavioral_check,
     certify,
     theta_corpus,
@@ -33,16 +32,12 @@ from storop.terms import (
 from genterms import single_node_mutants
 
 
-def test_registry_freshness_and_flags():
-    reg = IndexedVarRegistry(avoid={"x_0"})
-    a = reg.fresh(0, Var("a"), Var("b"))
-    assert a == "x_0'"
-    b = reg.fresh(0, Var("a"), Var("b"))
-    assert b not in (a,) and reg.lookup(b).value == 0
-    assert reg.lookup("nope") is None
-    assert set(reg.names()) == {a, b}
-    reg.lookup(a).used = True
-    assert reg.lookup(a).used
+def test_registry_freshness():
+    # x_0 is free in the operator, so the indexed variable worth 0 is primed
+    cert = certify(parse_term("\\v f ((v) (f) x_0) \\y (f) y"), 1)
+    assert [(name, level) for name, level, _, _ in cert.registry_terms] == [("x_0'", 0)]
+    assert cert.tau == "x_0'"
+    assert cert.status == TAU_NOT_NUMERAL
 
 
 @pytest.mark.parametrize("make,arity", [(t_operator, 1), (t_operator, 2), (tp_operator, 1), (tp_operator, 2)])
@@ -100,14 +95,17 @@ def test_certificate_text_and_replay():
 
 def test_printed_states_and_registry_rows():
     cert = certify(t_operator(1), 1)
-    assert [s.state for s in cert.steps] == [
+    assert [print_term(s.term) for s in cert.steps] == [
         "(\\x x) x_0",
         "(\\n ((n) \\f (f) \\x f x) \\x y (x) \\z (y) (\\n x f (f) (n) x f) z) v f",
         "(\\x y (x) \\z (y) (\\n x f (f) (n) x f) z) x_0' f",
         "(\\f (f) \\x f x) \\z (f) (\\n x f (f) (n) x f) z",
         "(f) (\\n x f (f) (n) x f) \\x f x",
     ]
-    assert cert.registry == (
+    assert tuple(
+        (name, level, print_term(first), print_term(second))
+        for name, level, first, second in cert.registry_terms
+    ) == (
         (
             "x_0",
             0,
@@ -183,9 +181,25 @@ def test_diverging_operator_exhausts_fuel():
     assert cert.status == FUEL_EXHAUSTED
 
 
+def _peeling(levels):
+    # worth 0, ((v) M) f steps to M in one machine step, one level at a time
+    body = "(f) x"
+    for _ in range(levels):
+        body = "((v) " + body + ") f"
+    return parse_term("\\v f " + body)
+
+
 def test_machine_step_budget():
-    cert = certify(t_operator(1), 3, max_machine_steps=2)
-    assert cert.status == STEP_BUDGET_EXHAUSTED
+    # at n = 0 the budget is 8 * (0 + 1) + 32 = 40 machine steps
+    for levels in (40, 41):
+        cert = certify(_peeling(levels), 0)
+        assert cert.status == STEP_BUDGET_EXHAUSTED
+        assert len(cert.steps) == 40
+        assert cert.detail == "more than 40 machine steps"
+    # 39 levels and the terminal fit: the free x is then no numeral
+    cert = certify(_peeling(39), 0)
+    assert cert.status == TAU_NOT_NUMERAL
+    assert len(cert.steps) == 40
 
 
 def test_indexed_variable_reuse_is_detected():
