@@ -5,12 +5,17 @@ verdict (a failed certification or check), 2 usage or parse error, 3 fuel
 exhausted, 4 internal error (one line on stderr, no traceback), 141 stdout
 closed by the reader (128 + SIGPIPE, as a shell reports a tool killed by a
 closed pipe). STOROP_FUEL overrides the default fuel; an explicit --fuel beats
-both.
+both. Derivation and equations files may start with a UTF-8 byte-order mark.
+
+``main`` returns the exit code, so it may be called repeatedly in one
+process. It builds the argument parser on its first call and keeps it, and
+looks up the subcommand's ``cmd_*`` function at each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -197,7 +202,7 @@ _FRAGMENT_SPELLINGS = {"af2bot": "af2-bot", "fperp": "fperp"}
 
 def cmd_check(args) -> int:
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = Path(args.file).read_text(encoding="utf-8-sig")
     except OSError as e:
         raise _UsageError(f"cannot read derivation file: {e}") from None
     try:
@@ -207,7 +212,7 @@ def cmd_check(args) -> int:
     equations = None
     if args.equations:
         try:
-            eq_text = Path(args.equations).read_text(encoding="utf-8")
+            eq_text = Path(args.equations).read_text(encoding="utf-8-sig")
         except OSError as e:
             raise _UsageError(f"cannot read equations file: {e}") from None
         try:
@@ -259,7 +264,9 @@ def cmd_translate(args) -> int:
 # wiring
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of main and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="storop",
         description="Storage operators: reduction, certification, derivation checking, translations.",
@@ -271,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("head", "normal"), default="head")
     p.add_argument("--fuel", type=int, default=None, help=f"step budget (default {DEFAULT_FUEL})")
     p.add_argument("--trace", action="store_true", help="print every intermediate term")
-    p.set_defaults(run=cmd_reduce)
 
     p = sub.add_parser("certify", help="run the symbolic storage machine on an operator")
     p.add_argument("term", help="closed operator term")
@@ -279,30 +285,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fuel", type=int, default=None, help=f"step budget (default {DEFAULT_FUEL})")
     p.add_argument("--corpus", type=int, default=4, help="behavioral arguments per n (default 4)")
     p.add_argument("--out", default=None, help="write the certificates to this file")
-    p.set_defaults(run=cmd_certify)
 
     p = sub.add_parser("check", help="check a derivation file")
     p.add_argument("file", help="derivation in the bundled s-expression format")
     p.add_argument("--fragment", choices=tuple(_FRAGMENT_SPELLINGS), default="af2bot")
     p.add_argument("--equations", default=None, help="equation file for eq steps")
-    p.set_defaults(run=cmd_check)
 
     p = sub.add_parser("translate", help="apply a formula translation")
     p.add_argument("formula", help="formula text, e.g. 'N[x]' or '!X {X(0) -> X(x)}'")
     p.add_argument("--op", choices=("star", "bot", "forget", "polarity"), required=True)
-    p.set_defaults(run=cmd_translate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
-        code = args.run(args)
+        # looked up at each call, not kept on the parser, so a cmd_* replaced
+        # after an earlier call is the one that runs
+        run = {
+            "reduce": cmd_reduce,
+            "certify": cmd_certify,
+            "check": cmd_check,
+            "translate": cmd_translate,
+        }[args.command]
+        code = run(args)
         sys.stdout.flush()  # a reader that closed early is seen here, not at exit
         return code
     except _UsageError as e:

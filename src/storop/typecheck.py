@@ -12,15 +12,16 @@ first-order layer anywhere, no eq) with the bottomed rules allowed.
 
 No walker here recurses. The formulas module's post-order fold over an
 explicit stack, ``_fold``, given a node's premises as its children, serves
-``Derivation.node_count``, ``forget_derivation``, ``lift_star_to_bot``,
-``write_derivation`` and ``read_derivation`` (over the parsed forms).
-``check_derivation`` walks the same order in its own loop, which calls
-``_check_node`` directly and keeps the node's path as one list.
-``Derivation.__eq__`` compares premise pairs off a stack of its own, and a
-derivation's repr shows its root node alone.
+``Derivation.node_count``, ``forget_derivation``, ``lift_star_to_bot`` and
+``write_derivation``. ``check_derivation`` walks the same order in its own
+loop, which calls ``_check_node`` directly and keeps the node's path as one
+list. ``read_derivation`` makes one pass over the tokens of its text with
+one stack of the lists still open, and builds each node as its list
+closes. ``Derivation.__eq__`` compares premise pairs off a stack of its
+own, and a derivation's repr shows its root node alone.
 
 ``read_derivation`` interns formulas and subject terms, each by its own
-interner over ``_fold``, and contexts by their names and formulas. At a
+post-order loop, and contexts by their names and formulas. At a
 well-formed node a premise's context, subject and type are then the very
 objects the rule names in its conclusion, so the checker tries ``is``
 before ``==`` on each. The ``==`` fallback decides nodes built apart, as in
@@ -39,13 +40,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 from storop.formulas import (
     Arrow,
     Atom,
+    Bot,
     EquationSet,
     FormulaError,
     FoTerm,
@@ -56,12 +57,10 @@ from storop.formulas import (
     Formula,
     PredAbstraction,
     PredVarApp,
-    Quantifier,
     _EXIT,
     _fold,
     _is_propositional,
     _parse_foterm_src,
-    _remake,
     apply_equation,
     forget_first_order,
     fv_bot,
@@ -502,39 +501,18 @@ def _write_witness(node: Derivation) -> str:
 
 
 # one token per match, after any whitespace: a parenthesis, a string with
-# its quotes, an atom, or the opening quote of a string that never ends
-_SEXP_TOKEN = re.compile(
-    r'[ \t\r\n]*(?:([()])|("(?:[^"\\]|\\.)*")|([^ \t\r\n()"]+)|("))', re.DOTALL
-)
+# its quotes, an atom, or a quote whose string never ends; that one takes the
+# rest of the text, so nothing after it is scanned again
+_SEXP_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_SEXP_TOKEN = re.compile(r'[ \t\r\n]*([()]|' + _SEXP_STRING + r'|[^ \t\r\n()"]+|".*)', re.DOTALL)
+_SEXP_COMPLETE = re.compile(_SEXP_STRING, re.DOTALL)
 _SEXP_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _escaped = itemgetter(1)  # the character after a backslash
 
-
-def _sexp_parse(src: str):
-    """src's forms as nested lists of ("atom", text) and ("str", text) tokens."""
-    stack: list[list] = [[]]
-    # token by token, so a bare quote raises before the rest is scanned
-    for m in _SEXP_TOKEN.finditer(src):
-        paren, string, atom, quote = m.groups()
-        if paren == "(":
-            stack.append([])
-        elif paren:
-            done = stack.pop()
-            if not stack:
-                raise ValueError("unbalanced parentheses")
-            stack[-1].append(done)
-        elif string:
-            string = string[1:-1]
-            if "\\" in string:
-                string = _SEXP_ESCAPE.sub(_escaped, string)
-            stack[-1].append(("str", string))
-        elif atom:
-            stack[-1].append(("atom", atom))
-        elif quote:
-            raise ValueError("unterminated string in derivation file")
-    if len(stack) != 1:
-        raise ValueError("unbalanced parentheses")
-    return stack[0]
+# what a list of the text is, by where it opens: a derivation node (at the
+# top, or in a premises section), a section of a node, or any other list
+_NODE, _SECTION, _OTHER, _TOP = range(4)
+_PREMISES = ("atom", "premises")  # the head of a premises section
 
 
 def read_derivation(src: str) -> Derivation:
@@ -552,11 +530,86 @@ def read_derivation(src: str) -> Derivation:
     These shared objects must be treated as immutable; two calls share
     none. Alpha-variants such as ``!x X(x)`` and ``!y X(y)``, or ``\\x x``
     and ``\\y y``, stay distinct objects, each printing its own binder.
+
+    The text is read in one pass over its tokens, with one explicit stack
+    of the lists still open; each node is built as its list closes, over
+    the nodes of its last premises section. An error in a node is kept
+    until its parent is built, so the error raised is the one a reader
+    that parsed the whole text first would raise: unbalanced parentheses,
+    an unterminated string or other than one form before any node's, and
+    otherwise the first failing node's in post-order.
     """
-    forms = _sexp_parse(src)
+    # trailing whitespace is cut first: the pattern would scan it again from
+    # each of its characters, in quadratic time
+    tokens = _SEXP_TOKEN.findall(src, 0, len(src.rstrip(" \t\r\n")))
+    last = tokens[-1] if tokens else ""
+    unterminated = last[:1] == '"' and not _SEXP_COMPLETE.fullmatch(last)
+    if unterminated:
+        tokens.pop()
+    if unterminated or tokens.count("(") != tokens.count(")"):
+        _raise_syntax_error(tokens, unterminated)
+    table: dict = {}
+    nodes: dict = {}  # id of a node's list -> the node, or the error reading it raised
+    forms: list = []  # the forms at the top
+    items, kind = forms, _TOP  # the innermost open list and its kind
+    stack: list = []  # the enclosing open lists with their kinds, innermost last
+    for tok in tokens:
+        first = tok[0]
+        if first == "(":
+            stack.append((items, kind))
+            if kind == _NODE:
+                kind = _SECTION
+            elif kind == _TOP or (kind == _SECTION and items and items[0] == _PREMISES):
+                kind = _NODE
+            else:
+                kind = _OTHER
+            items = []
+        elif first == ")":
+            if not stack:
+                raise ValueError("unbalanced parentheses")
+            if kind == _NODE:
+                try:
+                    nodes[id(items)] = _read_node(table, nodes, items)
+                except ValueError as exc:
+                    nodes[id(items)] = exc
+            done = items
+            items, kind = stack.pop()
+            items.append(done)
+        elif first == '"':
+            text = tok[1:-1]
+            if "\\" in text:
+                text = _SEXP_ESCAPE.sub(_escaped, text)
+            items.append(("str", text))
+        else:
+            items.append(("atom", tok))
     if len(forms) != 1:
         raise ValueError("expected exactly one derivation form")
-    return _fold(forms[0], partial(_read_node, {}), _premise_forms)
+    return _node(nodes, forms[0])
+
+
+def _raise_syntax_error(tokens: list, unterminated: bool):
+    """Raise the error of tokens that are not balanced s-expressions, or end in an unterminated string."""
+    depth = 0
+    for tok in tokens:
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            depth -= 1
+            if depth < 0:
+                raise ValueError("unbalanced parentheses")
+    if unterminated:
+        raise ValueError("unterminated string in derivation file")
+    raise ValueError("unbalanced parentheses")
+
+
+def _node(nodes: dict, form) -> Derivation:
+    """The node read from form; else the error reading it raised, raised again."""
+    node = nodes.get(id(form))
+    if type(node) is Derivation:
+        return node
+    if node is None:  # a token where a node belongs
+        raise ValueError("expected a (rule ...) form")
+    raise node
 
 
 def _read_formula(src: str, table: dict) -> Formula:
@@ -575,27 +628,44 @@ def _intern(a: Formula, table: dict) -> Formula:
     those children alive, so no identity is reused while it lives. A node
     whose children are already the interned ones is itself kept.
     """
-    def combine(x, kids):
+    # x is set to None when its children were replaced: a miss then builds
+    # the node anew over the interned ones
+    done: list = []  # interned subformulas whose parent is not yet interned
+    stack: list = [a]
+    while stack:
+        x = stack.pop()
         tx = type(x)
-        if isinstance(x, Atom):
+        if x is _EXIT:
+            x = stack.pop()
+            tx = type(x)
+            if tx is Arrow:
+                right = done.pop()
+                left = done.pop()
+                key = (tx, id(left), id(right))
+                if left is not x.left or right is not x.right:
+                    x = None
+            else:
+                body = done.pop()
+                key = (tx, x.var, id(body))
+                if body is not x.body:
+                    x = None
+        elif tx is Arrow:
+            stack += (x, _EXIT, x.right, x.left)
+            continue
+        elif tx is Bot:
+            key = (tx,)
+        elif isinstance(x, Atom):
             key = (tx, x.name, x.args)
-        elif isinstance(x, Quantifier):
-            key = (tx, x.var, id(kids[0]))
         else:
-            key = (tx, *map(id, kids))
+            stack += (x, _EXIT, x.body)
+            continue
         found = table.get(key)
         if found is None:
-            found = table[key] = _remake(x, kids)
-        return found
-
-    return _fold(a, combine)
-
-
-def _term_children(t: Term) -> tuple:
-    """A term's subterms: its children for _fold."""
-    if type(t) is App:
-        return (t.fn, t.arg)
-    return (t.body,) if type(t) is Abs else ()
+            if x is None:
+                x = Arrow(left, right) if tx is Arrow else tx(key[1], body)
+            found = table[key] = x
+        done.append(found)
+    return done[0]
 
 
 def _intern_term(t: Term, table: dict) -> Term:
@@ -603,26 +673,42 @@ def _intern_term(t: Term, table: dict) -> Term:
 
     As in _intern, a node's key is its class, its name or binder and the
     identities of its interned children, and a node whose children are
-    already the interned ones is itself kept.
+    already the interned ones is itself kept; the loop is _intern's.
     """
-    def combine(x, kids):
+    done: list = []  # interned subterms whose parent is not yet interned
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
         tx = type(x)
-        if tx is Var:
+        if x is _EXIT:
+            x = stack.pop()
+            tx = type(x)
+            if tx is App:
+                arg = done.pop()
+                fn = done.pop()
+                key = (tx, id(fn), id(arg))
+                if fn is not x.fn or arg is not x.arg:
+                    x = None
+            else:
+                body = done.pop()
+                key = (tx, x.binder, id(body))
+                if body is not x.body:
+                    x = None
+        elif tx is Var:
             key = (tx, x.name)
-        elif tx is Abs:
-            key = (tx, x.binder, id(kids[0]))
+        elif tx is App:
+            stack += (x, _EXIT, x.arg, x.fn)
+            continue
         else:
-            key = (tx, id(kids[0]), id(kids[1]))
+            stack += (x, _EXIT, x.body)
+            continue
         found = table.get(key)
         if found is None:
-            if tx is Abs and kids[0] is not x.body:
-                x = Abs(x.binder, kids[0])
-            elif tx is App and (kids[0] is not x.fn or kids[1] is not x.arg):
-                x = App(*kids)
+            if x is None:
+                x = App(fn, arg) if tx is App else Abs(key[1], body)
             found = table[key] = x
-        return found
-
-    return _fold(t, combine, _term_children)
+        done.append(found)
+    return done[0]
 
 
 def _atom(x) -> str:
@@ -644,17 +730,18 @@ def _form(x, shape: str, size: Optional[int] = None) -> list:
     raise ValueError(f"expected {shape}")
 
 
-def _premise_forms(form) -> list:
-    """The forms in the last premises section of a (rule ...) form, if any."""
-    for part in reversed(form) if type(form) is list else ():
-        if type(part) is list and part and part[0] == ("atom", "premises"):
-            return part[1:]
-    return []
+def _read_node(table: dict, nodes: dict, form: list) -> Derivation:
+    """The node a (rule ...) form describes.
 
-
-def _read_node(table: dict, form, premises: tuple) -> Derivation:
-    """The node a (rule ...) form describes, over premises already read."""
-    if not isinstance(form, list) or len(form) < 2 or _atom(form[0]) != "rule":
+    The nodes of its last premises section are read already, into nodes,
+    and an error reading one of them is raised before any of the form's own.
+    """
+    premises = ()
+    for part in reversed(form):
+        if type(part) is list and part and part[0] == _PREMISES:
+            premises = tuple([_node(nodes, p) for p in part[1:]])
+            break
+    if len(form) < 2 or _atom(form[0]) != "rule":
         raise ValueError("expected a (rule ...) form")
     rule = _atom(form[1])
     ctx = _read_context((), table)
@@ -684,7 +771,7 @@ def _read_node(table: dict, form, premises: tuple) -> Derivation:
             ftype = _read_formula(_string(body), table)
         elif head == "witness":
             witness = _read_witness(body, table)
-        elif head != "premises":  # read already, by _premise_forms
+        elif head != "premises":  # read already, above
             raise ValueError(f"unknown section {head!r}")
     if term is None or ftype is None:
         raise ValueError("derivation node needs term and type")

@@ -555,6 +555,27 @@ def test_check_bad_equations_file_is_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+# a byte-order mark was read as part of the text: an atom before the
+# derivation form (exit 2, "expected exactly one derivation form"), and the
+# first equation's name ("\ufeffps", so a step citing ps failed with exit 1)
+
+
+def test_check_reads_a_derivation_file_that_starts_with_a_bom(capsys, tmp_path):
+    path = tmp_path / "bom.deriv"
+    path.write_text("\ufeff" + Path(bundled("zero")).read_text(), encoding="utf-8")
+    expected = run(capsys, "check", bundled("zero"))
+    assert expected[0] == 0
+    assert run(capsys, "check", str(path)) == expected
+
+
+def test_check_reads_an_equations_file_that_starts_with_a_bom(capsys, tmp_path):
+    eqs = tmp_path / "eqs.txt"
+    eqs.write_text("\ufeffps: p(s(x)) = x\np0: p(0) = 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", bundled("eq_demo"), "--equations", str(eqs))
+    assert (code, err) == (0, "")
+    assert out.startswith("ok: 2 nodes\n")
+
+
 # ---------------------------------------------------------------- translate
 
 
@@ -663,6 +684,57 @@ def test_internal_error_is_exit_4_without_traceback(capsys, monkeypatch):
     assert code == 4
     assert err == "storop: internal error: RuntimeError: kernel exploded\n"
     assert "Traceback" not in err
+
+
+# main builds its parser once per process and is called many times in one
+# process by the tests, perfbench and code that embeds storop
+
+
+def run_python(*args) -> tuple[int, str, str]:
+    """A new interpreter run with args and storop importable: exit code, stdout, stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(storop.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_called_again_prints_what_a_fresh_process_prints(capsys):
+    term = "(@T1 @church:2) f"
+    first = run(capsys, "reduce", "--strategy", "normal", "--fuel", "5", term)
+    assert first[0] == 3
+    again = run(capsys, "reduce", term)
+    assert again == run_python("-m", "storop", "reduce", term)
+    assert again[0] == 0 and again[1] != first[1]
+
+
+def test_a_usage_error_leaves_main_working(capsys):
+    code, out, err = run(capsys, "reduce", "--strategy", "sideways", "x")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'sideways'" in err
+    assert run(capsys, "reduce", "x") == (
+        0,
+        "result: x\nsteps: 0\nstatus: head-normal-form-reached\n",
+        "",
+    )
+
+
+def test_a_command_replaced_after_a_call_is_the_one_that_runs(capsys, monkeypatch):
+    assert run(capsys, "check", bundled("zero"))[0] == 0
+    seen = []
+
+    def check(args):
+        seen.append(args.file)
+        return 1
+
+    monkeypatch.setattr(cli, "cmd_check", check)
+    assert run(capsys, "check", bundled("zero")) == (1, "", "")
+    assert seen == [bundled("zero")]
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = "import storop.cli as cli; print(cli._parser.cache_info().currsize)"
+    assert run_python("-c", script) == (0, "0\n", "")
 
 
 def test_closed_stdout_is_exit_141_without_traceback():

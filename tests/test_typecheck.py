@@ -1,8 +1,10 @@
 import itertools
 import random
+import re
 import sys
 import time
 from collections import Counter
+from importlib import resources
 
 import pytest
 
@@ -15,6 +17,7 @@ from genformulas import (
     random_foterm,
     random_formula,
 )
+import reader_reference as reference
 from storop.formulas import (
     Arrow,
     Bot,
@@ -40,6 +43,7 @@ from storop.formulas import (
     subst_fo,
     subst_pred,
 )
+from storop import typecheck
 from storop.terms import Abs, App, Var
 from storop.typecheck import (
     Context,
@@ -465,7 +469,31 @@ def test_read_rejects_many_escaped_quotes_after_a_bare_one_quickly():
     assert str(exc.value) == "unterminated string in derivation file"
 
 
-def test_read_parses_each_term_text_once():
+def test_read_parses_each_term_text_once(monkeypatch):
+    # the reader calls each parser by its module name, once per distinct text
+    # of a file: the per-layer counts perfbench reads
+    calls = Counter()
+
+    def counted(parse):
+        def parse_once(src):
+            calls[parse.__name__, src] += 1
+            return parse(src)
+
+        return parse_once
+
+    monkeypatch.setattr(typecheck, "parse_formula", counted(typecheck.parse_formula))
+    monkeypatch.setattr(typecheck, "parse_term", counted(typecheck.parse_term))
+    for name in prebuilt_names():
+        calls.clear()
+        load_prebuilt(name)
+        formulas, terms = section_texts(bundled_text(name))
+        assert set(calls.values()) == {1}, name
+        assert set(calls) == {("parse_formula", src) for src in formulas} | {
+            ("parse_term", src) for src in terms
+        }, name
+        assert len(formulas) > len({src for src in formulas}), name
+    monkeypatch.undo()
+
     text = write_derivation(identity_chain(5))
     first, second = read_derivation(text), read_derivation(text)
     terms = {id(node.term) for node in derivation_nodes(first) if node.rule != "ax"}
@@ -487,6 +515,132 @@ def test_read_parses_each_term_text_once():
             id(n.term) for n in derivation_nodes(again)
         }
     assert shared["abs"] and shared["app"]
+
+
+def bundled_text(name: str) -> str:
+    return resources.files("storop").joinpath(f"data/derivations/{name}.deriv").read_text()
+
+
+def section_texts(text: str) -> tuple[list, list]:
+    """The formula texts (context entries, types, abstraction bodies) and the
+    term texts of a derivation file, one item per occurrence."""
+    formulas, terms = [], []
+    stack = reference._sexp_parse(text)
+    while stack:
+        form = stack.pop()
+        if type(form) is not list or not form:
+            continue
+        head = form[0]
+        if head == ("atom", "ctx"):
+            formulas += [entry[1][1] for entry in form[1:]]
+        elif head in (("atom", "type"), ("atom", "abst")):
+            formulas.append(form[-1][1])
+        elif head == ("atom", "term"):
+            terms.append(form[1][1])
+        stack += form
+    return formulas, terms
+
+
+# tokens of a derivation text: a string, a parenthesis or an atom
+SEXP_TOKENS = re.compile(r'"(?:[^"\\]|\\.)*"|[()]|[^\s()"]+')
+
+
+def collapsed(text: str) -> str:
+    """text without whitespace between its tokens, but the space two atoms need."""
+    out, atom_before = [], False
+    for tok in SEXP_TOKENS.findall(text):
+        atom = tok[0] not in '"()'
+        out.append(" " + tok if atom and atom_before else tok)
+        atom_before = atom
+    return "".join(out)
+
+
+def sharing(d: Derivation) -> list:
+    """Which of the contexts, subjects, types and their parts, node by node,
+    are one object: each as the index of its object's first appearance."""
+    first: dict = {}
+    out = []
+    for node in derivation_nodes(d):
+        objects = [node.ctx, *node.ctx.formulas(), node.term, node.type]
+        objects += [getattr(node.term, slot, None) for slot in ("fn", "arg", "body")]
+        objects += [getattr(node.type, slot, None) for slot in ("left", "right", "body")]
+        out += [first.setdefault(id(x), len(first)) for x in objects if x is not None]
+    return out
+
+
+@pytest.mark.parametrize("spacing", ["as-written", "collapsed"])
+@pytest.mark.parametrize("name", prebuilt_names())
+def test_read_agrees_with_the_two_pass_reference(name, spacing):
+    text = bundled_text(name)
+    if spacing == "collapsed":
+        text = collapsed(text)
+        assert len(text) < len(bundled_text(name)) and "\n" not in text
+    d, expected = read_derivation(text), reference.read_derivation(text)
+    assert d == expected
+    assert sharing(d) == sharing(expected)
+    for node in derivation_nodes(d):
+        if node.rule == "app":
+            assert all(p.ctx is node.ctx for p in node.premises)
+            assert node.premises[0].term is node.term.fn and node.premises[1].term is node.term.arg
+        elif node.rule == "abs":
+            assert node.premises[0].term is node.term.body
+
+
+def read_outcome(read, text: str):
+    try:
+        return read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name, step", [("tp_bot", 97), ("zero", 1), ("one", 1), ("eq_demo", 1)])
+def test_a_cut_file_fails_as_in_the_reference(name, step):
+    whole = bundled_text(name)
+    assert whole.isascii()  # so a cut at a character is a cut at a byte
+    failed = 0
+    for cut in range(0, len(whole), step):
+        text = whole[:cut]
+        got, expected = read_outcome(read_derivation, text), read_outcome(reference.read_derivation, text)
+        assert got == expected, cut
+        failed += type(expected) is tuple
+    # only the cut of the final newline leaves a whole derivation
+    assert failed == len(range(0, len(whole), step)) - (step == 1)
+
+
+AX = '(rule ax (ctx) (term "x") (type "A"))'
+BAD_TYPE = '(rule ax (ctx) (term "x") (type "(("))'
+# texts with more than one fault: which one is reported
+MALFORMED = {
+    "form-count-over-node": BAD_TYPE + " (extra)",
+    "extra-close-over-node": BAD_TYPE + ")",
+    "extra-close-before-unterminated": AX + ') "x',
+    "unterminated-over-unclosed": '(rule ax (ctx) (term "x',
+    "premise-over-header": f"(banana (ctx) (premises {BAD_TYPE}))",
+    "premise-over-section": f'(rule ax (ctx) (term "x") (type "A") (bogus) (premises {BAD_TYPE}))',
+    "first-premise-over-second": f"(rule app (ctx) (term \"x\") (type \"A\") (premises {BAD_TYPE} (rule)))",
+    "premises-in-the-header": f"(rule (premises {BAD_TYPE}))",
+    "header-shows-its-premises": f"(rule (premises {AX}))",
+    "last-premises-section-only": f'(rule ax (ctx) (term "x") (type "A") (premises {BAD_TYPE}) (premises))',
+    "token-as-premise": '(rule ax (ctx) (term "x") (type "A") (premises foo "bar"))',
+    "token-as-root": '"(rule ax)"',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_text_fails_as_in_the_reference(name):
+    text = MALFORMED[name]
+    expected = read_outcome(reference.read_derivation, text)
+    assert type(expected) is tuple
+    assert read_outcome(read_derivation, text) == expected
+
+
+def test_read_cuts_a_long_run_of_trailing_whitespace_at_once():
+    # the token pattern scanned trailing whitespace again from each of its
+    # characters, in quadratic time: 40,000 spaces took 70 s on a 2-vCPU host
+    text = write_derivation(identity_derivation()) + " \t\r\n" * 25_000
+    start = time.perf_counter()
+    assert read_derivation(text) == identity_derivation()
+    assert time.perf_counter() - start < 5.0
 
 
 REPEATED = {
