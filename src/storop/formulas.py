@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping, Optional, Sequence
 
-from storop.terms import fresh_name
+from storop.terms import _scan, fresh_name
 
 __all__ = [
     "FoTerm",
@@ -890,7 +890,7 @@ _F_KINDS = {c: c for c in "(){}[],~$*=!"} | {"->": "->", "∀": "!", "⊥": "bot
 def _tokenize_formula(src: str):
     toks = []
     at = 0
-    for space, text, stray in _F_TOKEN.findall(src):
+    for space, text, stray in _scan(_F_TOKEN, src):
         at += len(space)
         if stray:
             raise FormulaError(f"unexpected character {stray!r} at offset {at}")

@@ -14,6 +14,10 @@ as its set of free variables, which alpha-equal terms share, so hashing
 takes constant time and every closed term hashes alike. Equality, printing
 and parsing walk explicit stacks, so they work at any depth.
 
+Every token pattern of storop's three syntaxes, λ-terms here, formulas
+and derivation files, is run by one scan, ``_scan``, which reads any text in
+time linear in its length.
+
 One capture-avoiding substitution, ``_subst1``, serves the kernel and
 ``substitute``. It and ``_match`` recurse once per level, under ``_deep``,
 the one guard that lifts the recursion limit and pauses the cyclic
@@ -424,10 +428,25 @@ _PUNCT = {"\\": "lam", "λ": "lam", "(": "(", ")": ")"}
 _MAX_DIGITS = 6  # of an @church: suffix, so the numerals read are below a million
 
 
+def _scan(pattern: re.Pattern, src: str) -> list:
+    """pattern.findall over src, up to its trailing whitespace.
+
+    The only code that runs a token pattern: terms, formulas and derivation
+    files each scan through it. Their patterns let a run of " \\t\\r\\n" come
+    before each token, so at a trailing run, where no token follows, the
+    regex engine would retry the run from each of its characters, in time
+    quadratic in its length; the run is cut first. Only those four
+    characters are cut, the ones the patterns skip: any other, such as a
+    form feed or a no-break space, is still scanned, and a term or formula
+    rejects it as a stray.
+    """
+    return pattern.findall(src, 0, len(src.rstrip(" \t\r\n")))
+
+
 def _tokenize(src: str):
     toks = []
     at = 0
-    for space, text, stray in _TOKEN.findall(src):
+    for space, text, stray in _scan(_TOKEN, src):
         at += len(space)
         if stray:
             raise ParseError(f"unexpected character {stray!r}", at)

@@ -20,8 +20,8 @@ one stack of the lists still open, and builds each node as its list
 closes. ``Derivation.__eq__`` compares premise pairs off a stack of its
 own, and a derivation's repr shows its root node alone.
 
-``read_derivation`` interns formulas and subject terms, each by its own
-post-order loop, and contexts by their names and formulas. At a
+``read_derivation`` interns formulas and subject terms in one post-order
+loop, ``_intern``, and contexts by their names and formulas. At a
 well-formed node a premise's context, subject and type are then the very
 objects the rule names in its conclusion, so the checker tries ``is``
 before ``==`` on each. The ``==`` fallback decides nodes built apart, as in
@@ -75,7 +75,7 @@ from storop.formulas import (
     print_formula,
     print_foterm,
 )
-from storop.terms import Abs, App, Term, Var, fresh_name, parse_term, print_term
+from storop.terms import Abs, App, Term, Var, _scan, fresh_name, parse_term, print_term
 
 __all__ = [
     "Context",
@@ -533,15 +533,14 @@ def read_derivation(src: str) -> Derivation:
 
     The text is read in one pass over its tokens, with one explicit stack
     of the lists still open; each node is built as its list closes, over
-    the nodes of its last premises section. An error in a node is kept
+    the nodes of its last premises section. One loop, ``_intern``, interns
+    its formulas and subject terms alike. An error in a node is kept
     until its parent is built, so the error raised is the one a reader
     that parsed the whole text first would raise: unbalanced parentheses,
     an unterminated string or other than one form before any node's, and
     otherwise the first failing node's in post-order.
     """
-    # trailing whitespace is cut first: the pattern would scan it again from
-    # each of its characters, in quadratic time
-    tokens = _SEXP_TOKEN.findall(src, 0, len(src.rstrip(" \t\r\n")))
+    tokens = _scan(_SEXP_TOKEN, src)
     last = tokens[-1] if tokens else ""
     unterminated = last[:1] == '"' and not _SEXP_COMPLETE.fullmatch(last)
     if unterminated:
@@ -620,17 +619,22 @@ def _read_formula(src: str, table: dict) -> Formula:
     return a
 
 
-def _intern(a: Formula, table: dict) -> Formula:
-    """table's object for the exact named structure of a, subformulas interned first.
+def _intern(a, table: dict):
+    """table's object for the exact named structure of a, a formula or a
+    subject term, its subtrees interned first.
 
-    A node's key is its class, its name or var, its first-order
-    arguments and the identities of its interned children; the table keeps
-    those children alive, so no identity is reused while it lives. A node
-    whose children are already the interned ones is itself kept.
+    One loop interns both, and branches on a node's shape alone: two
+    children (an Arrow or an App), one child under a binder (a quantifier or
+    an Abs), or none (Bot, Var or Atom). A node's key is its class, its
+    name, var or binder, an atom's first-order arguments and the identities
+    of its interned children. The class keeps formula and term keys apart in
+    one table, and the table keeps the children alive, so no identity is
+    reused while it lives. A node whose children are already the interned
+    ones is itself kept.
     """
     # x is set to None when its children were replaced: a miss then builds
     # the node anew over the interned ones
-    done: list = []  # interned subformulas whose parent is not yet interned
+    done: list = []  # interned subtrees whose parent is not yet interned
     stack: list = [a]
     while stack:
         x = stack.pop()
@@ -638,22 +642,28 @@ def _intern(a: Formula, table: dict) -> Formula:
         if x is _EXIT:
             x = stack.pop()
             tx = type(x)
-            if tx is Arrow:
-                right = done.pop()
-                left = done.pop()
-                key = (tx, id(left), id(right))
-                if left is not x.left or right is not x.right:
+            if tx is Arrow or tx is App:
+                second = done.pop()
+                first = done.pop()
+                key = (tx, id(first), id(second))
+                was = (x.left, x.right) if tx is Arrow else (x.fn, x.arg)
+                if first is not was[0] or second is not was[1]:
                     x = None
             else:
                 body = done.pop()
-                key = (tx, x.var, id(body))
+                key = (tx, x.binder if tx is Abs else x.var, id(body))
                 if body is not x.body:
                     x = None
         elif tx is Arrow:
             stack += (x, _EXIT, x.right, x.left)
             continue
+        elif tx is App:
+            stack += (x, _EXIT, x.arg, x.fn)
+            continue
         elif tx is Bot:
             key = (tx,)
+        elif tx is Var:
+            key = (tx, x.name)
         elif isinstance(x, Atom):
             key = (tx, x.name, x.args)
         else:
@@ -662,50 +672,7 @@ def _intern(a: Formula, table: dict) -> Formula:
         found = table.get(key)
         if found is None:
             if x is None:
-                x = Arrow(left, right) if tx is Arrow else tx(key[1], body)
-            found = table[key] = x
-        done.append(found)
-    return done[0]
-
-
-def _intern_term(t: Term, table: dict) -> Term:
-    """table's object for the exact named structure of t, subterms interned first.
-
-    As in _intern, a node's key is its class, its name or binder and the
-    identities of its interned children, and a node whose children are
-    already the interned ones is itself kept; the loop is _intern's.
-    """
-    done: list = []  # interned subterms whose parent is not yet interned
-    stack: list = [t]
-    while stack:
-        x = stack.pop()
-        tx = type(x)
-        if x is _EXIT:
-            x = stack.pop()
-            tx = type(x)
-            if tx is App:
-                arg = done.pop()
-                fn = done.pop()
-                key = (tx, id(fn), id(arg))
-                if fn is not x.fn or arg is not x.arg:
-                    x = None
-            else:
-                body = done.pop()
-                key = (tx, x.binder, id(body))
-                if body is not x.body:
-                    x = None
-        elif tx is Var:
-            key = (tx, x.name)
-        elif tx is App:
-            stack += (x, _EXIT, x.arg, x.fn)
-            continue
-        else:
-            stack += (x, _EXIT, x.body)
-            continue
-        found = table.get(key)
-        if found is None:
-            if x is None:
-                x = App(fn, arg) if tx is App else Abs(key[1], body)
+                x = tx(first, second) if tx is Arrow or tx is App else tx(key[1], body)
             found = table[key] = x
         done.append(found)
     return done[0]
@@ -766,7 +733,7 @@ def _read_node(table: dict, nodes: dict, form: list) -> Derivation:
             text = _string(body)
             term = table.get(("term", text))
             if term is None:
-                term = table[("term", text)] = _intern_term(parse_term(text), table)
+                term = table[("term", text)] = _intern(parse_term(text), table)
         elif head == "type":
             ftype = _read_formula(_string(body), table)
         elif head == "witness":

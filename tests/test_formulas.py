@@ -49,7 +49,7 @@ from storop.formulas import (
     subst_fo,
     subst_pred,
 )
-from storop.terms import Abs, Var, parse_term, print_term
+from storop.terms import Abs, Var, church, parse_term, print_term
 from storop.typecheck import _intern
 
 from deep import collector_paused, deep
@@ -532,6 +532,14 @@ def test_intern_at_depth_100000(chain):
     with collector_paused():
         twin = _alternating_chain()
     assert deep(_intern, twin, table) is chain
+
+
+def test_intern_terms_at_depth_100000():
+    # the same loop interns subject terms; a numeral's body is 100,000 deep
+    table: dict = {}
+    numeral = church(100_000)
+    assert deep(_intern, numeral, table) is numeral
+    assert deep(_intern, church(100_000), table) is numeral
 
 
 def test_parameterless_abstraction_applies_without_a_walk(monkeypatch):

@@ -267,6 +267,18 @@ def test_only_the_named_functions_go_through_the_guard(path):
     assert users(source, "_deep") == DEEP_CALLERS.get(path.name, [])
 
 
+# Only terms._scan runs a token pattern, cutting trailing whitespace first,
+# so that no text is scanned in quadratic time; a new token loop goes
+# through it rather than calling findall or finditer itself.
+SCANS = {"terms.py": ["_scan"]}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_one_scan_runs_a_token_pattern(path):
+    source = path.read_text(encoding="utf-8")
+    assert users(source, "findall") + users(source, "finditer") == SCANS.get(path.name, [])
+
+
 def test_import_leaves_the_recursion_limit_alone():
     code = (
         "import sys\n"
