@@ -19,17 +19,21 @@ mentions the variable, each argument goes onto the argument stack,
 substituted where the variable is free, and no spine node is built. An
 abstraction \\y M reached this way, as the body or as the head of its
 spine, is not built either when the next step would contract it at once:
-an argument b waits, fuel is left, and y is not free in the value a, so
-no binder is primed. That next contraction is made first. If b is y
-itself, (\\y M[x := a]) y is M[x := a], so the walk goes on down M with
-x := a still pending and builds nothing. If x and y are both free in M,
-one walk of _subst1 makes both substitutions, M[x := a][y := b], where
-two walks would build M[x := a] only to take it apart; a binder that
-either value would prime sends its subtree through the two walks in
-turn. Otherwise y is not free in M, and M[x := a] is the reduct.
-Everything else goes to _subst1 whole: an abstraction that would prime
-its binder, that has no argument waiting, or that the fuel does not
-reach. Counts, binder names and partial reducts are those of
+an argument b waits and fuel is left. That next contraction is made
+first. If y is free in both M and the value a, x := a would prime y to
+y', fresh for a and M, and the next step would replace y' by b: one walk
+of _subst1 makes the rename and both substitutions, M[y := y'][x := a]
+[y' := b], where three walks would rename M, substitute into it and take
+the result apart. Otherwise, if b is y itself, (\\y M[x := a]) y is
+M[x := a], so the walk goes on down M with x := a still pending and
+builds nothing. If x and y are both free in M, one walk of _subst1 makes
+both substitutions, M[x := a][y := b], where two walks would build
+M[x := a] only to take it apart. Either walk sends through the separate
+walks in turn the subtree of a binder that a value would prime, and the
+first walk also that of a binder named y' or x. Otherwise y is not free
+in M, and M[x := a] is the reduct. Everything else goes to _subst1
+whole: an abstraction that has no argument waiting, or that the fuel
+does not reach. Counts, binder names and partial reducts are those of
 substituting first and contracting after.
 
 Contracting a variable into a binder of its own name, as in
@@ -48,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from storop.terms import Abs, App, Term, Var, _deep, _subst1
+from storop.terms import Abs, App, Term, Var, _deep, _subst1, fresh_name
 
 __all__ = [
     "DEFAULT_FUEL",
@@ -80,7 +84,7 @@ def backend_name() -> str:
     return "pure"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionOutcome:
     result: Term
     steps: int
@@ -106,12 +110,14 @@ def _spine(t, fuel):
 
     A contraction x := a walks the body's spine while it mentions x,
     pushing each argument with a in place of x. A head that is a variable
-    is x itself and becomes a. A head abstraction \\y M whose binder a does
-    not mention, with an argument b waiting and fuel left, is contracted in
-    turn without being built: the walk goes on down M if b is y, and
-    otherwise one call of _subst1 builds M[x := a][y := b], or M[x := a]
-    if y is not free in M. Any other abstraction goes to _subst1, which
-    primes its binder if need be, and the loop goes on from there.
+    is x itself and becomes a. A head abstraction \\y M with an argument b
+    waiting and fuel left is contracted in turn without being built. If a
+    and M both mention y, one call of _subst1 builds M[y := y'][x := a]
+    [y' := b] for the y' to which x := a would prime y. Otherwise the walk
+    goes on down M if b is y, and one call of _subst1 builds
+    M[x := a][y := b], or M[x := a] if y is not free in M. Any other
+    abstraction goes to _subst1, which primes its binder if need be, and
+    the loop goes on from there.
     """
     binders = []
     args = []  # the first argument on top
@@ -147,16 +153,18 @@ def _spine(t, fuel):
                 elif tt is Var:
                     t = a
                     break
-                elif args and steps < fuel and t.binder not in a.fv:
-                    # the next step contracts this abstraction, and x := a
-                    # primes no binder of it: contract it first
+                elif args and steps < fuel:
+                    # the next step contracts this abstraction: contract it first
                     y = t.binder
                     t = t.body
                     b = args.pop()
                     steps += 1
-                    if type(b) is Var and b.name == y:
+                    if y in a.fv and y in t.fv:
+                        # x := a would prime y to y', which b replaces at once
+                        t = _subst1(t, x, a, y, b, fresh_name(y, a.fv | t.fv))
+                    elif type(b) is Var and b.name == y:
                         continue  # (\y M[x := a]) y is M[x := a]
-                    if y in t.fv:
+                    elif y in t.fv:
                         t = _subst1(t, x, a, y, b)
                     else:
                         t = a if type(t) is Var else _subst1(t, x, a)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
+from storop.builtins import BUILTINS
 from storop.reduction import (
     DEFAULT_FUEL,
     FUEL_EXHAUSTED,
@@ -66,7 +67,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MachineStep:
     kind: str  # "nu-head", "indexed-head", "f-terminal"
     head: str
@@ -254,6 +255,11 @@ def _round_robin(families: Sequence[Iterable[Term]]) -> Iterator[Term]:
             pending.append(it)
 
 
+# the corpus's two fixed terms, shared by every corpus: terms are immutable
+_SUCC = BUILTINS["succ"]
+_IDENT = parse_term("\\x x")
+
+
 def theta_corpus(
     n: int,
     extra: int = 4,
@@ -278,15 +284,13 @@ def theta_corpus(
     if n < 0:
         raise ValueError("the stored value must be non-negative")
     target = church(n)
-    succ = parse_term("\\n x f (f) ((n) x) f")
-    ident = parse_term("\\x x")
-    wraps = (App(ident, target), App(ident, App(ident, target)))
+    wraps = (App(_IDENT, target), App(_IDENT, App(_IDENT, target)))
 
     def towers() -> Iterator[Term]:
         for k in range(1, n + 1):
             t: Term = church(n - k)
             for _ in range(k):
-                t = App(succ, t)
+                t = App(_SUCC, t)
             yield t
 
     def seeded() -> Iterator[Term]:
@@ -295,17 +299,17 @@ def theta_corpus(
             t = target
             for _ in range(rng.randint(1, 3)):
                 if rng.random() < 0.5:
-                    t = App(ident, t)
+                    t = App(_IDENT, t)
                 else:
                     # discard a throwaway binder around the current candidate
                     pad = fresh_name("d", t.fv)
-                    t = App(Abs(pad, t), ident)
+                    t = App(Abs(pad, t), _IDENT)
             yield t
 
     return list(islice(_round_robin(((target,), towers(), wraps, seeded())), limit))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BehavioralResult:
     ok: bool
     status: str

@@ -216,11 +216,13 @@ def _deep(fn, *args):
             gc.enable()
 
 
-def _subst1(t, name, value, name2=None, value2=None):
+def _subst1(t, name, value, name2=None, value2=None, primed=None):
     """Capture-avoiding substitution of a single free variable, for a t in
     which name is free; given name2 and value2 as well, t[name := value]
     [name2 := value2] in one walk, for a t in which both are free and a
-    value in which name2 is not.
+    value in which name2 is not; given primed too, t[name2 := primed]
+    [name := value][primed := value2] in one walk, for a t in which name2
+    is free and a primed that is free in neither t nor value.
 
     A binder that would capture a free variable of value is primed until it
     is fresh for value and the body; step-for-step output depends on this
@@ -229,9 +231,12 @@ def _subst1(t, name, value, name2=None, value2=None):
     Each node decides for its children: it enters only a child in which
     name is free, and puts value in place of a variable child without a
     call. With two names, a child that holds one of them takes the walk of
-    that name alone, and one that holds both takes the walk of both. An
-    abstraction whose binder either value mentions goes to the two walks
-    one after the other, so every binder is primed as they prime it.
+    that name alone, and one that holds both takes the walk of both; with
+    primed, a child that holds name2 takes the walk of all three, whether
+    or not it holds name. An abstraction whose binder either value mentions
+    goes to the two walks one after the other, or to the three, so every
+    binder is primed as they prime it; with primed, so does one whose
+    binder is primed or name.
     """
     tt = type(t)
     if tt is App:
@@ -241,6 +246,18 @@ def _subst1(t, name, value, name2=None, value2=None):
             if name in fn.fv:
                 fn = value if type(fn) is Var else _subst1(fn, name, value)
             if name in arg.fv:
+                arg = value if type(arg) is Var else _subst1(arg, name, value)
+            return App(fn, arg)
+        if primed is not None:
+            # kept apart from the walk of two names: passing primed on through
+            # that walk's calls made it about 5% slower
+            if name2 in fn.fv:
+                fn = value2 if type(fn) is Var else _subst1(fn, name, value, name2, value2, primed)
+            elif name in fn.fv:
+                fn = value if type(fn) is Var else _subst1(fn, name, value)
+            if name2 in arg.fv:
+                arg = value2 if type(arg) is Var else _subst1(arg, name, value, name2, value2, primed)
+            elif name in arg.fv:
                 arg = value if type(arg) is Var else _subst1(arg, name, value)
             return App(fn, arg)
         fv = fn.fv
@@ -265,6 +282,14 @@ def _subst1(t, name, value, name2=None, value2=None):
     binder = t.binder
     body = t.body
     if name2 is not None:
+        if primed is not None:
+            if binder in value.fv or binder in value2.fv or binder == primed or binder == name:
+                t = _subst1(t, name2, Var(primed))
+                if name in t.fv:
+                    t = _subst1(t, name, value)
+                return _subst1(t, primed, value2)
+            body = value2 if type(body) is Var else _subst1(body, name, value, name2, value2, primed)
+            return Abs(binder, body)
         if binder in value.fv or binder in value2.fv:
             return _subst1(_subst1(t, name, value), name2, value2)
         return Abs(binder, _subst1(body, name, value, name2, value2))

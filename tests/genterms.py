@@ -8,16 +8,20 @@ FREE_POOL = ["a", "b", "c", "g", "h"]
 BINDER_POOL = ["x", "y", "z", "u", "w"]
 
 
-def random_term(rng: random.Random, depth: int = 5, scope=()) -> Term:
-    """Arbitrary term, possibly open; shadowing and divergence both possible."""
+def random_term(rng: random.Random, depth: int = 5, scope=(), binders=BINDER_POOL) -> Term:
+    """Arbitrary term, possibly open; shadowing and divergence both possible.
+    Its abstractions bind names drawn from binders."""
     scope = list(scope)
     roll = rng.random()
     if depth == 0 or roll < 0.35:
         return Var(rng.choice(scope + FREE_POOL))
     if roll < 0.65:
-        b = rng.choice(BINDER_POOL)
-        return Abs(b, random_term(rng, depth - 1, scope + [b]))
-    return App(random_term(rng, depth - 1, scope), random_term(rng, depth - 1, scope))
+        b = rng.choice(binders)
+        return Abs(b, random_term(rng, depth - 1, scope + [b], binders))
+    return App(
+        random_term(rng, depth - 1, scope, binders),
+        random_term(rng, depth - 1, scope, binders),
+    )
 
 
 def random_closed_term(rng: random.Random, depth: int = 6, scope=()) -> Term:

@@ -24,7 +24,7 @@ from storop.reduction import (
     head_reduce,
     normalize,
 )
-from storop.terms import _DEEP, Abs, App, Var, church, numeral_of, print_term
+from storop.terms import _DEEP, Abs, App, Var, church, fresh_name, numeral_of, print_term
 
 
 OMEGA = BUILTINS["omega"]
@@ -253,9 +253,11 @@ def test_default_fuel_is_reasonable():
 # one past their step count, recorded before the kernel fused contractions
 # that follow one another, plus ("two_names") inputs reduced the same way
 # whose second contraction follows the first at once, recorded before the
-# kernel made both substitutions in one walk. Any change to a step count or
-# to a primed binder name changes a digest; a faster kernel must keep all
-# nine.
+# kernel made both substitutions in one walk, plus ("captured") inputs
+# reduced the same way whose first value would prime the binder that the
+# second contraction removes, recorded before the kernel made the rename
+# and both substitutions in one walk. Any change to a step count or to a
+# primed binder name changes a digest; a faster kernel must keep all ten.
 KERNEL_DIGESTS = {
     "subst1": "df10aa5f0284656451a392f2485867067835cef6b6b162befead059ef3ad8ec7",
     "head_reduce": "bee4e764dac2e4b77128671081c15012dcb54d9de593142fbc2ddaf0fad97ff6",
@@ -266,6 +268,7 @@ KERNEL_DIGESTS = {
     "own_name": "cfa9d522561578d4c368d76233db8c659c2f1f7a0a3661fcee04b0087051a057",
     "every_fuel": "b34d4a3e7e3d53f6b0d90bd4fdc18b7a9b935a859cdf3325be806eb42ea436fa",
     "two_names": "dc22f0b17135ca1dc05d4ef2d83773c64745053c51c2a8e215f556ced21e8d73",
+    "captured": "6f1537733728c36edcc5ead7ae10718cf25470368f1d68bab5e12b7af5e96830",
 }
 
 
@@ -420,6 +423,51 @@ def _kernel_lines(family):
         ):
             cases.append(parse(src))
         yield from _at_every_fuel(cases)
+    elif family == "captured":
+        # (\x y M) a b with y free in a, so x := a primes y to y' before the
+        # next step contracts y' := b, as T handing (T1 θ) f to a numeral
+        # that binds f does. M may bind y' and names free in a or b; y' may
+        # be free in M or in a, so the prime takes more than one mark; b is
+        # sometimes y' or y itself, and y is sometimes not free in M.
+        # (\x (\y M) N) a takes its second value from the body
+        rng = random.Random(909)
+        binders = ["x", "y", "y'", "z", "u", "w"]
+        cases = []
+        for i in range(240):
+            scope = ["x", "y", "y'"] if i % 6 == 5 else ["x", "y"]
+            want = {"x"} if i % 10 == 9 else {"x", "y"}
+            body = random_term(rng, depth=5, scope=scope, binders=binders)
+            while not want <= body.fv or ("y" in body.fv) != ("y" in want):
+                body = random_term(rng, depth=5, scope=scope, binders=binders)
+            a = random_term(rng, depth=2, scope=["z", "u", "w", "y'"] if i % 3 != 1 else [])
+            a = App(a, Var("y")) if i % 2 else App(Var("y"), a)
+            b = random_term(rng, depth=3, scope=["z", "u", "w", "x"] if i % 3 != 0 else [])
+            if i % 8 == 7:
+                b = Var("y'")
+            elif i % 8 == 3:
+                b = Var("y")
+            if i % 5 == 4:
+                t = App(Abs("x", App(Abs("y", body), b)), a)
+            else:
+                t = App(App(Abs("x", Abs("y", body)), a), b)
+            cases.append(App(t, Var("z")) if i % 4 == 3 else t)
+        for src in (
+            "(\\x y \\y' (x) (y) y') y b",
+            "(\\x y \\y' (x) (y) y') y y'",
+            "(\\x y (x) \\y' (y) y') (y) y' z",
+            "(\\x y (x) \\z (y) z) (y) z b",
+            "(\\x y (x) \\z (y) z) y z",
+            "(\\x y (x) \\x (y) x) y b",
+            "(\\x y (x) (\\u u) y) y y",
+            "(\\x y (x) x) y b",
+            "(\\x f ((@church:2) x) f) f g",
+            "(@church:3) f g",
+        ):
+            cases.append(parse(src))
+        for name in ("T", "Tp"):
+            for k in range(4):
+                cases.append(parse(f"(@{name} @church:{k}) f"))
+        yield from _at_every_fuel(cases)
     else:
         T = BUILTINS["T"]
         for n in range(6):
@@ -504,6 +552,57 @@ def test_two_names_in_one_walk_as_in_two():
         twice = reduction._subst1(reduction._subst1(t, "x", a), "y", b)
         assert print_term(once) == print_term(twice)
         assert (once.arg if i % 2 else once.fn) is kept
+
+
+def test_captured_contraction_in_one_walk_as_in_three():
+    # the first value is open in y, so a contraction of \y t primes y to y'
+    # before y' := b removes it; t may bind y', x and names free in either
+    # value, and y' may be free in the first value, so the prime takes more
+    # than one mark; a part of t that holds neither name comes back as itself
+    rng = random.Random(909)
+    binders = ["x", "y", "y'", "z", "u", "w"]
+    for i in range(3000):
+        t = random_term(rng, depth=6, scope=["x", "y"], binders=binders)
+        while not {"x", "y"} <= t.fv:
+            t = random_term(rng, depth=6, scope=["x", "y"], binders=binders)
+        a = random_term(rng, depth=3, scope=["x", "y"])
+        a = App(a, Var(rng.choice(["y", "z", "y'"]))) if i % 3 else Var("y")
+        if "y" not in a.fv:
+            a = App(Var("y"), a)
+        b = random_term(rng, depth=3, scope=["x", "y", "y'"])
+        if i % 4 in (1, 2):
+            b = App(Var(rng.choice(["z", "u", "w"])), b)
+        elif i % 8 == 3:
+            b = Var("y'")
+        kept = _without(rng, {"x", "y"}, ["z", "u", "w"])
+        t = App(t, kept) if i % 2 else App(kept, t)
+        primed = fresh_name("y", a.fv | t.fv)
+        once = reduction._subst1(t, "x", a, "y", b, primed)
+        thrice = reduction._subst1(
+            reduction._subst1(reduction._subst1(t, "y", Var(primed)), "x", a), primed, b
+        )
+        assert print_term(once) == print_term(thrice)
+        assert (once.arg if i % 2 else once.fn) is kept
+
+
+@pytest.mark.parametrize("n", [10, 90])
+def test_storage_run_renames_no_numeral_binder(n, monkeypatch):
+    # T hands (T1 θ) f to a numeral that binds f itself; contracting the
+    # primed binder in the walk that primes it keeps the work linear in n
+    # with a small factor, where renaming first built 7n + 2 applications
+    built = [0]
+    init = App.__init__
+
+    def counted(self, fn, arg):
+        built[0] += 1
+        init(self, fn, arg)
+
+    t = App(App(BUILTINS["T"], church(n)), Var("f"))
+    monkeypatch.setattr(App, "__init__", counted)
+    out = head_reduce(t)
+    monkeypatch.undo()
+    assert out.status == HEAD_NORMAL_FORM and out.result.fn == Var("f")
+    assert built[0] <= 6 * n + 10
 
 
 @pytest.mark.parametrize("run", [head_reduce, normalize])

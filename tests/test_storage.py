@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -253,6 +254,30 @@ def test_theta_corpus_reordering_keeps_the_terms():
         rows.append(" | ".join(sorted(print_term(t) for t in theta_corpus(n, extra=5, seed=41))))
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == "68359db8261cb88671d1fae32e164f1cc70bfb1e1630b415b14e8a76a88c1552"
+
+
+def test_theta_corpus_shares_its_fixed_terms_and_prints_as_before(monkeypatch):
+    # sha256 of the corpora for n <= 10 under two seeds, recorded while each
+    # call still parsed succ and \x x afresh
+    rows = [print_term(t) for seed in (0, 7) for n in range(11) for t in theta_corpus(n, seed=seed)]
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "749a32b4732cf47fef7c3ee48d3bddea0d78edef7c8dcc0964b2fcbc213e73f2"
+    calls = []
+    parse = storage.parse_term
+    monkeypatch.setattr(storage, "parse_term", lambda *a: calls.append(a) or parse(*a))
+    theta_corpus(10, seed=7)
+    assert calls == []
+
+
+def test_run_records_stay_frozen():
+    # the kernel's and the certifier's records are slotted and still frozen
+    out = head_reduce(parse_term("(\\x x) y"))
+    cert = certify(t_operator(1), 1)
+    res = behavioral_check(t_operator(1), church(1), 1)
+    for record, field in ((out, "steps"), (cert.steps[0], "args"), (res, "ok")):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_theta_corpus_is_seeded():
