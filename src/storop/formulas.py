@@ -10,7 +10,10 @@ Quantifier bodies bind tightly; use braces for rule-style displays:
 available as the macro ``N[t]`` (with ``N``, ``Nstar``/``N*``, ``Nbot``/
 ``N_|`` variants; those names are reserved).
 
-Formula equality is alpha-equivalence in all three namespaces.
+Formula equality is alpha-equivalence in all three namespaces. It and
+first-order term equality are one walk, ``_alpha_eq``, which compares two
+trees side by side and skips a subformula both share. A formula hashes as
+its free variables, so every closed formula hashes alike.
 
 Besides ``Bot`` and ``Arrow``, a node is an ``Atom`` (``name`` applied to
 ``args``) or a ``Quantifier`` (``var`` bound over ``body``). Its class
@@ -25,19 +28,19 @@ a quantifier at a witness; a binder that would capture a name brought in is
 primed.
 
 Formula nodes are immutable and carry caches that stay None until first
-asked for: the alpha-key behind ``==`` and ``hash`` (``_k``), the free
-variables that ``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``,
-``_pred``, ``_bot``), the propositional-fragment test the checker asks
-(``_prop``) and, on a quantifier, its instances by the identity of the
-witness (``_inst``). A node built by substitution starts with empty caches.
+asked for: the last formula ``==`` found equal to it (``_k``, set on both,
+so a pair compared again is not walked), the free variables that
+``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``, ``_pred``,
+``_bot``), the propositional-fragment test the checker asks (``_prop``)
+and, on a quantifier, its instances by the identity of the witness
+(``_inst``). A node built by substitution starts with empty caches.
 
-The alpha-key walk ``_key`` (behind formula and ``FoApp`` ``==`` and
-``hash``), substitution, ``fo_vars``, ``apply_equation`` and one post-order
-fold, ``_fold``, loop over explicit stacks; so do parsing and printing.
-None of them is bounded by Python's recursion limit. ``_fold`` walks
-formulas (the free-variable and propositional caches, the translations,
-``polarity``, ``pred_arities``), first-order terms (``fo_subst``, an
-``EquationSet``'s signature) and derivations (``storop.typecheck``).
+``_alpha_eq``, substitution, ``fo_vars``, ``apply_equation`` and one
+post-order fold, ``_fold``, loop over explicit stacks; so do parsing and
+printing. None of them is bounded by Python's recursion limit. ``_fold``
+walks formulas (the free-variable and propositional caches, the
+translations, ``polarity``, ``pred_arities``), first-order terms (``fo_subst``,
+an ``EquationSet``'s signature) and derivations (``storop.typecheck``).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from storop.terms import _scan, fresh_name
@@ -110,6 +114,8 @@ class FoTerm:
 @dataclass(frozen=True)
 class FoVar(FoTerm):
     name: str
+    ns = 0  # to _alpha_eq, a nullary atom of the first-order namespace
+    args = ()
 
     def __repr__(self):
         return f"<{print_foterm(self)}>"
@@ -119,15 +125,17 @@ class FoVar(FoTerm):
 class FoApp(FoTerm):
     sym: str
     args: tuple = ()
+    ns = 3  # to _alpha_eq, a symbol applied to args, bound by no quantifier
+    name = property(lambda self: self.sym)  # read-only: the name is sym
 
     def __eq__(self, other):
-        """Structural, by the alpha-key walk, so depth is bounded by memory."""
+        """Structural, by _alpha_eq's walk, so depth is bounded by memory."""
         if other.__class__ is not FoApp:
             return NotImplemented
-        return self is other or _key(self) == _key(other)
+        return self is other or _alpha_eq(self, other)
 
     def __hash__(self):
-        return hash(_key(self))
+        return hash((self.sym, len(self.args)))
 
     def __repr__(self):
         return f"<{print_foterm(self)}>"
@@ -142,14 +150,11 @@ def fo_vars(t: FoTerm) -> frozenset[str]:
         t = stack.pop()
         if type(t) is FoVar:
             out.add(t.name)
-        else:
-            stack += t.args
+        stack += t.args
     return frozenset(out)
 
 
-def _args(t: FoTerm) -> tuple:
-    """The arguments of a first-order term, () for a variable: its children for _fold."""
-    return t.args if type(t) is FoApp else ()
+_args = attrgetter("args")  # a first-order term's children for _fold, () for a variable
 
 
 def fo_subst(t: FoTerm, m: Mapping[str, FoTerm]) -> FoTerm:
@@ -183,7 +188,7 @@ def _match_fo(pattern: FoTerm, target: FoTerm, sigma: dict) -> bool:
 
 
 class Formula:
-    # the lazily filled caches named in the module docstring
+    # the lazily filled caches named in the module docstring; _k: the last formula found equal
     __slots__ = ("_k", "_fo", "_pred", "_bot", "_prop")
 
     def __eq__(self, other):
@@ -191,16 +196,14 @@ class Formula:
             return True
         if not isinstance(other, Formula):
             return NotImplemented
-        mine, theirs = self._k, other._k
-        if mine is None:
-            mine = _alpha_key(self)
-        if theirs is None:
-            theirs = _alpha_key(other)
-        return mine == theirs
+        if self._k is not other and other._k is not self:
+            if not _alpha_eq(self, other):
+                return False
+            self._k, other._k = other, self  # so the pair, compared again, is not walked
+        return True
 
     def __hash__(self):
-        key = self._k
-        return hash(_alpha_key(self) if key is None else key)
+        return hash((fv_fo(self), fv_pred(self), fv_bot(self)))
 
     def __repr__(self):
         return f"<{print_formula(self)}>"
@@ -279,57 +282,56 @@ def neg(a: Formula) -> Formula:
     return Arrow(a, Bot())
 
 
-def _alpha_key(a: Formula) -> tuple:
-    """a in nameless form, cached on a: equal exactly for alpha-equal formulas."""
-    key = a._k  # type: ignore[attr-defined]
-    if key is None:
-        key = a._k = _key(a)  # type: ignore[attr-defined]
-    return key
+def _alpha_eq(a, b) -> bool:
+    """a == b for two formulas or two first-order terms, walked side by side as terms._alpha_eq.
 
-
-def _key(a) -> tuple:
-    """The alpha-key of a, a formula or first-order term.
-
-    A flat preorder tuple of node classes, FoApp included; atoms and FoApp
-    add their head and argument count. A bound variable of any namespace is
-    the depth of its binder (an int), a free one its name (a str).
+    A first-order variable is a nullary atom of namespace 0 and an
+    application a symbol of namespace 3, so four shapes remain: arrow,
+    quantifier, leaf and bot. A formula held by both sides is equal to
+    itself exactly when its free variables have one binding on both sides,
+    so it is not walked. The walk stops at the first difference.
     """
-    out: list = []
-    envs: tuple[dict, ...] = ({}, {}, {}, {})  # per namespace: name -> binder depth
-    fo = envs[0]
-    depth = 0
-    stack: list = [a]
+    # per namespace and side, binder name -> the number of its innermost binder,
+    # None once out of scope; the two binders of a pair get one number, unique to them
+    enva: tuple = ({}, {}, {}, {})
+    envb: tuple = ({}, {}, {}, {})
+    numbered = 0
+    # pairs to compare, pushed as two entries, b's on top; a restore marker is None
+    # followed by each side's binder map, name and outer binding, put back after the bodies
+    stack: list = [a, b]
     while stack:
+        y = stack.pop()
         x = stack.pop()
+        if x is None:
+            ea, na, oa, eb, nb, ob = y
+            ea[na], eb[nb] = oa, ob
+            continue
+        if x is y and isinstance(x, Formula):
+            for fv, ea, eb in zip((fv_fo(x), fv_pred(x), fv_bot(x)), enva, envb):
+                for name in fv:
+                    if ea.get(name) != eb.get(name):
+                        return False
+            continue
         tx = type(x)
-        if tx is FoVar:
-            out.append(fo.get(x.name, x.name))
-        elif tx is tuple:
-            # restore marker of a quantifier, popped after its body
-            env, name, outer = x
-            depth -= 1
-            if outer is None:
-                del env[name]
-            else:
-                env[name] = outer
-        elif tx is Arrow:
-            out.append(Arrow)
-            stack.append(x.right)
-            stack.append(x.left)
-        elif tx is Bot:
-            out.append(Bot)
+        if tx is not type(y):
+            return False
+        if tx is Arrow:
+            stack += (x.right, y.right, x.left, y.left)
         elif isinstance(x, Quantifier):
-            out.append(tx)
-            env = envs[x.ns]
-            stack.append((env, x.var, env.get(x.var)))
-            env[x.var] = depth
-            depth += 1
-            stack.append(x.body)
-        else:
-            head = x.sym if tx is FoApp else envs[x.ns].get(x.name, x.name)
-            out += (tx, head, len(x.args))
-            stack.extend(reversed(x.args))
-    return tuple(out)
+            ea, eb = enva[x.ns], envb[x.ns]
+            stack += (None, (ea, x.var, ea.get(x.var), eb, y.var, eb.get(y.var)))
+            ea[x.var] = eb[y.var] = numbered
+            numbered += 1
+            stack += (x.body, y.body)
+        elif tx is not Bot:
+            bound = enva[x.ns].get(x.name)
+            if bound != envb[x.ns].get(y.name) or (bound is None and x.name != y.name):
+                return False
+            if len(x.args) != len(y.args):
+                return False
+            for pair in zip(x.args, y.args):
+                stack += pair
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +839,7 @@ def apply_equation(
             child = x.body
         elif tx is Bot:
             raise FormulaError("path leaves the formula")
-        elif tx is FoVar or not 0 <= i < len(x.args):
+        elif not 0 <= i < len(x.args):
             atom = isinstance(x, Atom)
             raise FormulaError("no such atom argument" if atom else "path leaves the term")
         else:
@@ -868,8 +870,7 @@ def apply_equation(
         elif isinstance(x, Quantifier):
             new = tx(x.var, new)
         else:
-            args = x.args[:i] + (new,) + x.args[i + 1 :]
-            new = FoApp(x.sym, args) if tx is FoApp else tx(x.name, args)
+            new = tx(x.name, x.args[:i] + (new,) + x.args[i + 1 :])
     return new
 
 
@@ -1098,10 +1099,8 @@ def _write(stack: list) -> str:
         args = ()
         if tx is str:
             out.append(x)
-        elif tx is FoVar:
+        elif tx is FoVar or tx is FoApp:
             out.append(x.name)
-        elif tx is FoApp:
-            out.append(x.sym)
             args = x.args
         else:
             a, place = x

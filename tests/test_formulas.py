@@ -3,6 +3,7 @@ import itertools
 import operator
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -172,6 +173,19 @@ def test_namespaces_are_separate():
     assert F("!X X_|") != F("!Y Y_|")
 
 
+def test_a_shared_subformula_is_equal_only_under_the_same_bindings():
+    # both sides hold s itself, so == checks the bindings of its free
+    # variables instead of walking it
+    s = Arrow(PredVarApp("X", (FoVar("x"),)), BotVarApp("Y"))
+    assert ForallFo("x", s) != ForallFo("y", s)
+    assert ForallPred("X", s) != ForallPred("Z", s)
+    assert ForallBot("Y", s) != ForallBot("Z", s)
+    assert ForallFo("x", ForallFo("y", s)) != ForallFo("y", ForallFo("x", s))
+    assert ForallFo("x", ForallPred("X", s)) == ForallFo("x", ForallPred("X", s))
+    assert ForallFo("x", ForallFo("y", s)) == ForallFo("x", ForallFo("z", s))
+    assert ForallFo("x", ForallFo("y", s)) != ForallFo("x", ForallFo("x", s))
+
+
 def test_hash_agrees_with_alpha():
     a, b = F("!X {X, (X -> X) -> X}"), F("!Y {Y, (Y -> Y) -> Y}")
     assert a == b and hash(a) == hash(b)
@@ -226,6 +240,40 @@ def test_equality_and_hash_at_depth_100000():
     assert elapsed < 5.0
 
 
+def test_a_repeated_pair_is_walked_once(monkeypatch):
+    walks = []
+
+    def counted(a, b):
+        walks.append((a, b))
+        return walk(a, b)
+
+    walk = formulas._alpha_eq
+    monkeypatch.setattr(formulas, "_alpha_eq", counted)
+    a, b = F("!x !X {X(x), X_|} -> !y X(y)"), F("!z !Y {Y(z), X_|} -> !w X(w)")
+    assert a == b and a == b and b == a
+    assert len(walks) == 1
+
+
+def test_comparing_levels_keeps_no_memory():
+    # == caches nothing as large as a formula, so comparing every level of a
+    # chain keeps memory linear in the depth, not quadratic
+    levels = []
+    for _ in range(2):
+        a, levels_of = Bot(), []
+        for i in range(500):
+            a = ForallFo(f"x{i}", Arrow(PredVarApp("X", (FoVar(f"x{i}"),)), a))
+            levels_of.append(a)
+        levels.append(levels_of)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert all(a == b for a, b in zip(*levels))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_000_000
+
+
 def _numeral_term(n, base=FoApp("0")):
     t = base
     for _ in range(n):
@@ -234,7 +282,8 @@ def _numeral_term(n, base=FoApp("0")):
 
 
 def test_first_order_equality_and_hash_at_depth_100000():
-    # FoApp's == and hash walk the alpha-key's stack; the dataclass ones recursed
+    # FoApp's == walks _alpha_eq's stack and its hash reads the head alone;
+    # the dataclass ones recursed
     with collector_paused():
         a, b = _numeral_term(100_000), _numeral_term(100_000)
         other = _numeral_term(100_000, FoVar("x"))
@@ -251,7 +300,7 @@ def test_first_order_equality_is_structural():
     assert FoApp("p", (x, y)) == FoApp("p", (FoVar("x"), FoVar("y")))
     assert FoApp("p", (x, y)) != FoApp("p", (y, x))
     assert FoApp("p", (x,)) != FoApp("q", (x,))
-    # argument counts keep the flat key apart: p(s(x), 0) is not p(s(x, 0))
+    # the walk compares argument counts: p(s(x), 0) is not p(s(x, 0))
     assert FoApp("p", (FoApp("s", (x,)), FoApp("0"))) != FoApp("p", (FoApp("s", (x, FoApp("0"))),))
     assert {FoApp("s", (x,)): 1}[FoApp("s", (FoVar("x"),))] == 1
 
@@ -279,6 +328,8 @@ def test_equality_relation_fingerprint(family):
             for b in pool[i:]:
                 eq, ne = a == b, a != b
                 bits.append(f"{eq:d}{ne:d}")
+                # a second time, in the other order: formula == may then answer from _k
+                assert (b == a, b != a) == (eq, ne)
                 if eq:
                     assert hash(a) == hash(b)
     digest = hashlib.sha256("".join(bits).encode()).hexdigest()

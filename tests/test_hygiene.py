@@ -129,8 +129,8 @@ def test_self_call_scanner():
 # The walkers that still recurse once per node, for every module of the
 # package. They run under terms._deep, with the recursion limit lifted, so
 # their depth is bounded by memory. The lists may only shrink: a new walker
-# uses an explicit stack, as formulas._key does, or formulas._fold, the one
-# post-order fold over formulas, first-order terms and derivations.
+# uses an explicit stack, as formulas._alpha_eq does, or formulas._fold, the
+# one post-order fold over formulas, first-order terms and derivations.
 STILL_RECURSIVE = {"terms.py": ["_match", "_subst1"]}
 
 
