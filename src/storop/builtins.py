@@ -1,14 +1,16 @@
 """Named closed terms: numerals, successor, and the storage operators.
 
 parse() is parse_term with this table in scope, so sources may say e.g.
-``(@T1) @church:3 f``.
+``(@T1) @church:3 f``. The storage operators are looked up by name: T and
+T' built over T1 are ``BUILTINS["T"]`` and ``BUILTINS["Tp"]``, over T2
+``BUILTINS["T_2"]`` and ``BUILTINS["Tp_2"]``.
 """
 
 from __future__ import annotations
 
 from storop.terms import Term, parse_term
 
-__all__ = ["BUILTINS", "parse", "t_operator", "tp_operator"]
+__all__ = ["BUILTINS", "parse"]
 
 
 def _boot() -> dict[str, Term]:
@@ -40,20 +42,3 @@ def parse(src: str) -> Term:
     """Parse with every builtin available as an @reference."""
     return parse_term(src, BUILTINS)
 
-
-def t_operator(i: int = 1) -> Term:
-    """The storage operator T built over T1 (i=1) or T2 (i=2)."""
-    if i == 1:
-        return BUILTINS["T"]
-    if i == 2:
-        return BUILTINS["T_2"]
-    raise ValueError("index must be 1 or 2")
-
-
-def tp_operator(i: int = 1) -> Term:
-    """The variant T' that re-runs the inner operator instead of discarding."""
-    if i == 1:
-        return BUILTINS["Tp"]
-    if i == 2:
-        return BUILTINS["Tp_2"]
-    raise ValueError("index must be 1 or 2")

@@ -29,11 +29,11 @@ primed.
 
 Formula nodes are immutable and carry caches that stay None until first
 asked for: the last formula ``==`` found equal to it (``_k``, set on both,
-so a pair compared again is not walked), the free variables that
-``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``, ``_pred``,
-``_bot``), the propositional-fragment test the checker asks (``_prop``)
-and, on a quantifier, its instances by the identity of the witness
-(``_inst``). A node built by substitution starts with empty caches.
+so a pair compared again is not walked, alone or inside a larger pair), the
+free variables that ``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``,
+``_pred``, ``_bot``), the propositional-fragment test the checker asks
+(``_prop``) and, on a quantifier, its instances by the identity of the
+witness (``_inst``). A node built by substitution starts with empty caches.
 
 ``_alpha_eq``, substitution, ``fo_vars``, ``apply_equation`` and one
 post-order fold, ``_fold``, loop over explicit stacks; so do parsing and
@@ -289,7 +289,9 @@ def _alpha_eq(a, b) -> bool:
     application a symbol of namespace 3, so four shapes remain: arrow,
     quantifier, leaf and bot. A formula held by both sides is equal to
     itself exactly when its free variables have one binding on both sides,
-    so it is not walked. The walk stops at the first difference.
+    so it is not walked; nor is a pair of formulas that ``==`` has found
+    equal (``_k``), which have the same free variables at the same places.
+    The walk stops at the first difference.
     """
     # per namespace and side, binder name -> the number of its innermost binder,
     # None once out of scope; the two binders of a pair get one number, unique to them
@@ -306,7 +308,7 @@ def _alpha_eq(a, b) -> bool:
             ea, na, oa, eb, nb, ob = y
             ea[na], eb[nb] = oa, ob
             continue
-        if x is y and isinstance(x, Formula):
+        if isinstance(x, Formula) and (x is y or x._k is y or y._k is x):
             for fv, ea, eb in zip((fv_fo(x), fv_pred(x), fv_bot(x)), enva, envb):
                 for name in fv:
                     if ea.get(name) != eb.get(name):
@@ -768,9 +770,6 @@ class EquationSet:
             _fold(e.lhs, note, _args)
             _fold(e.rhs, note, _args)
         return sig
-
-    def __iter__(self):
-        return iter(self.equations)
 
     def __len__(self):
         return len(self.equations)

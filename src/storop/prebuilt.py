@@ -1,11 +1,11 @@
 """Bundled derivations for the storage operators and their building blocks.
 
 Each builder assembles a full derivation tree node by node. Conclusions are
-computed by the node constructors, so the trees are correct by construction,
-and the checker revalidates them independently. Builders take an ambient
-context and freshen their binder names against it; subject terms therefore
-come out as alpha-variants of the printed combinators, which is all the
-checker asks for.
+computed by the typecheck module's node constructors, so the trees are
+correct by construction, and the checker revalidates them independently.
+Builders take an ambient context and freshen their binder names against
+it; subject terms therefore come out as alpha-variants of the printed
+combinators, which is all the checker asks for.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Callable
 from storop.formulas import (
     Arrow,
     Bot,
-    EquationSet,
     FoApp,
     FoTerm,
     FoVar,
@@ -26,18 +25,27 @@ from storop.formulas import (
     PredAbstraction,
     PredVarApp,
     _n_parts,
-    apply_equation,
     fv_fo,
     fv_pred,
-    instantiate,
     n_bot_type,
     n_star_type,
     n_type,
     neg,
     parse_equations,
 )
-from storop.terms import Abs, App, Var, fresh_name
-from storop.typecheck import Context, Derivation, lift_star_to_bot, read_derivation
+from storop.terms import fresh_name
+from storop.typecheck import (
+    Context,
+    Derivation,
+    _abs,
+    _app,
+    _ax,
+    _eq,
+    _gen,
+    _inst,
+    lift_star_to_bot,
+    read_derivation,
+)
 
 __all__ = [
     "numeral_derivation",
@@ -56,47 +64,6 @@ __all__ = [
     "build_prebuilt",
     "load_prebuilt",
 ]
-
-
-# ---------------------------------------------------------------------------
-# node constructors: each computes its conclusion from the premises
-
-
-def _ax(ctx: Context, name: str) -> Derivation:
-    a = ctx.lookup(name)
-    if a is None:
-        raise ValueError(f"{name} is not in the context")
-    return Derivation("ax", ctx, Var(name), a)
-
-
-def _abs(p: Derivation) -> Derivation:
-    name, a = p.ctx.entries[-1]
-    return Derivation("abs", p.ctx.without_last(), Abs(name, p.term), Arrow(a, p.type), None, (p,))
-
-
-def _app(pf: Derivation, pa: Derivation) -> Derivation:
-    return Derivation("app", pf.ctx, App(pf.term, pa.term), pf.type.right, None, (pf, pa))
-
-
-def _gen_fo(p: Derivation, var: str) -> Derivation:
-    return Derivation("gen-fo", p.ctx, p.term, ForallFo(var, p.type), None, (p,))
-
-
-def _gen_pred(p: Derivation, var: str) -> Derivation:
-    return Derivation("gen-pred", p.ctx, p.term, ForallPred(var, p.type), None, (p,))
-
-
-def _inst(p: Derivation, w) -> Derivation:
-    """The inst rule of p's quantifier namespace at the witness w."""
-    rule = ("inst-fo", "inst-pred", "inst-bot")[p.type.ns]
-    return Derivation(rule, p.ctx, p.term, instantiate(p.type, w), w, (p,))
-
-
-def _eq(p: Derivation, eqs: EquationSet, steps: tuple) -> Derivation:
-    cur = p.type
-    for name, direction, path in steps:
-        cur = apply_equation(cur, eqs.get(name), path, direction)
-    return Derivation("eq", p.ctx, p.term, cur, tuple(steps), (p,))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +114,7 @@ def numeral_derivation(k: int, ctx: Context = Context(), propositional: bool = F
         if not propositional:
             df = _inst(df, _snum(i))
         d = _app(df, d)
-    return _gen_pred(_abs(_abs(d)), pvar)
+    return _gen(ForallPred, _abs(_abs(d)), pvar)
 
 
 def succ_derivation(ctx: Context = Context(), propositional: bool = False) -> Derivation:
@@ -173,10 +140,10 @@ def succ_derivation(ctx: Context = Context(), propositional: bool = False) -> De
     if not propositional:
         df = _inst(df, xv)
     d = _app(df, d)
-    d = _gen_pred(_abs(_abs(d)), pvar)
+    d = _gen(ForallPred, _abs(_abs(d)), pvar)
     d = _abs(d)
     if not propositional:
-        d = _gen_fo(d, gv)
+        d = _gen(ForallFo, d, gv)
     return d
 
 
@@ -204,7 +171,7 @@ def _g_derivation(ctx: Context) -> Derivation:
     dsucc = _inst(succ_derivation(c2), yv)
     dlam = _abs(_app(_ax(c2, b), _app(dsucc, _ax(c2, c))))
     d = _app(_ax(c1, a), dlam)
-    return _gen_fo(_abs(_abs(d)), gv)
+    return _gen(ForallFo, _abs(_abs(d)), gv)
 
 
 def t1_star_derivation(ctx: Context = Context()) -> Derivation:
@@ -218,7 +185,7 @@ def t1_star_derivation(ctx: Context = Context()) -> Derivation:
     dnu = _inst(_ax(c1, nu), witness)
     d = _app(dnu, _delta_derivation(c1))
     d = _app(d, _g_derivation(c1))
-    return _gen_fo(_abs(d), gv)
+    return _gen(ForallFo, _abs(d), gv)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +241,7 @@ def theta0_star_derivation(ctx: Context = Context()) -> Derivation:
     did = _abs(_ax(c2.extended(w, Bot()), w))
     dlam = _abs(_ax(c2.extended(d_, Arrow(Bot(), Bot())), c))
     dx = _app(_ax(c2, a), _app(dlam, did))
-    return _gen_pred(_abs(_abs(_abs(dx))), pvar)
+    return _gen(ForallPred, _abs(_abs(_abs(dx))), pvar)
 
 
 def _wrapped_bot(second_arg: str) -> Derivation:
@@ -298,9 +265,9 @@ def _wrapped_bot(second_arg: str) -> Derivation:
     else:
         (dn,) = _fresh_terms(c2, "d")
         darg = _abs(inner_call(c2.extended(dn, Bot())))
-    darg = _gen_fo(darg, fresh_name("y", _ambient(c2, fv_fo)))
+    darg = _gen(ForallFo, darg, fresh_name("y", _ambient(c2, fv_fo)))
     d = _app(d, darg)
-    return _gen_fo(_abs(_abs(d)), gv)
+    return _gen(ForallFo, _abs(_abs(d)), gv)
 
 
 def t_bot_derivation() -> Derivation:

@@ -5,20 +5,20 @@ abstract. Whenever v heads the term it is expanded as an iterator worth n:
 worth 0 it selects its first argument, worth k+1 it applies its second
 argument to a fresh indexed variable worth k. Indexed variables expand the
 same way and may be consumed only once. The run must end with f applied to
-exactly one argument; that argument must normalize to the expected numeral.
-All reduction, the machine's and the output's, shares one fuel, and a run
-at value n takes at most 8 * (n + 1) + 32 machine steps.
+exactly one argument; that argument must normalize to the numeral n of the
+stored value itself, as in Krivine's definition of a storage operator. There
+is no other mode. All reduction, the machine's and the output's, shares one
+fuel, and a run at value n takes at most 8 * (n + 1) + 32 machine steps.
 
 A certificate records the whole run, machine step by machine step, and is
 deterministic: replaying the same operator at the same value reproduces the
 same text.
 
 A behavioural check runs the operator on one concrete argument. Given the
-certificate for its n, made under the same strictness and with no more fuel,
-it takes the certificate's verdict when f receives a term alpha-equal to
-the certified tau: alpha-equal terms normalize in the same steps to the
-same numeral. Any other output is normalized and read as the certifier
-reads tau.
+certificate for its n, made with no more fuel, it takes the certificate's
+verdict when f receives a term alpha-equal to the certified tau:
+alpha-equal terms normalize in the same steps to the same numeral. Any
+other output is normalized and read as the certifier reads tau.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ TAU_WRONG_VALUE = "tau-wrong-value"
 class Certificate:
     operator: str
     n: int
-    strict: bool
     status: str
     steps: tuple[MachineStep, ...]
     total_contractions: int
@@ -119,7 +118,7 @@ class Certificate:
         lines = [
             f"operator: {self.operator}",
             f"n: {self.n}",
-            f"strict: {'true' if self.strict else 'false'}",
+            "strict: true",  # the one mode; the line keeps the text's format
             f"status: {self.status}",
             f"machine-steps: {len(self.steps)}",
             f"total-contractions: {self.total_contractions}",
@@ -144,11 +143,11 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-def _read_output(tau: Term, n: int, fuel: int, strict: bool) -> tuple[str, Optional[int], str]:
+def _read_output(tau: Term, n: int, fuel: int) -> tuple[str, Optional[int], str]:
     """The verdict on tau, what f received: (status, value, detail).
 
-    tau must normalize within fuel, which may be 0, to a numeral, which
-    under strict must be n; value is that numeral, None when there is none.
+    tau must normalize within fuel, which may be 0, to the numeral n; value
+    is the numeral it normalizes to, None when there is none.
     """
     norm = normalize(tau, fuel)
     if not norm.completed:
@@ -156,12 +155,12 @@ def _read_output(tau: Term, n: int, fuel: int, strict: bool) -> tuple[str, Optio
     value = numeral_of(norm.result)
     if value is None:
         return TAU_NOT_NUMERAL, None, f"the output normalizes to {print_term(norm.result)}"
-    if strict and value != n:
+    if value != n:
         return TAU_WRONG_VALUE, value, f"expected {n}, got {value}"
     return OK, value, ""
 
 
-def certify(op: Term, n: int, fuel: int = DEFAULT_FUEL, strict: bool = True) -> Certificate:
+def certify(op: Term, n: int, fuel: int = DEFAULT_FUEL) -> Certificate:
     """Run the symbolic storage machine on an operator at value n."""
     if n < 0:
         raise ValueError("the stored value must be non-negative")
@@ -179,7 +178,7 @@ def certify(op: Term, n: int, fuel: int = DEFAULT_FUEL, strict: bool = True) -> 
 
     def done(status, tau=None, tau_value=None, detail=""):
         return Certificate(
-            printed_op, n, strict, status, tuple(steps), total, tau, tau_value, detail,
+            printed_op, n, status, tuple(steps), total, tau, tau_value, detail,
             tuple((name, e[0], e[1], e[2]) for name, e in registry.items()),
         )
 
@@ -207,7 +206,7 @@ def certify(op: Term, n: int, fuel: int = DEFAULT_FUEL, strict: bool = True) -> 
                     detail=f"terminal must carry exactly one argument, found {len(args)}",
                 )
             tau = args[0]
-            status, value, detail = _read_output(tau, n, fuel_left, strict)
+            status, value, detail = _read_output(tau, n, fuel_left)
             return done(status, tau, value, detail)
 
         # the iterator at the head, v or an indexed variable: its value, its two
@@ -327,7 +326,6 @@ def behavioral_check(
     theta: Term,
     n: int,
     fuel: int = DEFAULT_FUEL,
-    strict: bool = True,
     cert: Optional[Certificate] = None,
 ) -> BehavioralResult:
     """Run the operator on one concrete argument and inspect the output.
@@ -336,7 +334,7 @@ def behavioral_check(
     to exactly one argument, which must normalize to the numeral n.
 
     ``cert``, when given, must come from certify at a fuel no larger than
-    ``fuel``. When it is ok, for this n and this strict, and the argument f
+    ``fuel``. When it is ok, for this n, and the argument f
     received is ``==`` (alpha-equal) to its tau, the verdict is the
     certificate's and nothing is normalized; otherwise the argument is
     normalized as without it.
@@ -349,13 +347,7 @@ def behavioral_check(
     if not (type(r) is App and type(r.fn) is Var and r.fn.name == f):
         return BehavioralResult(False, BAD_HEAD_SHAPE)
     tau = r.arg
-    if (
-        cert is not None
-        and cert.ok
-        and cert.n == n
-        and cert.strict == strict
-        and tau == cert.tau_term
-    ):
+    if cert is not None and cert.ok and cert.n == n and tau == cert.tau_term:
         return BehavioralResult(True, OK, tau, cert.tau_value)
-    status, value, _ = _read_output(tau, n, fuel, strict)
+    status, value, _ = _read_output(tau, n, fuel)
     return BehavioralResult(status == OK, status, tau, value)

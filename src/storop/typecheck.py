@@ -10,6 +10,14 @@ inst-bot, eq. Fragments restrict the rule set: 'af2' forbids the bottomed
 rules, 'af2-bot' allows everything, 'fperp' is propositional (no
 first-order layer anywhere, no eq) with the bottomed rules allowed.
 
+This module alone knows how a rule's conclusion follows from its
+premises: the checker tests it, and the node constructors ``_ax``,
+``_abs``, ``_app``, ``_gen``, ``_inst`` and ``_eq`` compute it. ``_gen``
+and ``_inst`` name their rule by the quantifier's namespace. The prebuilt
+module's builders make every node with them, and ``lift_star_to_bot``
+every node it adds; the nodes it keeps are copied with their context
+rewritten.
+
 No walker here recurses. The formulas module's post-order fold over an
 explicit stack, ``_fold``, given a node's premises as its children, serves
 ``Derivation.node_count``, ``forget_derivation``, ``lift_star_to_bot`` and
@@ -106,9 +114,6 @@ class Context:
     def extended(self, name: str, a: Formula) -> "Context":
         return Context(self.entries + ((name, a),))
 
-    def without_last(self) -> "Context":
-        return Context(self.entries[:-1])
-
     def lookup(self, name: str) -> Optional[Formula]:
         for n, a in self.entries:
             if n == name:
@@ -177,6 +182,48 @@ class Derivation:
             f"Derivation(rule={self.rule!r}, term={self.term!r}, type={self.type!r},"
             f" premises={len(self.premises)})"
         )
+
+
+# ---------------------------------------------------------------------------
+# node constructors: each computes its conclusion from the premises, as the
+# checker's rule demands; build_prebuilt's builders and lift_star_to_bot use them
+
+
+def _ax(ctx: Context, name: str) -> Derivation:
+    a = ctx.lookup(name)
+    if a is None:
+        raise ValueError(f"{name} is not in the context")
+    return Derivation("ax", ctx, Var(name), a)
+
+
+def _abs(p: Derivation) -> Derivation:
+    """Abstract p's last context entry."""
+    name, a = p.ctx.entries[-1]
+    ctx = Context(p.ctx.entries[:-1])
+    return Derivation("abs", ctx, Abs(name, p.term), Arrow(a, p.type), None, (p,))
+
+
+def _app(pf: Derivation, pa: Derivation) -> Derivation:
+    return Derivation("app", pf.ctx, App(pf.term, pa.term), pf.type.right, None, (pf, pa))
+
+
+def _gen(quant: type, p: Derivation, var: str) -> Derivation:
+    """The gen rule of quant's namespace, binding var in p's type."""
+    rule = ("gen-fo", "gen-pred", "gen-bot")[quant.ns]
+    return Derivation(rule, p.ctx, p.term, quant(var, p.type), None, (p,))
+
+
+def _inst(p: Derivation, w) -> Derivation:
+    """The inst rule of p's quantifier namespace at the witness w."""
+    rule = ("inst-fo", "inst-pred", "inst-bot")[p.type.ns]
+    return Derivation(rule, p.ctx, p.term, instantiate(p.type, w), w, (p,))
+
+
+def _eq(p: Derivation, eqs: EquationSet, steps: tuple) -> Derivation:
+    cur = p.type
+    for name, direction, path in steps:
+        cur = apply_equation(cur, eqs.get(name), path, direction)
+    return Derivation("eq", p.ctx, p.term, cur, tuple(steps), (p,))
 
 
 @dataclass
@@ -425,12 +472,7 @@ def lift_star_to_bot(d: Derivation) -> Derivation:
             ctx = rewrite_ctx(node.ctx)
             gen_name = fresh_name("X", set().union(*map(fv_pred, ctx.formulas())))
             witness = PredAbstraction(("w",), neg(PredVarApp(gen_name, (FoVar("w"),))))
-            leaf = Derivation("ax", ctx, node.term, bot)
-            opened = instantiate(bot, witness)
-            instd = Derivation("inst-bot", ctx, node.term, opened, witness, (leaf,))
-            gend = Derivation(
-                "gen-pred", ctx, node.term, ForallPred(gen_name, opened), None, (instd,)
-            )
+            gend = _gen(ForallPred, _inst(_ax(ctx, nu), witness), gen_name)
             if gend.type != star:
                 raise ValueError("reopening did not recover the starred type")
             return gend
@@ -438,11 +480,7 @@ def lift_star_to_bot(d: Derivation) -> Derivation:
             node.rule, rewrite_ctx(node.ctx), node.term, node.type, node.witness, kids
         )
 
-    body = _fold(absd.premises[0], combine, premises)
-    new_abs = Derivation(
-        "abs", absd.ctx, absd.term, Arrow(bot, absd.type.right), None, (body,)
-    )
-    return Derivation("gen-fo", d.ctx, d.term, ForallFo(xvar, new_abs.type), None, (new_abs,))
+    return _gen(ForallFo, _abs(_fold(absd.premises[0], combine, premises)), xvar)
 
 
 # ---------------------------------------------------------------------------

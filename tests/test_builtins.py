@@ -1,6 +1,4 @@
-import pytest
-
-from storop.builtins import BUILTINS, parse, t_operator, tp_operator
+from storop.builtins import BUILTINS, parse
 from storop.reduction import head_reduce, normalize
 from storop.terms import App, Var, church, numeral_of, parse_term, print_term
 
@@ -67,17 +65,6 @@ def test_T1_on_zero_yields_delta():
     out = head_reduce(parse("(@T1) @church:0"))
     assert out.steps == 3
     assert out.result == BUILTINS["delta"]
-
-
-def test_operator_selectors():
-    assert t_operator() == BUILTINS["T"]
-    assert t_operator(2) == BUILTINS["T_2"]
-    assert tp_operator() == BUILTINS["Tp"]
-    assert tp_operator(2) == BUILTINS["Tp_2"]
-    with pytest.raises(ValueError):
-        t_operator(3)
-    with pytest.raises(ValueError):
-        tp_operator(0)
 
 
 def test_storage_end_to_end_T():

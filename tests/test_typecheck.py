@@ -67,7 +67,6 @@ def test_context_basics():
     assert c.lookup("z") is None
     assert c.names() == ("x", "y")
     assert len(c) == 2
-    assert c.without_last().names() == ("x",)
 
 
 def test_context_rejects_duplicates():
