@@ -9,6 +9,9 @@ exactly one argument; that argument must normalize to the numeral n of the
 stored value itself, as in Krivine's definition of a storage operator. There
 is no other mode. All reduction, the machine's and the output's, shares one
 fuel, and a run at value n takes at most 8 * (n + 1) + 32 machine steps.
+The machine runs as one call under terms._deep and reads each head normal
+form off the kernel's spine loop (see certify); its steps, contractions and
+records are as if it called head_reduce on each state.
 
 A certificate records the whole run, machine step by machine step, and is
 deterministic: replaying the same operator at the same value reproduces the
@@ -33,6 +36,7 @@ from storop.builtins import BUILTINS
 from storop.reduction import (
     DEFAULT_FUEL,
     FUEL_EXHAUSTED,
+    _check_fuel,
     _rebuild,
     _spine,
     head_reduce,
@@ -43,6 +47,7 @@ from storop.terms import (
     App,
     Term,
     Var,
+    _deep,
     church,
     fresh_name,
     numeral_of,
@@ -161,9 +166,22 @@ def _read_output(tau: Term, n: int, fuel: int) -> tuple[str, Optional[int], str]
 
 
 def certify(op: Term, n: int, fuel: int = DEFAULT_FUEL) -> Certificate:
-    """Run the symbolic storage machine on an operator at value n."""
+    """Run the symbolic storage machine on an operator at value n.
+
+    The fuel is checked once and the run is one call under terms._deep.
+    Each machine step head-reduces the state with the kernel's spine loop
+    (reduction._spine) and expands the iterator it finds there; the head
+    normal form is rebuilt only for the step that ends the run. Steps,
+    contractions and recorded terms are those of calling head_reduce on
+    each state.
+    """
     if n < 0:
         raise ValueError("the stored value must be non-negative")
+    _check_fuel(fuel)
+    return _deep(_machine, op, n, fuel)
+
+
+def _machine(op: Term, n: int, fuel: int) -> Certificate:
     budget = 8 * (n + 1) + 32
     printed_op = print_term(op)
     nu = fresh_name("v", op.fv)
@@ -174,7 +192,6 @@ def certify(op: Term, n: int, fuel: int = DEFAULT_FUEL) -> Certificate:
     term: Term = App(App(op, Var(nu)), Var(f))
     steps: list[MachineStep] = []
     total = 0
-    fuel_left = fuel
 
     def done(status, tau=None, tau_value=None, detail=""):
         return Certificate(
@@ -182,31 +199,33 @@ def certify(op: Term, n: int, fuel: int = DEFAULT_FUEL) -> Certificate:
             tuple((name, e[0], e[1], e[2]) for name, e in registry.items()),
         )
 
+    def hnf():
+        # the head normal form of the state, built only for the step that
+        # ends the run: an expansion reads the spine alone
+        return _rebuild(binders, head, args) if k else term
+
     while True:
         if len(steps) >= budget:
             return done(STEP_BUDGET_EXHAUSTED, detail=f"more than {budget} machine steps")
-        out = head_reduce(term, fuel_left)
-        total += out.steps
-        fuel_left -= out.steps
-        term = out.result
-        if not out.completed:
+        binders, head, args, k = _spine(term, fuel - total)
+        total += k
+        if type(head) is Abs:
             return done(FUEL_EXHAUSTED, detail="head reduction ran out of fuel")
-        if type(term) is Abs:
-            steps.append(MachineStep("bad", "lambda", 0, out.steps, term))
+        if binders:
+            steps.append(MachineStep("bad", "lambda", 0, k, hnf()))
             return done(BAD_HEAD_SHAPE, detail="head normal form is an abstraction")
-        _, head, args, _ = _spine(term, 0)  # a head normal form: nothing to contract
         if type(head) is not Var:
             raise AssertionError("head normal form must be headed by a variable")
 
         if head.name == f:
-            steps.append(MachineStep("f-terminal", f, len(args), out.steps, term))
+            steps.append(MachineStep("f-terminal", f, len(args), k, hnf()))
             if len(args) != 1:
                 return done(
                     BAD_HEAD_SHAPE,
                     detail=f"terminal must carry exactly one argument, found {len(args)}",
                 )
             tau = args[0]
-            status, value, detail = _read_output(tau, n, fuel_left)
+            status, value, detail = _read_output(tau, n, fuel - total)
             return done(status, tau, value, detail)
 
         # the iterator at the head, v or an indexed variable: its value, its two
@@ -214,17 +233,17 @@ def certify(op: Term, n: int, fuel: int = DEFAULT_FUEL) -> Certificate:
         if head.name == nu:
             kind = "nu-head"
             if len(args) < 2:
-                steps.append(MachineStep(kind, nu, len(args), out.steps, term))
+                steps.append(MachineStep(kind, nu, len(args), k, hnf()))
                 return done(BAD_HEAD_SHAPE, detail="the iterator needs at least two arguments")
             value, first, second, rest = n, args[0], args[1], args[2:]
         else:
             entry = registry.get(head.name)
             if entry is None:
-                steps.append(MachineStep("bad", head.name, len(args), out.steps, term))
+                steps.append(MachineStep("bad", head.name, len(args), k, hnf()))
                 return done(BAD_HEAD_SHAPE, detail=f"unexpected head variable {head.name}")
             kind = "indexed-head"
             if entry[3]:
-                steps.append(MachineStep(kind, head.name, len(args), out.steps, term))
+                steps.append(MachineStep(kind, head.name, len(args), k, hnf()))
                 return done(INDEXED_REUSE, detail=f"{head.name} was expanded twice")
             entry[3] = True
             value, first, second, _ = entry
@@ -237,7 +256,7 @@ def certify(op: Term, n: int, fuel: int = DEFAULT_FUEL) -> Certificate:
                 name += "'"
             registry[name] = [value - 1, first, second, False]
             term = _rebuild((), App(second, Var(name)), rest)
-        steps.append(MachineStep(kind, head.name, len(args), out.steps, term))
+        steps.append(MachineStep(kind, head.name, len(args), k, term))
 
 
 # ---------------------------------------------------------------------------

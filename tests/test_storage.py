@@ -185,6 +185,19 @@ def test_diverging_operator_exhausts_fuel():
     assert cert.status == FUEL_EXHAUSTED
 
 
+@pytest.mark.parametrize("fuel", [-1, True, 1.5])
+def test_certify_rejects_fuel_that_is_no_count(fuel):
+    with pytest.raises(ValueError):
+        certify(BUILTINS["T"], 1, fuel=fuel)
+
+
+def test_certify_at_fuel_zero_takes_no_step():
+    cert = certify(BUILTINS["T"], 1, fuel=0)
+    assert cert.status == FUEL_EXHAUSTED
+    assert cert.steps == ()
+    assert cert.total_contractions == 0
+
+
 def _peeling(levels):
     # worth 0, ((v) M) f steps to M in one machine step, one level at a time
     body = "(f) x"
@@ -225,6 +238,60 @@ def test_symbol_in_output_vanishing_under_normalization():
     assert cert.tau_value == 1
     assert certify(op, 0).status == BAD_HEAD_SHAPE
     assert certify(op, 2).status == BAD_HEAD_SHAPE
+
+
+def _closed_mutants():
+    """The closed single-node mutants of the bundled operators."""
+    mutants = [
+        m
+        for name in ("T1", "T2", "T", "Tp", "T_2", "Tp_2")
+        for m in single_node_mutants(BUILTINS[name])
+        if not m.fv
+    ]
+    assert len(mutants) == 930
+    return mutants
+
+
+# the hand-made failure shapes above, each failing in its own way at some n
+FAILURE_SHAPES = [
+    parse_term(src)
+    for src in (
+        "\\v f ((v) (f) x_0) \\y (f) y",
+        "\\v f (f) \\x f x",
+        "\\v f (v) f",
+        "\\v f \\z z",
+        "\\v f ((f) \\x f x) \\x f x",
+        "\\v f (f) v",
+        "\\v f (\\x (x) x) \\x (x) x",
+        "\\v f ((v) \\a (a) \\q q) \\x (x) x",
+        "\\v f (((v) \\g w (f) ((\\d (\\n x f (f) ((n) x) f) \\x f x) g))"
+        " \\e (e) e) \\x f x",
+    )
+] + [_peeling(39), _peeling(40), _peeling(41)]
+
+# sha256 of the full certificate text of each closed single-node mutant of
+# the bundled operators and each failure shape above, at every n <= 3 and
+# every fuel in CERTIFY_FUELS, recorded before the machine read the
+# kernel's spine directly
+CERTIFY_FUELS = (0, 1, 2, 3, 5, 8, 20_000)
+FULL_TEXT_DIGEST = "3cee9020dd011369771044a38bce39b3c08e9bf3d0c96a3871b524cbbeaf23b1"
+
+
+def test_certificate_texts_on_every_path():
+    ops = _closed_mutants() + FAILURE_SHAPES
+    h = hashlib.sha256()
+    statuses = set()
+    for op in ops:
+        for n in range(4):
+            for fuel in CERTIFY_FUELS:
+                cert = certify(op, n, fuel=fuel)
+                statuses.add(cert.status)
+                h.update(cert.to_text().encode())
+    assert statuses == {
+        OK, BAD_HEAD_SHAPE, FUEL_EXHAUSTED, STEP_BUDGET_EXHAUSTED,
+        INDEXED_REUSE, TAU_NOT_NUMERAL, TAU_WRONG_VALUE,
+    }
+    assert h.hexdigest() == FULL_TEXT_DIGEST
 
 
 def test_theta_corpus_is_verified_and_varied():
@@ -440,13 +507,7 @@ def _mutant_sweep(ns, normalized):
     runs that missed their certificate, and the certificates whose tau
     mentions v with the runs checked against them."""
     fuel = 20_000
-    mutants = [
-        m
-        for name in ("T1", "T2", "T", "Tp", "T_2", "Tp_2")
-        for m in single_node_mutants(BUILTINS[name])
-        if not m.fv
-    ]
-    assert len(mutants) == 930
+    mutants = _closed_mutants()
     corpora = {n: theta_corpus(n, limit=4) for n in ns}
     lines, misses, v_taus, v_runs = [], 0, 0, 0
     for m in mutants:
