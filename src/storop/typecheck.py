@@ -37,6 +37,12 @@ mutants and ``build_prebuilt``'s derivations, and the ``abs`` rule compares
 the premise's entries with the conclusion's plus the binder's entry,
 building no ``Context``.
 
+A ``Context`` maps its names to their formulas in a dict made with it, so
+``lookup``, and with it the ``ax`` rule, is one dict read, and it caches
+whether every entry is propositional on first use, for the ``fperp``
+fragment's test. Both are derived from ``entries``, which must not be
+reassigned.
+
 An inst node's stated type is compared by ``==`` with ``instantiate``,
 whose substitution loops over an explicit stack, so inst nodes are checked
 and their failures worded at any depth. The instance is cached on the
@@ -101,24 +107,28 @@ FRAGMENTS = ("af2", "af2-bot", "fperp")
 
 
 class Context:
-    """Ordered typing context; names are unique."""
+    """Ordered typing context; names are unique.
 
-    __slots__ = ("entries",)
+    ``_index`` maps each name to its formula, and ``_prop`` caches, once
+    asked, whether every entry is propositional. Both are derived from
+    ``entries`` when the context is made, so ``entries`` must not be
+    reassigned.
+    """
+
+    __slots__ = ("entries", "_index", "_prop")
 
     def __init__(self, entries: Sequence[tuple[str, Formula]] = ()):
         self.entries = tuple(entries)
-        names = [n for n, _ in self.entries]
-        if len(names) != len(set(names)):
-            raise ValueError(f"duplicate names in context: {names}")
+        self._index = dict(self.entries)
+        if len(self._index) != len(self.entries):
+            raise ValueError(f"duplicate names in context: {[n for n, _ in self.entries]}")
+        self._prop = None
 
     def extended(self, name: str, a: Formula) -> "Context":
         return Context(self.entries + ((name, a),))
 
     def lookup(self, name: str) -> Optional[Formula]:
-        for n, a in self.entries:
-            if n == name:
-                return a
-        return None
+        return self._index.get(name)
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.entries)
@@ -292,6 +302,14 @@ def check_derivation(
     return CheckReport(not failures, failures)
 
 
+def _propositional_context(ctx: Context) -> bool:
+    """Whether every entry of ctx is propositional; cached on ctx."""
+    out = ctx._prop
+    if out is None:
+        out = ctx._prop = all(_is_propositional(b) for _, b in ctx.entries)
+    return out
+
+
 def _check_node(node: Derivation, equations, fragment: str) -> Optional[str]:
     """Why node breaks its rule or the fragment, or None; premises are not entered."""
     rule, ctx, term, a = node.rule, node.ctx, node.term, node.type
@@ -305,7 +323,7 @@ def _check_node(node: Derivation, equations, fragment: str) -> Optional[str]:
     if fragment == "fperp":
         if rule in ("gen-fo", "inst-fo", "eq"):
             return f"{rule} is not part of the propositional fragment"
-        if not _is_propositional(a) or not all(_is_propositional(b) for b in ctx.formulas()):
+        if not _is_propositional(a) or not _propositional_context(ctx):
             return "propositional fragment requires first-order-free formulas"
     if rule == "ax":
         if type(term) is not Var:
@@ -323,9 +341,9 @@ def _check_node(node: Derivation, equations, fragment: str) -> Optional[str]:
             return "abs subject must be an abstraction"
         if type(a) is not Arrow:
             return "abs type must be an arrow"
-        if ctx.lookup(term.binder) is not None:
-            return f"binder {term.binder} shadows a context entry"
-        # the entries' tuple comparison tries identity first, item by item
+        # the entries' tuple comparison tries identity first, item by item;
+        # a premise context cannot bind the binder twice, so a conclusion
+        # context that binds it already fails here too
         if p.ctx.entries != ctx.entries + ((term.binder, a.left),):
             return "premise context must extend the conclusion context with the binder"
         if p.term is not term.body and p.term != term.body:

@@ -1,10 +1,16 @@
 """Every single-node corruption of a bundled derivation must be caught,
 and the first reported failure must sit exactly at the corrupted node."""
 
+import ast
 import dataclasses
 import hashlib
+import inspect
+import re
+import textwrap
 
 import pytest
+
+import test_typecheck
 
 from storop.formulas import (
     Arrow,
@@ -15,7 +21,9 @@ from storop.formulas import (
     n_type,
     neg,
 )
+from storop import typecheck
 from storop.prebuilt import build_prebuilt, load_prebuilt, prebuilt_check_args, prebuilt_names
+from storop.terms import Var
 from storop.typecheck import Context, check_derivation
 
 _BUILT = {name: build_prebuilt(name) for name in prebuilt_names()}
@@ -197,3 +205,114 @@ def test_read_and_built_derivations_get_the_same_reports(name):
             assert mine == theirs, (opname, path)  # ok flags and failure lists
             mutants += 1
     assert mutants > 0
+
+
+# A sixth operator, kept out of OPERATORS so that the five-operator tests and
+# MUTANT_FAILURES_DIGEST stay as recorded: it replaces a node's subject with
+# a variable that no context binds. Of the five, none changes a subject.
+
+FRESH = "q_fresh"
+
+
+def fresh_subject(node):
+    return dataclasses.replace(node, term=Var(FRESH))
+
+
+@pytest.mark.parametrize("name", prebuilt_names())
+def test_fresh_subject_mutants_are_killed_at_the_node(name):
+    d = _BUILT[name]
+    kwargs = prebuilt_check_args(name)
+    for path, node in paths(d):
+        assert FRESH not in node.ctx.names()
+        rep = check_derivation(rebuild_at(d, path, lambda _n: fresh_subject(node)), **kwargs)
+        assert not rep.ok, f"fresh subject at {list(path)} survived"
+        first, message = rep.failures[0]
+        assert first == path, f"fresh subject at {list(path)} first reported at {list(first)}: {message}"
+
+
+# sha256 over repr(report.failures) of every fresh-subject mutant, one line
+# each, in the order prebuilt name, node path; recorded before Context
+# indexed its names.
+FRESH_SUBJECT_FAILURES_DIGEST = "36beb6c2cdbff72624a6beb45c12aab1337a0e47dbc4c4aa66ef54d4b45e12ea"
+
+
+def test_fresh_subject_failure_lists_fingerprint():
+    h = hashlib.sha256()
+    count = 0
+    for name in prebuilt_names():
+        d = _BUILT[name]
+        kwargs = prebuilt_check_args(name)
+        for path, node in paths(d):
+            rep = check_derivation(rebuild_at(d, path, lambda _n: fresh_subject(node)), **kwargs)
+            h.update(repr(rep.failures).encode() + b"\n")
+            count += 1
+    assert count == 404
+    assert h.hexdigest() == FRESH_SUBJECT_FAILURES_DIGEST
+
+
+# Every message _check_node returns must be produced by some test: by the
+# six-operator sweep, or by the hand-made negative cases of test_typecheck.
+
+
+def guard_patterns() -> list:
+    """A regex for each message _check_node returns: the literal parts of its
+    string, in order, with anything between them."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(typecheck._check_node)))
+    patterns = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Return):
+            continue
+        value = node.value
+        if isinstance(value, ast.Constant) and isinstance(value.value, str):
+            patterns.append(re.escape(value.value))
+        elif isinstance(value, ast.JoinedStr):
+            patterns.append("".join(
+                re.escape(part.value) if isinstance(part, ast.Constant) else ".*"
+                for part in value.values
+            ))
+    return patterns
+
+
+HAND_MADE_NEGATIVES = (
+    test_typecheck.test_ax_failures,
+    test_typecheck.test_unknown_rule_and_arity,
+    test_typecheck.test_abs_failures,
+    test_typecheck.test_app_failures,
+    test_typecheck.test_gen_fo_freshness,
+    test_typecheck.test_inst_fo_checks_the_conclusion,
+    test_typecheck.test_gen_pred_freshness,
+    test_typecheck.test_inst_pred_arity_mismatch_is_reported,
+    test_typecheck.test_bot_rules_and_fragments,
+    test_typecheck.test_inst_bot_requires_bottomed_witness_body,
+    test_typecheck.test_fperp_rejects_first_order_content,
+    test_typecheck.test_eq_rule,
+    test_typecheck.test_abs_binder_bound_in_the_conclusion_context,
+    test_typecheck.test_guards_the_mutant_sweep_does_not_reach,
+)
+
+
+def test_every_guard_of_the_checker_fires(monkeypatch):
+    patterns = guard_patterns()
+    assert len(patterns) > 30
+    messages = set()
+    check_node = typecheck._check_node
+
+    def recording(node, equations, fragment):
+        msg = check_node(node, equations, fragment)
+        if msg is not None:
+            messages.add(msg)
+        return msg
+
+    monkeypatch.setattr(typecheck, "_check_node", recording)
+    for test in HAND_MADE_NEGATIVES:
+        test()
+    for name in prebuilt_names():
+        d = _BUILT[name]
+        kwargs = prebuilt_check_args(name)
+        for op in (*OPERATORS.values(), fresh_subject):
+            for path, node in paths(d):
+                mutated = op(node)
+                if mutated is not None:
+                    check_derivation(rebuild_at(d, path, lambda _n: mutated), **kwargs)
+    silent = [p for p in patterns if not any(re.fullmatch(p, m, re.DOTALL) for m in messages)]
+    assert not silent, silent

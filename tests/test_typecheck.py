@@ -31,6 +31,8 @@ from storop.formulas import (
     PredAbstraction,
     PredVarApp,
     Quantifier,
+    _is_propositional,
+    forget_first_order,
     instantiate,
     is_bot_type,
     n_star_type,
@@ -80,6 +82,45 @@ def test_context_equality_is_order_sensitive():
     b = Context((("y", F("B")), ("x", F("A"))))
     assert a != b
     assert a == Context((("x", F("A")), ("y", F("B"))))
+
+
+CONTEXT_NAMES = ("a", "b", "c", "d")
+
+
+def random_context(rng):
+    """Up to four entries; half the contexts have their first-order layer forgotten."""
+    names = rng.sample(CONTEXT_NAMES, rng.randint(0, len(CONTEXT_NAMES)))
+    forget = forget_first_order if rng.random() < 0.5 else (lambda a: a)
+    return Context((n, forget(random_formula(rng, depth=3, allow_bot_vars=True))) for n in names)
+
+
+def test_context_answers_agree_with_its_entries():
+    rng = random.Random(3636)
+    seen = Counter()
+    for _ in range(3000):
+        ctx = random_context(rng)
+        for name in (*CONTEXT_NAMES, "e"):
+            assert ctx.lookup(name) is next((a for n, a in ctx.entries if n == name), None)
+        verdict = typecheck._propositional_context(ctx)
+        assert verdict is all(_is_propositional(b) for b in ctx.formulas())
+        # an extension judges its own entries, whatever its parent's verdict
+        b = random_formula(rng, depth=2, allow_bot_vars=True)
+        wider = ctx.extended("e", b)
+        wide_verdict = typecheck._propositional_context(wider)
+        assert wide_verdict is (verdict and _is_propositional(b))
+        assert wider.lookup("e") is b and typecheck._propositional_context(ctx) is verdict
+        seen[verdict, wide_verdict] += 1
+        if ctx.entries:
+            name = rng.choice(ctx.names())
+            entries = ctx.entries + ((name, b),)
+            message = f"duplicate names in context: {[n for n, _ in entries]}"
+            with pytest.raises(ValueError) as exc:
+                Context(entries)
+            assert str(exc.value) == message
+            with pytest.raises(ValueError) as exc:
+                ctx.extended(name, b)
+            assert str(exc.value) == message
+    assert min(seen[pair] for pair in ((True, True), (True, False), (False, False))) > 300, seen
 
 
 # a tiny correct derivation: x : A |- \y (x) y ... keep simpler: identity
@@ -413,6 +454,41 @@ def test_failures_are_premises_first():
     rep = check_derivation(rebuild(d, target))
     assert not rep.ok
     assert rep.failures[0][0] == target
+
+
+def test_abs_binder_bound_in_the_conclusion_context():
+    # no premise context holds the binder twice, so none extends a context
+    # that binds it already
+    a = F("A")
+    leaf = Derivation("ax", Context((("x", a),)), Var("x"), a)
+    d = Derivation("abs", Context((("x", F("B")),)), Abs("x", Var("x")), Arrow(a, a), None, (leaf,))
+    message = "premise context must extend the conclusion context with the binder"
+    assert check_derivation(d).failures == [((), message)]
+    assert check_derivation(read_derivation(write_derivation(d))).failures == [((), message)]
+
+
+def test_guards_the_mutant_sweep_does_not_reach():
+    a = F("A")
+    ctx = Context((("f", a), ("u", a)))
+    df = Derivation("ax", ctx, Var("f"), a)
+    du = Derivation("ax", ctx, Var("u"), a)
+    not_a_function = Derivation("app", ctx, App(Var("f"), Var("u")), a, None, (df, du))
+    assert check_derivation(not_a_function).failures == [
+        ((), "function premise must have an arrow type")
+    ]
+
+    first_order = inst_node("inst-pred", F("!X (X -> X)"), F("bot -> bot"), FoApp("0"))
+    assert check_derivation(first_order).failures == [
+        ((), "inst-pred witness must be a predicate abstraction")
+    ]
+
+    ty = n_type(FoVar("y"))
+    leaf = Derivation("ax", Context((("v", ty),)), Var("v"), ty)
+    short_step = Derivation("eq", leaf.ctx, Var("v"), ty, (("ps", "lr"),), (leaf,))
+    eqs = parse_equations("ps: p(s(x)) = x")
+    assert check_derivation(short_step, equations=eqs).failures == [
+        ((), "eq step must be (equation-name, direction, path)")
+    ]
 
 
 # serialization
