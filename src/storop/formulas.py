@@ -750,13 +750,21 @@ class Equation:
 
 
 class EquationSet:
-    """Named equations over an inferred first-order signature."""
+    """Named equations over an inferred first-order signature.
+
+    ``equations`` is a tuple and ``_index`` maps each name to the first
+    equation that bears it; both are made with the set, which must not be
+    changed afterwards: the checker keeps its verdicts against the set.
+    """
 
     def __init__(self, equations: Iterable[Equation] = ()):
-        self.equations: list[Equation] = list(equations)
+        self.equations: tuple[Equation, ...] = tuple(equations)
         names = [e.name for e in self.equations if e.name]
         if len(names) != len(set(names)):
             raise FormulaError("duplicate equation names")
+        self._index: dict[str, Equation] = {}
+        for e in self.equations:
+            self._index.setdefault(e.name, e)
         self.signature = self._infer_signature()
 
     def _infer_signature(self) -> dict[str, int]:
@@ -775,10 +783,10 @@ class EquationSet:
         return len(self.equations)
 
     def get(self, name: str) -> Equation:
-        for e in self.equations:
-            if e.name == name:
-                return e
-        raise KeyError(f"no equation named {name!r}")
+        try:
+            return self._index[name]
+        except KeyError:
+            raise KeyError(f"no equation named {name!r}") from None
 
 
 def parse_equations(text: str) -> EquationSet:

@@ -43,6 +43,16 @@ whether every entry is propositional on first use, for the ``fperp``
 fragment's test. Both are derived from ``entries``, which must not be
 reassigned.
 
+A node keeps the verdict of its last passing check in its ``_verified``
+slot: the key ``(fragment, equations)`` under which no node of its subtree
+failed. ``check_derivation`` skips a subtree whose root holds the key of
+the check in hand, so a mutant that shares all but one path with a checked
+derivation is checked along that path alone, with the same failures. The
+verdict is sound only while the subtree stays the one checked: a node's
+fields must not be reassigned, a changed node is built with
+``dataclasses.replace``, which leaves it unverified, and an ``EquationSet``
+is fixed when made.
+
 An inst node's stated type is compared by ``==`` with ``instantiate``,
 whose substitution loops over an explicit stack, so inst nodes are checked
 and their failures worded at any depth. The instance is cached on the
@@ -152,14 +162,28 @@ class Context:
         return f"[{inside}]"
 
 
-@dataclass
+@dataclass(slots=True)
 class Derivation:
+    """One node of a derivation tree, with its premises.
+
+    ``_verified`` holds the verdict of the node's last passing check: the
+    key ``(fragment, equations)`` under which ``check_derivation`` found no
+    failure anywhere in the node's subtree, or None. It is no field of the
+    constructor, of ``==`` or of the repr, so a node built anew, or copied
+    by ``dataclasses.replace``, is unverified. The verdict holds only while
+    the subtree is the one checked: a node's fields must not be
+    reassigned, and a changed node is built with ``dataclasses.replace``.
+    The class is not frozen to enforce this, since a frozen dataclass's
+    ``__init__`` costs over four times as much, on every node read.
+    """
+
     rule: str
     ctx: Context
     term: Term
     type: Formula
     witness: object = None
     premises: tuple = ()
+    _verified: object = field(default=None, init=False, repr=False, compare=False)
 
     def node_count(self) -> int:
         return _fold(self, lambda _node, kids: 1 + sum(kids), _premises)
@@ -276,27 +300,44 @@ def check_derivation(
     equations: Optional[EquationSet] = None,
     fragment: str = "af2-bot",
 ) -> CheckReport:
-    """Revalidate every node, premises first; failures carry node paths."""
+    """Revalidate every node, premises first; failures carry node paths.
+
+    A subtree whose root passed a check under this fragment and these
+    equations holds no failure, and is not entered again; a node whose
+    subtree adds no failure is marked so, in its ``_verified`` slot.
+    """
     if fragment not in FRAGMENTS:
         raise ValueError(f"fragment must be one of {FRAGMENTS}")
+    key = (fragment, equations)
     failures: list = []
     path: list = []  # premise indices from the root down to the node in hand
+    # nodes to check; a node entered sits under an _EXIT mark and over the
+    # number of failures found before it
     stack: list = [d]
     while stack:
         node = stack.pop()
         if node is _EXIT:
             node = stack.pop()
+            before = stack.pop()
             path.pop()
+        elif node._verified == key:
+            if path:
+                path[-1] += 1
+            continue
         elif node.premises:
-            stack += (node, _EXIT, *node.premises[::-1])
+            stack += (len(failures), node, _EXIT, *node.premises[::-1])
             path.append(0)
             continue
+        else:
+            before = len(failures)
         try:
             msg = _check_node(node, equations, fragment)
         except (FormulaError, ValueError) as exc:
             msg = str(exc)
         if msg is not None:
             failures.append((tuple(path), msg))
+        elif len(failures) == before:
+            node._verified = key
         if path:
             path[-1] += 1  # on to the next premise of the parent
     return CheckReport(not failures, failures)
@@ -393,7 +434,7 @@ def _check_node(node: Derivation, equations, fragment: str) -> Optional[str]:
             try:
                 eq = equations.get(name)
             except KeyError as exc:
-                return str(exc)
+                return exc.args[0]
             cur = apply_equation(cur, eq, tuple(spath), direction)
         if a is not cur and a != cur:
             return f"rewrites yield {print_formula(cur)}"

@@ -476,6 +476,19 @@ def test_check_negative_rewrite_path_is_rejected(capsys, tmp_path, path, message
     assert f"at root: {message}" in out
 
 
+def test_check_unknown_equation_is_named_without_quotes(capsys, tmp_path):
+    # the message of the KeyError, not its str, which is the message's repr
+    text = Path(bundled("eq_demo")).read_text()
+    mutated = tmp_path / "qq.deriv"
+    mutated.write_text(text.replace("(step ps ", "(step qq "))
+    eqs = tmp_path / "eqs.txt"
+    eqs.write_text("p0: p(0) = 0\nps: p(s(x)) = x\n")
+    code, out, err = run(capsys, "check", str(mutated), "--equations", str(eqs))
+    assert code == 1
+    assert out == "fail: 1 failure\nat root: no equation named 'qq'\n"
+    assert err == ""
+
+
 def test_check_missing_file_is_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "nope.deriv"))
     assert code == 2

@@ -13,6 +13,7 @@ from storop.formulas import (
     Bot,
     BotVarApp,
     Equation,
+    EquationSet,
     FoApp,
     FormulaError,
     FoVar,
@@ -856,6 +857,22 @@ def test_parse_equations_and_signature():
     assert eqs.signature == {"0": 0, "s": 1, "p": 1}
     with pytest.raises(KeyError):
         eqs.get("nope")
+
+
+def test_equation_set_is_fixed_when_made():
+    # the checker keeps its verdicts against an EquationSet object, so the
+    # set keeps no reference to the iterable it was made from
+    unnamed, twin = Equation(FoVar("x"), FoVar("x")), Equation(FoApp("0"), FoApp("0"))
+    named = Equation(FoApp("p", (FoApp("0"),)), FoApp("0"), "p0")
+    source = [unnamed, twin, named]
+    eqs = EquationSet(source)
+    source.clear()
+    assert eqs.equations == (unnamed, twin, named) and len(eqs) == 3
+    # the first equation of each name wins, the unnamed ones' included
+    assert eqs.get("") is unnamed and eqs.get("p0") is named
+    with pytest.raises(KeyError) as exc:
+        eqs.get("qq")
+    assert exc.value.args == ("no equation named 'qq'",)
 
 
 def test_parse_equations_rejects():

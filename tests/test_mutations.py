@@ -5,8 +5,10 @@ import ast
 import dataclasses
 import hashlib
 import inspect
+import random
 import re
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -248,6 +250,47 @@ def test_fresh_subject_failure_lists_fingerprint():
             count += 1
     assert count == 404
     assert h.hexdigest() == FRESH_SUBJECT_FAILURES_DIGEST
+
+
+# A node keeps the verdict of its last passing check, keyed by fragment and
+# equations, and a mutant shares with its source every subtree off its
+# mutated path. Checked in a shuffled order, twice, each subject must get the
+# report a cold check of a fresh copy gets, whatever was checked before it.
+
+
+def cold_copy(d):
+    """d with every node rebuilt by dataclasses.replace, so none holds a verdict."""
+    return dataclasses.replace(d, premises=tuple(cold_copy(p) for p in d.premises))
+
+
+def test_kept_verdicts_give_the_reports_of_cold_checks():
+    settings = [{"fragment": f} for f in typecheck.FRAGMENTS]
+    subjects = []  # (derivation, settings) pairs
+    for name in prebuilt_names():
+        d = load_prebuilt(name)
+        mine = settings
+        if name == "eq_demo":
+            equations = prebuilt_check_args(name)["equations"]
+            mine = settings + [{"fragment": f, "equations": equations} for f in typecheck.FRAGMENTS]
+        subjects.append((d, mine))
+        for op in (*OPERATORS.values(), fresh_subject):
+            for path, node in paths(d):
+                mutated = op(node)
+                if mutated is not None:
+                    subjects.append((rebuild_at(d, path, lambda _n: mutated), mine))
+    checks = [(d, kwargs) for d, mine in subjects for kwargs in mine]
+    cold = {
+        (id(d), id(kwargs)): check_derivation(cold_copy(d), **kwargs) for d, kwargs in checks
+    }
+    order = checks * 2
+    random.Random(3701).shuffle(order)
+    outcomes = Counter()
+    for d, kwargs in order:
+        rep = check_derivation(d, **kwargs)
+        assert rep == cold[id(d), id(kwargs)], (kwargs, rep.failures[:1])
+        outcomes[rep.ok] += 1
+    assert len(subjects) == 17 + 1153 + 404
+    assert outcomes == Counter({True: 68, False: 9430})
 
 
 # Every message _check_node returns must be produced by some test: by the

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -56,7 +57,7 @@ from storop.typecheck import (
     read_derivation,
     write_derivation,
 )
-from storop.prebuilt import build_prebuilt, load_prebuilt, prebuilt_names
+from storop.prebuilt import build_prebuilt, load_prebuilt, prebuilt_check_args, prebuilt_names
 
 
 def F(src):
@@ -489,6 +490,71 @@ def test_guards_the_mutant_sweep_does_not_reach():
     assert check_derivation(short_step, equations=eqs).failures == [
         ((), "eq step must be (equation-name, direction, path)")
     ]
+
+
+# the kept verdict: a subtree that passed under a fragment and equations is
+# not checked again under them
+
+
+def counted_check_node(monkeypatch) -> list:
+    """The nodes _check_node is called on from now on, in order."""
+    calls = []
+    check_node = typecheck._check_node
+
+    def counting(node, equations, fragment):
+        calls.append(node)
+        return check_node(node, equations, fragment)
+
+    monkeypatch.setattr(typecheck, "_check_node", counting)
+    return calls
+
+
+def node_paths(d, prefix=()):
+    """(path, node) for every node of d, each conclusion before its premises."""
+    yield prefix, d
+    for i, p in enumerate(d.premises):
+        yield from node_paths(p, prefix + (i,))
+
+
+def replaced_at(d, path, node) -> tuple:
+    """d with node at path, each node above it rebuilt, and those nodes, root first."""
+    spine = [d]
+    for i in path:
+        spine.append(spine[-1].premises[i])
+    built = [node]
+    for above, i in zip(reversed(spine[:-1]), reversed(path)):
+        ps = list(above.premises)
+        ps[i] = built[-1]
+        built.append(dataclasses.replace(above, premises=tuple(ps)))
+    return built[-1], built[::-1]
+
+
+@pytest.mark.parametrize("name", prebuilt_names())
+def test_a_mutant_checked_after_its_source_checks_only_its_path(name, monkeypatch):
+    d = load_prebuilt(name)
+    kwargs = prebuilt_check_args(name)
+    assert check_derivation(d, **kwargs).ok
+    calls = counted_check_node(monkeypatch)
+    for path, node in node_paths(d):
+        mutant, spine = replaced_at(d, path, dataclasses.replace(node, type=Arrow(node.type, node.type)))
+        calls.clear()
+        rep = check_derivation(mutant, **kwargs)
+        assert rep.failures[0][0] == path
+        assert len(calls) == len(path) + 1
+        assert all(a is b for a, b in zip(calls, reversed(spine)))
+
+
+def test_the_verdict_is_no_field_of_a_node():
+    d = identity_derivation()
+    assert d._verified is None
+    assert check_derivation(d).ok and d._verified == ("af2-bot", None)
+    copy = dataclasses.replace(d)
+    assert copy._verified is None and copy.premises[0] is d.premises[0]
+    fresh = identity_derivation()
+    assert fresh == d and d == fresh and repr(fresh) == repr(d)
+    assert not hasattr(d, "__dict__")
+    with pytest.raises(TypeError):
+        Derivation("ax", d.ctx, Var("x"), F("A"), _verified=("af2-bot", None))
 
 
 # serialization
@@ -1009,6 +1075,13 @@ def test_equality_and_repr_of_a_chain_30002_nodes_deep(chain):
     assert deep(repr, chain) == (
         "Derivation(rule='inst-fo', term=<\\y y>, type=<X(x) -> X(x)>, premises=1)"
     )
+
+
+def test_a_second_check_of_a_chain_30002_nodes_deep_checks_no_node(chain, monkeypatch):
+    first = check_derivation(chain)
+    calls = counted_check_node(monkeypatch)
+    assert check_derivation(chain) == first and first.ok
+    assert calls == []
 
 
 def test_lift_above_an_axiom_30000_nodes_deep():
