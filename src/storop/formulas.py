@@ -41,6 +41,12 @@ printing. None of them is bounded by Python's recursion limit. ``_fold``
 walks formulas (the free-variable and propositional caches, the
 translations, ``polarity``, ``pred_arities``), first-order terms (``fo_subst``,
 an ``EquationSet``'s signature) and derivations (``storop.typecheck``).
+
+Given an intern table, ``parse_formula`` builds every node through it, atom
+arguments included, with the constructors ``_makers`` makes for the table;
+``_intern`` brings a macro's expansion, built outside the parser, into the
+same table by the same constructors. The derivation reader hands each text
+its table.
 """
 
 from __future__ import annotations
@@ -48,10 +54,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Iterable, Mapping, Optional, Sequence
 
-from storop.terms import _scan, fresh_name
+from storop.terms import Abs, App, Var, _interning, _scan, _term_makers, fresh_name
 
 __all__ = [
     "FoTerm",
@@ -923,10 +929,88 @@ def _is_fo_name(name: str) -> bool:
     return True
 
 
+# the node classes the formula parser builds, with each one's shape for _interning
+_SHAPES = {
+    Arrow: "pair",
+    ForallFo: "bound",
+    ForallPred: "bound",
+    ForallBot: "bound",
+    Bot: "named",
+    PredVarApp: "named",
+    BotVarApp: "named",
+    PredSymApp: "named",
+    FoVar: "named",
+    FoApp: "named",
+}
+# the parser's constructors without an intern table: each class, and neg, itself
+_PLAIN = {cls: cls for cls in _SHAPES} | {neg: neg}
+
+
+def _makers(table: dict) -> dict:
+    """_PLAIN through table: each class's constructor, and neg, through
+    table, as ``terms._interning`` describes, with Var, Abs and App's too.
+    They are made on the first call with table and kept in it, under this
+    function as key."""
+    makers = table.get(_makers)
+    if makers is None:
+        makers = {cls: _interning(table, cls, shape) for cls, shape in _SHAPES.items()}
+        makers.update(zip((Var, Abs, App), _term_makers(table)))
+        arrow, bot = makers[Arrow], makers[Bot]
+        makers[neg] = lambda a: arrow(a, bot())
+        table[_makers] = makers
+    return makers
+
+
+def _parts(x) -> tuple:
+    """x's children: a formula's subformulas, a term's subterms, or an
+    atom's or a first-order term's arguments."""
+    tx = type(x)
+    if tx is Arrow:
+        return (x.left, x.right)
+    if tx is App:
+        return (x.fn, x.arg)
+    if tx is Abs or isinstance(x, Quantifier):
+        return (x.body,)
+    return getattr(x, "args", ())
+
+
+def _intern(a, table: dict):
+    """table's node for the exact named structure of a, a formula, a
+    first-order term or a λ-term, its subtrees interned first.
+
+    The parsers build straight into an intern table; this fold serves the
+    trees built outside them, a macro's expansion. It builds through the
+    parsers' constructors with table, ``_makers``, so such a tree and its
+    written-out text are one node. A node whose children are already the
+    table's is itself kept, when its key is new.
+    """
+    make = _makers(table)
+
+    def combine(x, kids):
+        tx = type(x)
+        keep = x if all(map(is_, kids, _parts(x))) else None
+        if tx is Arrow or tx is App:
+            return make[tx](*kids, keep)
+        if tx is Abs:
+            return make[tx](x.binder, *kids, keep)
+        if isinstance(x, Quantifier):
+            return make[tx](x.var, *kids, keep)
+        return make[tx](getattr(x, "name", None), kids, keep)
+
+    return _fold(a, combine, _parts)
+
+
 class _FormulaParser:
-    def __init__(self, toks):
+    """One parse of a token list. Given an intern table, every node is
+    built through it (``_makers``), a macro's expansion interned."""
+
+    __slots__ = ("toks", "pos", "table", "make")
+
+    def __init__(self, toks, table: Optional[dict] = None):
         self.toks = toks
         self.pos = 0
+        self.table = table
+        self.make = _PLAIN if table is None else _makers(table)
 
     def peek(self):
         return self.toks[self.pos]
@@ -946,23 +1030,25 @@ class _FormulaParser:
 
     def foterm(self) -> FoTerm:
         kind, val, at = self.take()
+        make = self.make
         if kind == "num":
-            return FoApp(val)
+            return make[FoApp](val)
         if kind != "name":
             raise FormulaError(f"expected a first-order term at offset {at}")
         args = self.atom_args()
-        return FoApp(val, args) if args else FoVar(val)
+        return make[FoApp](val, args) if args else make[FoVar](val)
 
     def atom_args(self) -> tuple:
         """The terms in the parentheses that follow, () when none do."""
         if self.peek()[0] != "(":
             return ()
         self.take()
+        make = self.make
         stack: list[list] = [[None]]  # per open "(", the symbol before it, then its terms so far
         while True:
             kind, val, at = self.take()
             if kind == "num":
-                t = FoApp(val)
+                t = make[FoApp](val)
             elif kind != "name":
                 raise FormulaError(f"expected a first-order term at offset {at}")
             elif self.peek()[0] == "(":
@@ -970,7 +1056,7 @@ class _FormulaParser:
                 stack.append([val])
                 continue
             else:
-                t = FoVar(val)
+                t = make[FoVar](val)
             while True:
                 stack[-1].append(t)
                 if self.peek()[0] == ",":
@@ -980,7 +1066,7 @@ class _FormulaParser:
                 sym, *args = stack.pop()
                 if not stack:
                     return tuple(args)
-                t = FoApp(sym, tuple(args))
+                t = make[FoApp](sym, tuple(args))
 
     def at_end(self, out):
         """out, once nothing but the end of input is left."""
@@ -1001,11 +1087,13 @@ class _FormulaParser:
         chain and a comma at 2 for a list, and wrap builds the formula round
         what it gets. A bracket waits at level 3 with its closing token.
         """
+        make = self.make
+        negate, arrow = make[neg], make[Arrow]
         stack: list[tuple] = []
         while True:
             kind = self.take()[0]
             if kind == "~":
-                stack.append((0, neg))
+                stack.append((0, negate))
             elif kind == "!":
                 bkind, bval, bat = self.take()
                 if bkind == "botname":
@@ -1016,7 +1104,7 @@ class _FormulaParser:
                     quant = ForallFo if _is_fo_name(bval) else ForallPred
                 if bval in _MACROS:
                     raise FormulaError(f"{bval!r} is reserved (offset {bat})")
-                stack.append((0, partial(quant, bval)))
+                stack.append((0, partial(make[quant], bval)))
             elif kind == "(" or kind == "{":
                 stack.append((3, ")" if kind == "(" else "}"))
             else:
@@ -1029,7 +1117,7 @@ class _FormulaParser:
                         a = stack.pop()[1](a)
                     if level < 3:
                         self.take()
-                        stack.append((level, partial(Arrow, a)))
+                        stack.append((level, partial(arrow, a)))
                         break
                     if not stack:
                         return a
@@ -1041,23 +1129,25 @@ class _FormulaParser:
             self.take()
             arg = self.foterm()
             self.expect("]")
-        return build(arg)
+        a = build(arg)
+        return a if self.table is None else _intern(a, self.table)
 
     def atom(self) -> Formula:
         kind, val, at = self.take()
+        make = self.make
         if kind == "bot":
-            return Bot()
+            return make[Bot]()
         if kind == "$":
             nkind, nval, nat = self.take()
             if nkind != "name":
                 raise FormulaError(f"expected a predicate symbol at offset {nat}")
-            return PredSymApp(nval, self.atom_args())
+            return make[PredSymApp](nval, self.atom_args())
         if kind == "botname":
             if val == "N":
                 return self._macro(n_bot_type)
             if val in _MACROS:
                 raise FormulaError(f"{val!r} is reserved (offset {at})")
-            return BotVarApp(val, self.atom_args())
+            return make[BotVarApp](val, self.atom_args())
         if kind == "name":
             if val == "N" and self.peek()[0] == "*":
                 self.take()
@@ -1069,12 +1159,19 @@ class _FormulaParser:
                     f"first-order name {val!r} cannot stand alone as a formula "
                     f"(offset {at})"
                 )
-            return PredVarApp(val, self.atom_args())
+            return make[PredVarApp](val, self.atom_args())
         raise FormulaError(f"expected a formula at offset {at}")
 
 
-def parse_formula(src: str) -> Formula:
-    parser = _FormulaParser(_tokenize_formula(src))
+def parse_formula(src: str, *, table: Optional[dict] = None) -> Formula:
+    """Parse the concrete syntax described in the module docstring.
+
+    Given an intern table, every node is built through it, as
+    ``terms._interning`` describes, a macro's expansion included, so the
+    formula and each of its subformulas and atom arguments is the table's
+    one node of its exact named structure.
+    """
+    parser = _FormulaParser(_tokenize_formula(src), table)
     return parser.at_end(parser.seq())
 
 

@@ -16,7 +16,9 @@ and parsing walk explicit stacks, so they work at any depth.
 
 Every token pattern of storop's three syntaxes, λ-terms here, formulas
 and derivation files, is run by one scan, ``_scan``, which reads any text in
-time linear in its length.
+time linear in its length. Given an intern table, the parsers of terms and
+formulas build each node through it, by constructors ``_interning`` makes,
+so a derivation's texts are read into one table in one pass.
 
 One capture-avoiding substitution, ``_subst1``, serves the kernel and
 ``substitute``. It and ``_match`` recurse once per level, under ``_deep``,
@@ -29,6 +31,7 @@ from __future__ import annotations
 import gc
 import re
 import sys
+from functools import partial
 from typing import Iterator, Mapping, Optional
 
 __all__ = [
@@ -340,12 +343,13 @@ def church(n: int) -> Term:
     return _deep(_numeral, n)
 
 
-def _numeral(n: int) -> Term:
-    body: Term = Var("x")
-    f = Var("f")
+def _numeral(n: int, var=Var, lam=Abs, app=App) -> Term:
+    """church(n), built by the given constructors of Var, Abs and App."""
+    body: Term = var("x")
+    f = var("f")
     for _ in range(n):
-        body = App(f, body)
-    return Abs("x", Abs("f", body))
+        body = app(f, body)
+    return lam("x", lam("f", body))
 
 
 def numeral_of(t: Term) -> Optional[int]:
@@ -433,6 +437,70 @@ def _match(p, t, holes, penv, tenv, depth, sigma) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# intern tables
+
+
+def _interning(table: dict, cls, shape: str):
+    """cls's constructor through table, an intern table, which holds one
+    node per exact named structure.
+
+    A call looks its node up by key: cls, the node's label (its name, var
+    or binder, None for none) and the ids of its children, which must be
+    table's own nodes. On a miss it stores keep, when given, else a node it
+    builds. shape is what cls takes: "pair", two children (App, Arrow);
+    "bound", a label and a child (Abs, a quantifier); "named", a label and
+    a tuple of children, a label alone, or nothing (Var, an atom, a
+    first-order term, Bot). The table keeps its nodes alive, so no id in a
+    key is reused while it lives, and the class keeps the keys of terms,
+    formulas and first-order terms apart in one table.
+    """
+    get = table.get
+    if shape == "pair":
+
+        def make(a, b, keep=None):
+            key = (cls, None, id(a), id(b))
+            node = get(key)
+            if node is None:
+                node = table[key] = cls(a, b) if keep is None else keep
+            return node
+
+    elif shape == "bound":
+
+        def make(label, body, keep=None):
+            key = (cls, label, id(body))
+            node = get(key)
+            if node is None:
+                node = table[key] = cls(label, body) if keep is None else keep
+            return node
+
+    else:
+
+        def make(label=None, args=(), keep=None):
+            key = (cls, label, *map(id, args)) if args else (cls, label)
+            node = get(key)
+            if node is None:
+                if keep is None:
+                    keep = cls(label, args) if args else cls() if label is None else cls(label)
+                node = table[key] = keep
+            return node
+
+    return make
+
+
+def _term_makers(table: dict) -> tuple:
+    """Var, Abs and App through table, made on the first call with it and
+    kept in it, under this function as key."""
+    makers = table.get(_term_makers)
+    if makers is None:
+        makers = table[_term_makers] = (
+            _interning(table, Var, "named"),
+            _interning(table, Abs, "bound"),
+            _interning(table, App, "pair"),
+        )
+    return makers
+
+
+# ---------------------------------------------------------------------------
 # concrete syntax
 
 
@@ -494,23 +562,35 @@ def _tokenize(src: str):
     return toks
 
 
-def parse_term(src: str, builtins: Mapping[str, Term] | None = None) -> Term:
+def parse_term(
+    src: str, builtins: Mapping[str, Term] | None = None, *, table: dict | None = None
+) -> Term:
     """Parse the concrete syntax described in the module docstring.
 
     ``@name`` splices a term from the builtins mapping; ``@church:N`` is the
     numeral N, of at most six digits, and needs no mapping.
+
+    Given an intern table, every node is built through it, as
+    ``_interning`` describes, the numeral's included, so the term and each
+    of its subterms is the table's one node of its exact named structure.
+    A spliced builtin is not interned.
     """
     toks = _tokenize(src)
+    if table is None:
+        var, lam, app, numeral = Var, Abs, App, church
+    else:
+        var, lam, app = _term_makers(table)
+        numeral = partial(_numeral, var=var, lam=lam, app=app)
 
     def leaf(kind: str, val, at: int) -> Term:
         """The term of a name or an ``@`` reference."""
         if kind == "name":
-            return Var(val)
+            return var(val)
         name, payload = val
         if payload is not None:
             if name != "church":
                 raise ParseError(f"'@{name}:' takes no numeric suffix", at)
-            return church(payload)
+            return numeral(payload)
         if builtins is not None and name in builtins:
             return builtins[name]
         raise ParseError(f"unknown builtin reference '@{name}'", at)
@@ -539,7 +619,7 @@ def parse_term(src: str, builtins: Mapping[str, Term] | None = None) -> Term:
                 continue
             if len(names) < 2:
                 raise ParseError("lambda needs a body", at)
-            t = Var(names.pop())
+            t = var(names.pop())
         elif kind == "name" or kind == "at":
             t = leaf(kind, val, at)
         else:
@@ -549,16 +629,16 @@ def parse_term(src: str, builtins: Mapping[str, Term] | None = None) -> Term:
             what, held = stack.pop()
             if what == "lam":
                 for b in reversed(held):
-                    t = Abs(b, t)
+                    t = lam(b, t)
                 continue
             if what == ")":
-                t = App(held, t)
+                t = app(held, t)
                 continue
-            head = t if held is None else App(held, t)
+            head = t if held is None else app(held, t)
             while True:
                 kind, val, at = toks[i]
                 if kind == "name" or kind == "at":
-                    head = App(head, leaf(kind, val, at))
+                    head = app(head, leaf(kind, val, at))
                 elif kind == ")" and what == "(":
                     what = ")"
                 elif kind == "(" or kind == "lam" or what == ")":

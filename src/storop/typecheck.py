@@ -28,11 +28,12 @@ one stack of the lists still open, and builds each node as its list
 closes. ``Derivation.__eq__`` compares premise pairs off a stack of its
 own, and a derivation's repr shows its root node alone.
 
-``read_derivation`` interns formulas and subject terms in one post-order
-loop, ``_intern``, and contexts by their names and formulas. At a
-well-formed node a premise's context, subject and type are then the very
-objects the rule names in its conclusion, so the checker tries ``is``
-before ``==`` on each. The ``==`` fallback decides nodes built apart, as in
+``read_derivation`` reads in one pass: it hands each distinct formula and
+subject text to ``parse_formula`` or ``parse_term`` with the call's intern
+table, and they build every node straight into it, and it interns contexts
+by their names and formulas. At a well-formed node a premise's context,
+subject and type are then the very objects the rule names in its
+conclusion, so the checker tries ``is`` before ``==`` on each. The ``==`` fallback decides nodes built apart, as in
 mutants and ``build_prebuilt``'s derivations, and the ``abs`` rule compares
 the premise's entries with the conclusion's plus the binder's entry,
 building no ``Context``.
@@ -69,8 +70,6 @@ from typing import Optional, Sequence
 
 from storop.formulas import (
     Arrow,
-    Atom,
-    Bot,
     EquationSet,
     FormulaError,
     FoTerm,
@@ -618,7 +617,7 @@ def read_derivation(src: str) -> Derivation:
     Every formula, subject term and context read from one text is interned
     in a table built for the call: context entries, types, witness bodies
     and subject terms share one object per exact named structure,
-    subformulas and subterms included, and equal contexts (the same names
+    subformulas, atom arguments and subterms included, and equal contexts (the same names
     bound to the same interned formulas) are one ``Context``. So the
     checker finds unchanged contexts, subjects and types by identity before
     it tries ``==``: every premise of a well-formed app node holds its
@@ -630,12 +629,15 @@ def read_derivation(src: str) -> Derivation:
 
     The text is read in one pass over its tokens, with one explicit stack
     of the lists still open; each node is built as its list closes, over
-    the nodes of its last premises section. One loop, ``_intern``, interns
-    its formulas and subject terms alike. An error in a node is kept
-    until its parent is built, so the error raised is the one a reader
-    that parsed the whole text first would raise: unbalanced parentheses,
-    an unterminated string or other than one form before any node's, and
-    otherwise the first failing node's in post-order.
+    the nodes of its last premises section. A string token met again is
+    the item made for it the first time, and each distinct formula or term
+    text is parsed once, by ``parse_formula`` or ``parse_term`` with the
+    call's table, which build every node through it: no second pass
+    interns what they return. An error in a node is kept until its parent
+    is built, so the error raised is the one a reader that parsed the
+    whole text first would raise: unbalanced parentheses, an unterminated
+    string or other than one form before any node's, and otherwise the
+    first failing node's in post-order.
     """
     tokens = _scan(_SEXP_TOKEN, src)
     last = tokens[-1] if tokens else ""
@@ -645,6 +647,7 @@ def read_derivation(src: str) -> Derivation:
     if unterminated or tokens.count("(") != tokens.count(")"):
         _raise_syntax_error(tokens, unterminated)
     table: dict = {}
+    strings: dict = {}  # each string token read -> its ("str", text) item
     nodes: dict = {}  # id of a node's list -> the node, or the error reading it raised
     forms: list = []  # the forms at the top
     items, kind = forms, _TOP  # the innermost open list and its kind
@@ -672,10 +675,13 @@ def read_derivation(src: str) -> Derivation:
             items, kind = stack.pop()
             items.append(done)
         elif first == '"':
-            text = tok[1:-1]
-            if "\\" in text:
-                text = _SEXP_ESCAPE.sub(_escaped, text)
-            items.append(("str", text))
+            item = strings.get(tok)
+            if item is None:
+                text = tok[1:-1]
+                if "\\" in text:
+                    text = _SEXP_ESCAPE.sub(_escaped, text)
+                item = strings[tok] = ("str", text)
+            items.append(item)
         else:
             items.append(("atom", tok))
     if len(forms) != 1:
@@ -709,70 +715,11 @@ def _node(nodes: dict, form) -> Derivation:
 
 
 def _read_formula(src: str, table: dict) -> Formula:
-    """parse_formula(src) interned in table, which also maps each text read to its formula."""
+    """parse_formula(src) built into table, which also maps each text read to its formula."""
     a = table.get(src)
     if a is None:
-        a = table[src] = _intern(parse_formula(src), table)
+        a = table[src] = parse_formula(src, table=table)
     return a
-
-
-def _intern(a, table: dict):
-    """table's object for the exact named structure of a, a formula or a
-    subject term, its subtrees interned first.
-
-    One loop interns both, and branches on a node's shape alone: two
-    children (an Arrow or an App), one child under a binder (a quantifier or
-    an Abs), or none (Bot, Var or Atom). A node's key is its class, its
-    name, var or binder, an atom's first-order arguments and the identities
-    of its interned children. The class keeps formula and term keys apart in
-    one table, and the table keeps the children alive, so no identity is
-    reused while it lives. A node whose children are already the interned
-    ones is itself kept.
-    """
-    # x is set to None when its children were replaced: a miss then builds
-    # the node anew over the interned ones
-    done: list = []  # interned subtrees whose parent is not yet interned
-    stack: list = [a]
-    while stack:
-        x = stack.pop()
-        tx = type(x)
-        if x is _EXIT:
-            x = stack.pop()
-            tx = type(x)
-            if tx is Arrow or tx is App:
-                second = done.pop()
-                first = done.pop()
-                key = (tx, id(first), id(second))
-                was = (x.left, x.right) if tx is Arrow else (x.fn, x.arg)
-                if first is not was[0] or second is not was[1]:
-                    x = None
-            else:
-                body = done.pop()
-                key = (tx, x.binder if tx is Abs else x.var, id(body))
-                if body is not x.body:
-                    x = None
-        elif tx is Arrow:
-            stack += (x, _EXIT, x.right, x.left)
-            continue
-        elif tx is App:
-            stack += (x, _EXIT, x.arg, x.fn)
-            continue
-        elif tx is Bot:
-            key = (tx,)
-        elif tx is Var:
-            key = (tx, x.name)
-        elif isinstance(x, Atom):
-            key = (tx, x.name, x.args)
-        else:
-            stack += (x, _EXIT, x.body)
-            continue
-        found = table.get(key)
-        if found is None:
-            if x is None:
-                x = tx(first, second) if tx is Arrow or tx is App else tx(key[1], body)
-            found = table[key] = x
-        done.append(found)
-    return done[0]
 
 
 def _atom(x) -> str:
@@ -830,7 +777,7 @@ def _read_node(table: dict, nodes: dict, form: list) -> Derivation:
             text = _string(body)
             term = table.get(("term", text))
             if term is None:
-                term = table[("term", text)] = _intern(parse_term(text), table)
+                term = table[("term", text)] = parse_term(text, table=table)
         elif head == "type":
             ftype = _read_formula(_string(body), table)
         elif head == "witness":

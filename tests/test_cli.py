@@ -13,6 +13,7 @@ from deep import deep
 from storop import cli
 from storop.cli import main
 from storop.builtins import BUILTINS
+from storop.prebuilt import EQ_DEMO_EQUATIONS, prebuilt_names
 from storop.reduction import normalize
 from storop.storage import TAU_WRONG_VALUE, BehavioralResult, behavioral_check, certify
 from storop.terms import church, parse_term
@@ -559,6 +560,31 @@ def test_check_a_derivation_30002_nodes_deep(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(chain))
     assert code == 0
     assert out.splitlines()[0] == "ok: 30002 nodes"
+
+
+# sha256 of exit code, stdout and stderr of `storop check` on each bundled
+# derivation under five flag sets: 85 runs, recorded before the reader built
+# formulas and terms straight into its intern table
+CHECK_FLAGS = (
+    [],
+    ["--fragment", "af2bot"],
+    ["--fragment", "fperp"],
+    ["--equations"],
+    ["--fragment", "fperp", "--equations"],
+)
+CHECK_DIGEST = "8ba62d1510283b2901c519a371ea38bbd302109dc2ec5d79f82974449857fb5d"
+
+
+def test_check_output_fingerprint(capsys, tmp_path):
+    eqs = tmp_path / "eqs.txt"
+    eqs.write_text(EQ_DEMO_EQUATIONS)
+    h = hashlib.sha256()
+    for name in prebuilt_names():
+        for flags in CHECK_FLAGS:
+            argv = [a if a != "--equations" else f"--equations={eqs}" for a in flags]
+            code, out, err = run(capsys, "check", bundled(name), *argv)
+            h.update(f"{name} {' '.join(flags)}\n{code}\n{out}\n{err}".encode())
+    assert h.hexdigest() == CHECK_DIGEST
 
 
 def test_check_bad_equations_file_is_exit_2(capsys, tmp_path):

@@ -24,6 +24,7 @@ from storop.formulas import (
     PredSymApp,
     PredVarApp,
     Quantifier,
+    _intern,
     _is_propositional,
     _parse_foterm_src,
     apply_equation,
@@ -52,7 +53,7 @@ from storop.formulas import (
     subst_pred,
 )
 from storop.terms import Abs, Var, church, parse_term, print_term
-from storop.typecheck import _intern
+from storop.typecheck import read_derivation
 
 from deep import collector_paused, deep
 from genformulas import alpha_variant, random_formula
@@ -607,6 +608,17 @@ def test_intern_terms_at_depth_100000():
     numeral = church(100_000)
     assert deep(_intern, numeral, table) is numeral
     assert deep(_intern, church(100_000), table) is numeral
+
+
+def test_read_at_depth_100000(chain):
+    # the reader interns while it parses, so it builds the chain and the
+    # numeral straight into its table, at the depth _intern handles
+    text = "!x (Y(x) -> !Y (Y(x) -> " * PAIRS + "Z" + "))" * PAIRS
+    numeral = "\\\\x f " + "(f) " * 100_000 + "x"
+    d = read_derivation(f'(rule ax (ctx (v "{text}")) (term "{numeral}") (type "{text}"))')
+    assert d.ctx.lookup("v") is d.type
+    assert deep(operator.eq, d.type, chain)
+    assert deep(operator.eq, d.term, church(100_000))
 
 
 def test_parameterless_abstraction_applies_without_a_walk(monkeypatch):

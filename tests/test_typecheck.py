@@ -36,6 +36,7 @@ from storop.formulas import (
     forget_first_order,
     instantiate,
     is_bot_type,
+    n_bot_type,
     n_star_type,
     n_type,
     neg,
@@ -46,8 +47,8 @@ from storop.formulas import (
     subst_fo,
     subst_pred,
 )
-from storop import typecheck
-from storop.terms import Abs, App, Var
+from storop import formulas, typecheck
+from storop.terms import Abs, App, Var, church, print_term
 from storop.typecheck import (
     Context,
     Derivation,
@@ -616,9 +617,9 @@ def test_read_parses_each_term_text_once(monkeypatch):
     calls = Counter()
 
     def counted(parse):
-        def parse_once(src):
+        def parse_once(src, **kwargs):  # the reader passes its intern table
             calls[parse.__name__, src] += 1
-            return parse(src)
+            return parse(src, **kwargs)
 
         return parse_once
 
@@ -725,6 +726,73 @@ def test_read_agrees_with_the_two_pass_reference(name, spacing):
             assert node.premises[0].term is node.term.fn and node.premises[1].term is node.term.arg
         elif node.rule == "abs":
             assert node.premises[0].term is node.term.body
+
+
+def quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def leaves_text() -> str:
+    """A derivation whose contexts, types and subjects put each numeral
+    macro and an @church numeral next to its written-out form."""
+    x, zero = FoVar("x"), FoApp("0")
+    forms = [
+        ("N", n_type()),
+        ("N[x]", n_type(x)),
+        ("Nstar[x]", n_star_type(x)),
+        ("Nbot[x]", n_bot_type(x)),
+        ("N_|[0]", n_bot_type(zero)),
+    ]
+    entries = []
+    for i, (macro, a) in enumerate(forms):
+        entries += [f"(m{i} {quoted(macro)})", f"(w{i} {quoted(print_formula(a))})"]
+    ctx = "(ctx " + " ".join(entries) + ")"
+    three = print_term(church(3))
+    assert three == "\\x f (f) (f) (f) x"
+
+    def ax(name, term, ftype):
+        return f"(rule ax {ctx} (term {quoted(term)}) (type {quoted(ftype)}))"
+
+    fn_type = "N[x] -> " + print_formula(n_bot_type(x))
+    return (
+        f"(rule app {ctx} (term {quoted('(@church:3) ' + three)}) (type \"Nbot[x]\")"
+        f" (premises {ax('m1', '@church:3', fn_type)}"
+        f" {ax('w1', three, print_formula(n_type(x)))}))"
+    )
+
+
+def test_read_interns_macros_and_numerals_with_their_written_out_forms():
+    # no bundled file uses a macro or @church:N: the reader builds these
+    # leaves outside the parsers, and they must be interned under the same
+    # keys as the texts the parsers build
+    text = leaves_text()
+    d, expected = read_derivation(text), reference.read_derivation(text)
+    assert d == expected
+    assert sharing(d) == sharing(expected)
+    entries = d.ctx.formulas()
+    for i in range(0, len(entries), 2):
+        assert entries[i] is entries[i + 1], i
+    fn, arg = d.premises
+    assert fn.term is arg.term is d.term.fn is d.term.arg
+    assert fn.type.left is arg.type is entries[2]
+    assert fn.type.right is d.type is entries[6]
+
+
+def test_read_makes_no_alpha_equality_walk(monkeypatch):
+    # the intern table keys an atom by the ids of its interned first-order
+    # arguments; keyed by the arguments themselves, X(s(x)) and X(s(y))
+    # collided in FoApp's hash and were told apart by a walk
+    walks = []
+    alpha_eq = formulas._alpha_eq
+
+    def counted(a, b):
+        walks.append((a, b))
+        return alpha_eq(a, b)
+
+    monkeypatch.setattr(formulas, "_alpha_eq", counted)
+    for name in prebuilt_names():
+        load_prebuilt(name)
+    assert walks == []
 
 
 def read_outcome(read, text: str):
