@@ -153,7 +153,9 @@ def _certify_range(term, max_n: int, corpus_size: int, fuel: int, out) -> int:
     for n in range(max_n + 1):
         cert = certify(term, n, fuel=fuel)
         if out is not None:
-            out.write(("\n" if n else "") + cert.to_text())
+            if n:
+                out.write("\n")
+            out.write(cert.to_text())
         line = (
             f"n={n}: {cert.status} machine-steps={len(cert.steps)}"
             f" contractions={cert.total_contractions}"

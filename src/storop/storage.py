@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -101,6 +101,7 @@ class Certificate:
     tau_value: Optional[int] = None
     detail: str = ""
     registry_terms: tuple[tuple[str, int, Term, Term], ...] = ()
+    _tau: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -111,14 +112,21 @@ class Certificate:
         """What f received, printed; None when the run did not reach f.
 
         A tau repeats one shared node at each of its n layers, so it is
-        printed through a cache of its own.
+        printed through a cache of its own. It is printed once per
+        certificate, here or by to_text, and kept.
         """
-        return None if self.tau_term is None else print_term(self.tau_term, {})
+        return self._printed_tau({})
+
+    def _printed_tau(self, cache: dict[int, str]) -> Optional[str]:
+        if self._tau is None and self.tau_term is not None:
+            self._tau = print_term(self.tau_term, cache)
+        return self._tau
 
     def to_text(self) -> str:
         # Successive states share all but their spines, and the certificate
         # keeps every node alive meanwhile, so one print cache keyed by node
-        # identity serves the whole text.
+        # identity serves the whole text; tau, printed as the last step's
+        # argument, is read from it.
         cache: dict[int, str] = {}
         lines = [
             f"operator: {self.operator}",
@@ -139,8 +147,9 @@ class Certificate:
                 f"  {name} := level={level} first={print_term(first, cache)}"
                 f" second={print_term(second, cache)}"
             )
-        if self.tau_term is not None:
-            lines.append(f"tau: {print_term(self.tau_term, cache)}")
+        tau = self._printed_tau(cache)
+        if tau is not None:
+            lines.append(f"tau: {tau}")
         if self.tau_value is not None:
             lines.append(f"tau-value: {self.tau_value}")
         if self.detail:
@@ -297,6 +306,8 @@ def theta_corpus(
     Terms are taken round-robin over the families, so every prefix mixes
     the shapes. Nothing is normalized here, and nothing past the first
     ``limit`` terms (None: all) is built, beyond the two identity wrappings.
+    Only the target numeral is built whole: each tower stands on a suffix
+    of its chain.
     The test suite normalizes every term to check that it equals n.
     """
     if n < 0:
@@ -305,8 +316,11 @@ def theta_corpus(
     wraps = (App(_IDENT, target), App(_IDENT, App(_IDENT, target)))
 
     def towers() -> Iterator[Term]:
+        # church(n - k) is the target with k layers of its chain taken off
+        chain = target.body.body
         for k in range(1, n + 1):
-            t: Term = church(n - k)
+            chain = chain.arg
+            t: Term = Abs("x", Abs("f", chain))
             for _ in range(k):
                 t = App(_SUCC, t)
             yield t

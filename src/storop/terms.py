@@ -110,7 +110,8 @@ def _alpha_eq(a: Term, b: Term) -> bool:
     exactly when each of its free variables has the same binding on both
     sides, so its subterms are not walked. Two terms that share most of
     their nodes are compared in time proportional to the nodes they do
-    not share.
+    not share. A chain of applications of one shared closed node is walked
+    down its arguments without a push per layer.
     """
     # per side, binder name -> the number of its innermost binder; the two
     # binders of a pair get one number, which no other pair gets
@@ -143,7 +144,16 @@ def _alpha_eq(a: Term, b: Term) -> bool:
         if tx is not type(y):
             return False
         if tx is App:
-            stack += (x.arg, y.arg, x.fn, y.fn)
+            # one closed node applied on both sides, as at each layer of a
+            # tau, is equal to itself: go down the arguments in this loop
+            while x.fn is y.fn and not x.fn.fv:
+                x = x.arg
+                y = y.arg
+                if x is y or type(x) is not App or type(y) is not App:
+                    stack += (x, y)
+                    break
+            else:
+                stack += (x.arg, y.arg, x.fn, y.fn)
         elif tx is Var:
             bound = enva.get(x.name)
             if bound != envb.get(y.name) or (bound is None and x.name != y.name):
@@ -340,10 +350,10 @@ def church(n: int) -> Term:
     chain and find nothing."""
     if n < 0:
         raise ValueError("numeral index must be >= 0")
-    return _deep(_numeral, n)
+    return _deep(_numeral, Var, Abs, App, n)
 
 
-def _numeral(n: int, var=Var, lam=Abs, app=App) -> Term:
+def _numeral(var, lam, app, n: int) -> Term:
     """church(n), built by the given constructors of Var, Abs and App."""
     body: Term = var("x")
     f = var("f")
@@ -580,7 +590,8 @@ def parse_term(
         var, lam, app, numeral = Var, Abs, App, church
     else:
         var, lam, app = _term_makers(table)
-        numeral = partial(_numeral, var=var, lam=lam, app=app)
+        # under _deep, as church builds, so no collection rescans the chain
+        numeral = partial(_deep, _numeral, var, lam, app)
 
     def leaf(kind: str, val, at: int) -> Term:
         """The term of a name or an ``@`` reference."""

@@ -10,7 +10,7 @@ import pytest
 
 import storop
 from deep import deep
-from storop import cli
+from storop import cli, storage
 from storop.cli import main
 from storop.builtins import BUILTINS
 from storop.prebuilt import EQ_DEMO_EQUATIONS, prebuilt_names
@@ -290,6 +290,37 @@ def test_certify_output_fingerprint(capsys, tmp_path):
         code, out, _ = run(capsys, "certify", op, "--max-n", "12", "--out", str(path))
         h.update(f"{op}\n{code}\n{out}\n{path.read_text(encoding='utf-8')}".encode())
     assert h.hexdigest() == CERTIFY_DIGEST
+
+
+# sha256 of exit code, stdout and certificate file of certify --max-n 90 on
+# each bundled storage operator and on the forwarder, the benchmark's
+# certify-builtins operators at its size, recorded before the corpus took its
+# succ towers' bases from the target numeral and tau was printed once
+CERTIFY_90_DIGEST = "7cd89842a495e7d8bc7d86d39f3553835d5a5dbb5112f27c3b02a480410f1bde"
+
+
+def test_certify_output_fingerprint_at_the_benchmark_size(capsys, tmp_path):
+    h = hashlib.sha256()
+    for op in ("@T", "@T2", "@Tp", "\\v f (f) v"):
+        path = tmp_path / "certs.txt"
+        code, out, _ = run(capsys, "certify", op, "--max-n", "90", "--out", str(path))
+        h.update(f"{op}\n{code}\n{out}\n{path.read_text(encoding='utf-8')}".encode())
+    assert h.hexdigest() == CERTIFY_90_DIGEST
+
+
+def test_certify_prints_each_tau_once(capsys, monkeypatch, tmp_path):
+    # the certificate file's tau line and the stdout line share one printing
+    certs = []
+    printed = []
+    made, printing = storage.certify, storage.print_term
+    monkeypatch.setattr(cli, "certify", lambda *a, **k: certs.append(made(*a, **k)) or certs[-1])
+    monkeypatch.setattr(storage, "print_term", lambda t, *a: printed.append(t) or printing(t, *a))
+    path = tmp_path / "certs.txt"
+    code, out, _ = run(capsys, "certify", "@T", "--max-n", "12", "--out", str(path))
+    assert code == 0 and len(certs) == 13
+    for cert in certs:
+        assert sum(t is cert.tau_term for t in printed) == 1, cert.n
+        assert f" tau={cert.tau}\n" in out and f"\ntau: {cert.tau}\n" in path.read_text()
 
 
 def test_certify_unwritable_out_is_exit_2_before_any_work(capsys, tmp_path):

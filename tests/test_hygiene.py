@@ -258,7 +258,7 @@ def test_guard_user_scanner():
 DEEP_CALLERS = {
     "reduction.py": ["head_reduce", "normalize"],
     "storage.py": ["certify"],
-    "terms.py": ["church", "match_holes", "substitute"],
+    "terms.py": ["church", "match_holes", "parse_term", "substitute"],
 }
 
 

@@ -339,6 +339,32 @@ def test_theta_corpus_shares_its_fixed_terms_and_prints_as_before(monkeypatch):
     assert calls == []
 
 
+def test_theta_corpus_builds_only_its_target_numeral_whole(monkeypatch):
+    # each succ tower stands on a suffix of the target's chain, so the first
+    # terms of a large corpus cost a constant number of nodes beyond the
+    # numeral itself, where a second numeral for the tower's base cost n more
+    built = [0]
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    for cls in (Var, Abs, App):
+        counting(cls)
+    church(2000)
+    numeral, built[0] = built[0], 0
+    corpus = theta_corpus(2000, limit=4)
+    monkeypatch.undo()
+    assert numeral == 2004
+    assert numeral <= built[0] <= numeral + 20
+    assert corpus[1] == App(BUILTINS["succ"], church(1999))
+
+
 def test_run_records_stay_frozen():
     # the kernel's and the certifier's records are slotted and still frozen
     out = head_reduce(parse_term("(\\x x) y"))

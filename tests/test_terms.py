@@ -414,6 +414,32 @@ def test_church_builds_with_the_collector_paused_and_restores_it(collecting):
     assert numeral_of(t) == 100_000
 
 
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_interned_numeral_builds_with_the_collector_paused_and_restores_it(collecting):
+    # a parse into an intern table builds @church:N through the table's
+    # makers, under the guard church builds under
+    table: dict = {}
+    var, lam, app = terms._term_makers(table)
+    seen = set()
+
+    def watched(a, b):
+        seen.add((gc.isenabled(), sys.getrecursionlimit()))
+        return app(a, b)
+
+    table[terms._term_makers] = (var, lam, watched)
+    before, limit = gc.isenabled(), sys.getrecursionlimit()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        t = parse_term("(@church:100000) y", table=table)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+    # the application of the numeral to y is built after the guard is left
+    assert seen == {(False, _DEEP), (collecting, limit)}
+    assert after is collecting and sys.getrecursionlimit() == limit
+    assert numeral_of(t.fn) == 100_000 and t.fn is parse_term("@church:100000", table=table)
+
+
 def test_numeral_of_is_structural():
     assert numeral_of(P("\\x f (x) f")) is None
     assert numeral_of(P("\\x x")) is None
@@ -528,6 +554,37 @@ def test_lockstep_equality_at_depth_100000():
     a, b, shorter = church(100_000), church(100_000), church(99_999)
     assert deep(_alpha_eq, a, b)
     assert not deep(_alpha_eq, a, shorter)
+
+
+def _chain(node, layers, last):
+    # (node) (node) ... last, one shared node at every layer
+    t = last
+    for _ in range(layers):
+        t = App(node, t)
+    return t
+
+
+def test_equality_down_a_chain_of_one_shared_closed_node_at_depth_100000():
+    s = P("\\n x f (f) ((n) x) f")
+    with collector_paused():
+        a, b = _chain(s, 100_000, church(0)), _chain(s, 100_000, church(0))
+        c = _chain(s, 100_000, P("\\x f f"))
+    assert deep(_alpha_eq, a, b) and deep(_alpha_eq, b, a)
+    assert not deep(_alpha_eq, a, c) and not deep(_alpha_eq, c, a)
+    # the chain may end on a node both sides share, or on different shapes
+    assert deep(_alpha_eq, App(s, a), App(s, a))
+    assert not deep(_alpha_eq, App(s, a), App(s, s)) and not _alpha_eq(App(s, a), a)
+
+
+def test_a_shared_function_node_with_a_free_variable_is_not_skipped():
+    # h is one node on both sides, but its z is bound on one side only
+    h, a = P("(z) c"), Var("a")
+    assert not _alpha_eq(Abs("z", App(h, a)), Abs("y", App(h, a)))
+    assert not _alpha_eq(Abs("z", _chain(h, 3, a)), Abs("y", _chain(h, 3, a)))
+    assert _alpha_eq(Abs("z", _chain(h, 3, a)), Abs("z", _chain(h, 3, a)))
+    # below a shared closed node, the chain's binders are still compared
+    s = P("\\x x")
+    assert not _alpha_eq(_chain(s, 2, Abs("z", App(h, a))), _chain(s, 2, Abs("y", App(h, a))))
 
 
 def test_term_size():
