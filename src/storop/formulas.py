@@ -44,9 +44,9 @@ an ``EquationSet``'s signature) and derivations (``storop.typecheck``).
 
 Given an intern table, ``parse_formula`` builds every node through it, atom
 arguments included, with the constructors ``_makers`` makes for the table;
-``_intern`` brings a macro's expansion, built outside the parser, into the
-same table by the same constructors. The derivation reader hands each text
-its table.
+a macro's expansion, built outside the parser, is brought into the same
+table by reading its printed text again. The derivation reader hands each
+text its table.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from storop.terms import Abs, App, Var, _interning, _scan, _term_makers, fresh_name
+from storop.terms import _interning, _scan, fresh_name
 
 __all__ = [
     "FoTerm",
@@ -948,61 +948,21 @@ _PLAIN = {cls: cls for cls in _SHAPES} | {neg: neg}
 
 def _makers(table: dict) -> dict:
     """_PLAIN through table: each class's constructor, and neg, through
-    table, as ``terms._interning`` describes, with Var, Abs and App's too.
-    They are made on the first call with table and kept in it, under this
-    function as key."""
+    table, as ``terms._interning`` describes. They are made on the first
+    call with table and kept in it, under this function as key."""
     makers = table.get(_makers)
     if makers is None:
         makers = {cls: _interning(table, cls, shape) for cls, shape in _SHAPES.items()}
-        makers.update(zip((Var, Abs, App), _term_makers(table)))
         arrow, bot = makers[Arrow], makers[Bot]
         makers[neg] = lambda a: arrow(a, bot())
         table[_makers] = makers
     return makers
 
 
-def _parts(x) -> tuple:
-    """x's children: a formula's subformulas, a term's subterms, or an
-    atom's or a first-order term's arguments."""
-    tx = type(x)
-    if tx is Arrow:
-        return (x.left, x.right)
-    if tx is App:
-        return (x.fn, x.arg)
-    if tx is Abs or isinstance(x, Quantifier):
-        return (x.body,)
-    return getattr(x, "args", ())
-
-
-def _intern(a, table: dict):
-    """table's node for the exact named structure of a, a formula, a
-    first-order term or a λ-term, its subtrees interned first.
-
-    The parsers build straight into an intern table; this fold serves the
-    trees built outside them, a macro's expansion. It builds through the
-    parsers' constructors with table, ``_makers``, so such a tree and its
-    written-out text are one node. A node whose children are already the
-    table's is itself kept, when its key is new.
-    """
-    make = _makers(table)
-
-    def combine(x, kids):
-        tx = type(x)
-        keep = x if all(map(is_, kids, _parts(x))) else None
-        if tx is Arrow or tx is App:
-            return make[tx](*kids, keep)
-        if tx is Abs:
-            return make[tx](x.binder, *kids, keep)
-        if isinstance(x, Quantifier):
-            return make[tx](x.var, *kids, keep)
-        return make[tx](getattr(x, "name", None), kids, keep)
-
-    return _fold(a, combine, _parts)
-
-
 class _FormulaParser:
     """One parse of a token list. Given an intern table, every node is
-    built through it (``_makers``), a macro's expansion interned."""
+    built through it (``_makers``), a macro's expansion by reading its
+    written-out text."""
 
     __slots__ = ("toks", "pos", "table", "make")
 
@@ -1130,7 +1090,10 @@ class _FormulaParser:
             arg = self.foterm()
             self.expect("]")
         a = build(arg)
-        return a if self.table is None else _intern(a, self.table)
+        if self.table is None:
+            return a
+        # read again through the table: its node for the written-out text
+        return parse_formula(print_formula(a), table=self.table)
 
     def atom(self) -> Formula:
         kind, val, at = self.take()

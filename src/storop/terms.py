@@ -456,42 +456,44 @@ def _interning(table: dict, cls, shape: str):
 
     A call looks its node up by key: cls, the node's label (its name, var
     or binder, None for none) and the ids of its children, which must be
-    table's own nodes. On a miss it stores keep, when given, else a node it
-    builds. shape is what cls takes: "pair", two children (App, Arrow);
-    "bound", a label and a child (Abs, a quantifier); "named", a label and
-    a tuple of children, a label alone, or nothing (Var, an atom, a
-    first-order term, Bot). The table keeps its nodes alive, so no id in a
-    key is reused while it lives, and the class keeps the keys of terms,
-    formulas and first-order terms apart in one table.
+    table's own nodes. On a miss it builds the node and stores it. shape
+    is what cls takes: "pair", two children (App, Arrow); "bound", a label
+    and a child (Abs, a quantifier); "named", a label and a tuple of
+    children, a label alone, or nothing (Var, an atom, a first-order term,
+    Bot). The table keeps its nodes alive, so no id in a key is reused
+    while it lives, and the class keeps the keys of terms, formulas and
+    first-order terms apart in one table. The table also holds the makers
+    (``_term_makers``, ``formulas._makers``), whose closures hold the
+    table: a caller that makes one empties it when done, as
+    ``read_derivation`` does, or leaves the cycle to the collector.
     """
     get = table.get
     if shape == "pair":
 
-        def make(a, b, keep=None):
+        def make(a, b):
             key = (cls, None, id(a), id(b))
             node = get(key)
             if node is None:
-                node = table[key] = cls(a, b) if keep is None else keep
+                node = table[key] = cls(a, b)
             return node
 
     elif shape == "bound":
 
-        def make(label, body, keep=None):
+        def make(label, body):
             key = (cls, label, id(body))
             node = get(key)
             if node is None:
-                node = table[key] = cls(label, body) if keep is None else keep
+                node = table[key] = cls(label, body)
             return node
 
     else:
 
-        def make(label=None, args=(), keep=None):
+        def make(label=None, args=()):
             key = (cls, label, *map(id, args)) if args else (cls, label)
             node = get(key)
             if node is None:
-                if keep is None:
-                    keep = cls(label, args) if args else cls() if label is None else cls(label)
-                node = table[key] = keep
+                node = cls(label, args) if args else cls() if label is None else cls(label)
+                table[key] = node
             return node
 
     return make

@@ -13,10 +13,10 @@ first-order layer anywhere, no eq) with the bottomed rules allowed.
 This module alone knows how a rule's conclusion follows from its
 premises: the checker tests it, and the node constructors ``_ax``,
 ``_abs``, ``_app``, ``_gen``, ``_inst`` and ``_eq`` compute it. ``_gen``
-and ``_inst`` name their rule by the quantifier's namespace. The prebuilt
-module's builders make every node with them, and ``lift_star_to_bot``
-every node it adds; the nodes it keeps are copied with their context
-rewritten.
+and ``_inst`` name their rule by the quantifier's namespace.
+``lift_star_to_bot`` makes every node it adds with them, and the nodes it
+keeps are copied with their context rewritten. The generator of the
+bundled derivations, ``tests/builders.py``, makes every node with them.
 
 No walker here recurses. The formulas module's post-order fold over an
 explicit stack, ``_fold``, given a node's premises as its children, serves
@@ -33,10 +33,10 @@ subject text to ``parse_formula`` or ``parse_term`` with the call's intern
 table, and they build every node straight into it, and it interns contexts
 by their names and formulas. At a well-formed node a premise's context,
 subject and type are then the very objects the rule names in its
-conclusion, so the checker tries ``is`` before ``==`` on each. The ``==`` fallback decides nodes built apart, as in
-mutants and ``build_prebuilt``'s derivations, and the ``abs`` rule compares
-the premise's entries with the conclusion's plus the binder's entry,
-building no ``Context``.
+conclusion, so the checker tries ``is`` before ``==`` on each. The ``==``
+fallback decides nodes built apart, as in mutants and derivations built by
+the node constructors, and the ``abs`` rule compares the premise's entries
+with the conclusion's plus the binder's entry, building no ``Context``.
 
 A ``Context`` maps its names to their formulas in a dict made with it, so
 ``lookup``, and with it the ``ax`` rule, is one dict read, and it caches
@@ -219,7 +219,7 @@ class Derivation:
 
 # ---------------------------------------------------------------------------
 # node constructors: each computes its conclusion from the premises, as the
-# checker's rule demands; build_prebuilt's builders and lift_star_to_bot use them
+# checker's rule demands; lift_star_to_bot and tests/builders.py use them
 
 
 def _ax(ctx: Context, name: str) -> Derivation:
@@ -624,8 +624,10 @@ def read_derivation(src: str) -> Derivation:
     conclusion's context, and the premise of a well-formed abs or app node
     holds the very body, function or argument of its conclusion's subject.
     These shared objects must be treated as immutable; two calls share
-    none. Alpha-variants such as ``!x X(x)`` and ``!y X(y)``, or ``\\x x``
-    and ``\\y y``, stay distinct objects, each printing its own binder.
+    none, and the table is emptied before the call returns or raises, so
+    no reference cycle outlives it. Alpha-variants such as ``!x X(x)`` and
+    ``!y X(y)``, or ``\\x x`` and ``\\y y``, stay distinct objects, each
+    printing its own binder.
 
     The text is read in one pass over its tokens, with one explicit stack
     of the lists still open; each node is built as its list closes, over
@@ -652,41 +654,48 @@ def read_derivation(src: str) -> Derivation:
     forms: list = []  # the forms at the top
     items, kind = forms, _TOP  # the innermost open list and its kind
     stack: list = []  # the enclosing open lists with their kinds, innermost last
-    for tok in tokens:
-        first = tok[0]
-        if first == "(":
-            stack.append((items, kind))
-            if kind == _NODE:
-                kind = _SECTION
-            elif kind == _TOP or (kind == _SECTION and items and items[0] == _PREMISES):
-                kind = _NODE
+    try:
+        for tok in tokens:
+            first = tok[0]
+            if first == "(":
+                stack.append((items, kind))
+                if kind == _NODE:
+                    kind = _SECTION
+                elif kind == _TOP or (kind == _SECTION and items and items[0] == _PREMISES):
+                    kind = _NODE
+                else:
+                    kind = _OTHER
+                items = []
+            elif first == ")":
+                if not stack:
+                    raise ValueError("unbalanced parentheses")
+                if kind == _NODE:
+                    try:
+                        nodes[id(items)] = _read_node(table, nodes, items)
+                    except ValueError as exc:
+                        nodes[id(items)] = exc
+                done = items
+                items, kind = stack.pop()
+                items.append(done)
+            elif first == '"':
+                item = strings.get(tok)
+                if item is None:
+                    text = tok[1:-1]
+                    if "\\" in text:
+                        text = _SEXP_ESCAPE.sub(_escaped, text)
+                    item = strings[tok] = ("str", text)
+                items.append(item)
             else:
-                kind = _OTHER
-            items = []
-        elif first == ")":
-            if not stack:
-                raise ValueError("unbalanced parentheses")
-            if kind == _NODE:
-                try:
-                    nodes[id(items)] = _read_node(table, nodes, items)
-                except ValueError as exc:
-                    nodes[id(items)] = exc
-            done = items
-            items, kind = stack.pop()
-            items.append(done)
-        elif first == '"':
-            item = strings.get(tok)
-            if item is None:
-                text = tok[1:-1]
-                if "\\" in text:
-                    text = _SEXP_ESCAPE.sub(_escaped, text)
-                item = strings[tok] = ("str", text)
-            items.append(item)
-        else:
-            items.append(("atom", tok))
-    if len(forms) != 1:
-        raise ValueError("expected exactly one derivation form")
-    return _node(nodes, forms[0])
+                items.append(("atom", tok))
+        if len(forms) != 1:
+            raise ValueError("expected exactly one derivation form")
+        return _node(nodes, forms[0])
+    finally:
+        # break the cycles a read makes: the table holds its makers, whose
+        # closures hold the table, and an error kept in nodes holds on its
+        # traceback the frames that hold nodes
+        table.clear()
+        nodes.clear()
 
 
 def _raise_syntax_error(tokens: list, unterminated: bool):
@@ -711,7 +720,8 @@ def _node(nodes: dict, form) -> Derivation:
         return node
     if node is None:  # a token where a node belongs
         raise ValueError("expected a (rule ...) form")
-    raise node
+    del node  # this frame joins the error's traceback, so no local may hold it
+    raise nodes[id(form)]
 
 
 def _read_formula(src: str, table: dict) -> Formula:

@@ -10,11 +10,12 @@ strict xfail and would flag loudly if such a derivation ever appeared.
 import functools
 import random
 import time
-from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import test_mutations as mutations
+from builders import t1_star_derivation, t2_star_derivation
 from genformulas import random_formula
 from genterms import random_closed_term, random_term
 from storop.builtins import BUILTINS
@@ -27,13 +28,7 @@ from storop.formulas import (
     parse_formula,
     print_formula,
 )
-from storop.prebuilt import (
-    load_prebuilt,
-    prebuilt_check_args,
-    prebuilt_names,
-    t1_star_derivation,
-    t2_star_derivation,
-)
+from storop.prebuilt import load_prebuilt, prebuilt_check_args, prebuilt_names
 from storop.reduction import (
     beta_equiv,
     head_reduce,
@@ -319,9 +314,7 @@ def test_criterion_10_theta0_regression_and_golden():
     theta0 = BUILTINS["theta0"]
     assert beta_equiv(theta0, church(0)) is False
 
-    golden = (
-        resources.files("storop").joinpath("data/golden/t2_theta0_hnf.txt").read_text()
-    )
+    golden = (Path(__file__).parent / "golden" / "t2_theta0_hnf.txt").read_text()
     out = head_reduce(parse_term("(@T2 @theta0) f", BUILTINS))
     assert out.completed and out.steps == 5
     regenerated = (

@@ -24,7 +24,6 @@ from storop.formulas import (
     PredSymApp,
     PredVarApp,
     Quantifier,
-    _intern,
     _is_propositional,
     _parse_foterm_src,
     apply_equation,
@@ -593,26 +592,9 @@ def test_print_parse_and_repr_at_depth_100000(chain):
     assert deep(repr, chain) == f"<{text}>"
 
 
-def test_intern_at_depth_100000(chain):
-    table: dict = {}
-    assert deep(_intern, chain, table) is chain
-    # every node of twin is a new object, yet each has its equal in the table
-    with collector_paused():
-        twin = _alternating_chain()
-    assert deep(_intern, twin, table) is chain
-
-
-def test_intern_terms_at_depth_100000():
-    # the same loop interns subject terms; a numeral's body is 100,000 deep
-    table: dict = {}
-    numeral = church(100_000)
-    assert deep(_intern, numeral, table) is numeral
-    assert deep(_intern, church(100_000), table) is numeral
-
-
 def test_read_at_depth_100000(chain):
     # the reader interns while it parses, so it builds the chain and the
-    # numeral straight into its table, at the depth _intern handles
+    # numeral straight into its table, at any depth
     text = "!x (Y(x) -> !Y (Y(x) -> " * PAIRS + "Z" + "))" * PAIRS
     numeral = "\\\\x f " + "(f) " * 100_000 + "x"
     d = read_derivation(f'(rule ax (ctx (v "{text}")) (term "{numeral}") (type "{text}"))')

@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 import test_typecheck
+from builders import build_prebuilt
 
 from storop.formulas import (
     Arrow,
@@ -24,7 +25,7 @@ from storop.formulas import (
     neg,
 )
 from storop import typecheck
-from storop.prebuilt import build_prebuilt, load_prebuilt, prebuilt_check_args, prebuilt_names
+from storop.prebuilt import load_prebuilt, prebuilt_check_args, prebuilt_names
 from storop.terms import Var
 from storop.typecheck import Context, check_derivation
 

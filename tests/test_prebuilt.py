@@ -2,18 +2,17 @@ from importlib import resources
 
 import pytest
 
-from storop.builtins import BUILTINS
-from storop.formulas import parse_formula, print_formula
-from storop.prebuilt import (
+from builders import (
+    PREBUILT,
     build_prebuilt,
     eq_demo_derivation,
-    load_prebuilt,
     numeral_derivation,
-    prebuilt_check_args,
-    prebuilt_names,
     succ_derivation,
     t1_star_derivation,
 )
+from storop.builtins import BUILTINS
+from storop.formulas import parse_formula, print_formula
+from storop.prebuilt import load_prebuilt, prebuilt_check_args, prebuilt_names
 from storop.terms import church
 from storop.typecheck import Context, check_derivation, write_derivation
 
@@ -64,6 +63,14 @@ def test_registry_is_covered():
     assert set(EXPECTED_TERMS) <= set(NAMES)
 
 
+def test_names_are_the_bundled_files_and_the_builders():
+    bundle = resources.files("storop").joinpath("data/derivations")
+    files = [p.name for p in bundle.iterdir()]
+    stems = sorted(name.removesuffix(".deriv") for name in files if name.endswith(".deriv"))
+    assert NAMES == tuple(stems)
+    assert sorted(PREBUILT) == stems
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_prebuilt_checks(name):
     d = build_prebuilt(name)
@@ -98,9 +105,9 @@ def test_golden_files_load_and_check(name):
 
 
 def test_unknown_prebuilt_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="no bundled derivation named 't9_star'"):
         build_prebuilt("t9_star")
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="no bundled derivation named 't9_star'"):
         load_prebuilt("t9_star")
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import random
 import re
@@ -9,6 +10,7 @@ from importlib import resources
 
 import pytest
 
+from builders import build_prebuilt, t1_star_derivation
 from deep import collector_paused, deep
 from genformulas import (
     BOT_NAMES,
@@ -58,7 +60,7 @@ from storop.typecheck import (
     read_derivation,
     write_derivation,
 )
-from storop.prebuilt import build_prebuilt, load_prebuilt, prebuilt_check_args, prebuilt_names
+from storop.prebuilt import load_prebuilt, prebuilt_check_args, prebuilt_names
 
 
 def F(src):
@@ -975,6 +977,25 @@ def test_reads_share_no_context():
     }
 
 
+def test_a_read_leaves_no_cyclic_garbage():
+    # the intern table holds its makers, whose closures hold the table, and
+    # an error kept for a parent node holds the frames that hold it; the
+    # reader breaks both, so a read frees everything by reference counts
+    text = bundled_text("tp_bot")
+    bad = text.replace("(rule ax", "(rulez ax")
+    gc.collect()
+    with collector_paused():
+        assert read_derivation(text).rule == "gen-fo"
+        assert gc.collect() == 0
+        try:
+            read_derivation(bad)
+        except ValueError as exc:
+            assert str(exc) == "expected a (rule ...) form"
+        else:
+            pytest.fail("a malformed node was read")
+        assert gc.collect() == 0
+
+
 # nodes whose premise context, subject or type equals the expected one
 # without being the same object: the checker's identity test misses, and
 # its == fallback decides
@@ -1082,8 +1103,6 @@ def test_lift_rejects_wrong_shapes():
 
 
 def test_lift_produces_the_bottomed_typing():
-    from storop.prebuilt import t1_star_derivation
-
     lifted = lift_star_to_bot(t1_star_derivation())
     rep = check_derivation(lifted)
     assert rep.ok
