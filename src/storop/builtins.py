@@ -1,16 +1,16 @@
 """Named closed terms: numerals, successor, and the storage operators.
 
-parse() is parse_term with this table in scope, so sources may say e.g.
-``(@T1) @church:3 f``. The storage operators are looked up by name: T and
-T' built over T1 are ``BUILTINS["T"]`` and ``BUILTINS["Tp"]``, over T2
-``BUILTINS["T_2"]`` and ``BUILTINS["Tp_2"]``.
+``parse_term(src, BUILTINS)`` reads a source with this table in scope, so
+it may say e.g. ``(@T1) @church:3 f``. The storage operators are looked up
+by name: T and T' built over T1 are ``BUILTINS["T"]`` and
+``BUILTINS["Tp"]``, over T2 ``BUILTINS["T_2"]`` and ``BUILTINS["Tp_2"]``.
 """
 
 from __future__ import annotations
 
 from storop.terms import Term, parse_term
 
-__all__ = ["BUILTINS", "parse"]
+__all__ = ["BUILTINS"]
 
 
 def _boot() -> dict[str, Term]:
@@ -36,9 +36,4 @@ def _boot() -> dict[str, Term]:
 
 
 BUILTINS: dict[str, Term] = _boot()
-
-
-def parse(src: str) -> Term:
-    """Parse with every builtin available as an @reference."""
-    return parse_term(src, BUILTINS)
 

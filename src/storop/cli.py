@@ -15,6 +15,7 @@ looks up the subcommand's ``cmd_*`` function at each call.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -130,12 +131,26 @@ def cmd_certify(args) -> int:
     fuel = _fuel_from(args)
     if not args.out:
         return _certify_range(term, args.max_n, args.corpus, fuel, None)
+    out = _to_file(open, args.out, "w", encoding="utf-8")
     try:
-        out = open(args.out, "w", encoding="utf-8")
+        code = _certify_range(term, args.max_n, args.corpus, fuel, out)
+        _to_file(out.close)
+    finally:
+        # after an error, which stands, closing may fail again on what is buffered
+        with contextlib.suppress(OSError):
+            out.close()
+    return code
+
+
+def _to_file(call, *args, **kwargs):
+    """call(*args, **kwargs) for the certificate file: an OSError opening, writing
+    or closing it is a usage error; a BrokenPipeError is left to main."""
+    try:
+        return call(*args, **kwargs)
+    except BrokenPipeError:
+        raise
     except OSError as e:
         raise _UsageError(f"cannot write certificate file: {e}") from None
-    with out:
-        return _certify_range(term, args.max_n, args.corpus, fuel, out)
 
 
 def _certify_range(term, max_n: int, corpus_size: int, fuel: int, out) -> int:
@@ -153,9 +168,7 @@ def _certify_range(term, max_n: int, corpus_size: int, fuel: int, out) -> int:
     for n in range(max_n + 1):
         cert = certify(term, n, fuel=fuel)
         if out is not None:
-            if n:
-                out.write("\n")
-            out.write(cert.to_text())
+            _to_file(out.write, ("\n" if n else "") + cert.to_text())
         line = (
             f"n={n}: {cert.status} machine-steps={len(cert.steps)}"
             f" contractions={cert.total_contractions}"
@@ -202,21 +215,23 @@ def _behavioral_failed(n: int, index: int, status: str) -> int:
 _FRAGMENT_SPELLINGS = {"af2bot": "af2-bot", "fperp": "fperp"}
 
 
-def cmd_check(args) -> int:
+def _read_file(path: str, noun: str) -> str:
+    """A UTF-8 file's text, less any byte-order mark; failing to read or decode it is a usage error."""
     try:
-        text = Path(args.file).read_text(encoding="utf-8-sig")
-    except OSError as e:
-        raise _UsageError(f"cannot read derivation file: {e}") from None
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as e:
+        raise _UsageError(f"cannot read {noun} file: {e}") from None
+
+
+def cmd_check(args) -> int:
+    text = _read_file(args.file, "derivation")
     try:
         derivation = read_derivation(text)
     except ValueError as e:
         raise _UsageError(f"derivation file does not parse: {e}") from None
     equations = None
     if args.equations:
-        try:
-            eq_text = Path(args.equations).read_text(encoding="utf-8-sig")
-        except OSError as e:
-            raise _UsageError(f"cannot read equations file: {e}") from None
+        eq_text = _read_file(args.equations, "equations")
         try:
             equations = parse_equations(eq_text)
         except (FormulaError, ValueError) as e:

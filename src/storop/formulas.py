@@ -23,8 +23,9 @@ after a variable's name, ``"_|"`` in the bottomed namespace. Walkers branch
 on shape and compare ``ns``, one code path for every namespace.
 
 One capture-avoiding substitution, ``_subst``, serves all namespaces behind
-``subst_fo``, ``subst_pred``, ``subst_bot`` and ``instantiate``, which opens
-a quantifier at a witness; a binder that would capture a name brought in is
+``subst_fo``, ``subst_pred`` and ``instantiate``, which opens a quantifier
+at a witness, so ``instantiate(ForallBot(name, a), w)`` substitutes w for a
+bottomed variable of a; a binder that would capture a name brought in is
 primed.
 
 Formula nodes are immutable and carry caches that stay None until first
@@ -39,7 +40,7 @@ witness (``_inst``). A node built by substitution starts with empty caches.
 post-order fold, ``_fold``, loop over explicit stacks; so do parsing and
 printing. None of them is bounded by Python's recursion limit. ``_fold``
 walks formulas (the free-variable and propositional caches, the
-translations, ``polarity``, ``pred_arities``), first-order terms (``fo_subst``,
+translations, ``polarity``), first-order terms (``fo_subst``,
 an ``EquationSet``'s signature) and derivations (``storop.typecheck``).
 
 Given an intern table, ``parse_formula`` builds every node through it, atom
@@ -87,7 +88,6 @@ __all__ = [
     "fv_bot",
     "subst_fo",
     "subst_pred",
-    "subst_bot",
     "instantiate",
     "is_bot_type",
     "godel_star",
@@ -101,7 +101,6 @@ __all__ = [
     "EquationSet",
     "parse_equations",
     "apply_equation",
-    "pred_arities",
 ]
 
 
@@ -459,21 +458,6 @@ def _is_propositional(a: Formula) -> bool:
     return _fold(a, _propositional, slot="_prop") if out is None else out
 
 
-def pred_arities(a: Formula) -> dict:
-    """Arity of every predicate/bottomed variable and symbol; raises on conflict."""
-    out: dict = {}
-
-    def note(x, kids):
-        if isinstance(x, Atom):
-            key = (("pred", "bot", "sym")[x.ns - 1], x.name)
-            arity = len(x.args)
-            if out.setdefault(key, arity) != arity:
-                raise FormulaError(f"{key[1]} used with arities {out[key]} and {arity}")
-
-    _fold(a, note)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # substitution
 
@@ -593,11 +577,6 @@ def subst_fo(a: Formula, m: Mapping[str, FoTerm]) -> Formula:
 def subst_pred(a: Formula, name: str, abst: PredAbstraction) -> Formula:
     """Substitute abst for a free predicate variable; binders are primed as in subst_fo."""
     return _subst(a, {}, {(1, name): abst})
-
-
-def subst_bot(a: Formula, name: str, abst: PredAbstraction) -> Formula:
-    """Substitute abst for a free bottomed variable; binders are primed as in subst_fo."""
-    return _subst(a, {}, {(2, name): abst})
 
 
 def instantiate(q: Quantifier, w) -> Formula:

@@ -61,5 +61,5 @@ def load_prebuilt(name: str) -> Derivation:
     """Read the bundled golden file for a derivation."""
     if name not in _NAMES:
         raise KeyError(f"no bundled derivation named {name!r}")
-    text = resources.files("storop").joinpath(f"data/derivations/{name}.deriv").read_text()
-    return read_derivation(text)
+    path = resources.files("storop").joinpath(f"data/derivations/{name}.deriv")
+    return read_derivation(path.read_text(encoding="utf-8"))

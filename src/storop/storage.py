@@ -348,11 +348,6 @@ class BehavioralResult:
     tau_term: Optional[Term] = None  # what f received
     value: Optional[int] = None
 
-    @property
-    def tau(self) -> Optional[str]:
-        """What f received, printed; None when the run did not reach f."""
-        return None if self.tau_term is None else print_term(self.tau_term)
-
 
 def behavioral_check(
     op: Term,

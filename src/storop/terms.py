@@ -32,7 +32,7 @@ import gc
 import re
 import sys
 from functools import partial
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 __all__ = [
     "Term",
@@ -48,7 +48,6 @@ __all__ = [
     "numeral_of",
     "match_holes",
     "term_size",
-    "subterms",
 ]
 
 
@@ -166,22 +165,17 @@ def _alpha_eq(a: Term, b: Term) -> bool:
     return True
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    """Yield t and all its subterms, preorder."""
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        if type(cur) is App:
-            stack.append(cur.arg)
-            stack.append(cur.fn)
-        elif type(cur) is Abs:
-            stack.append(cur.body)
-
-
 def term_size(t: Term) -> int:
     """Number of syntax nodes."""
-    return sum(1 for _ in subterms(t))
+    size, stack = 0, [t]
+    while stack:
+        cur = stack.pop()
+        size += 1
+        if type(cur) is App:
+            stack += (cur.arg, cur.fn)
+        elif type(cur) is Abs:
+            stack.append(cur.body)
+    return size
 
 
 def fresh_name(stem: str, avoid) -> str:

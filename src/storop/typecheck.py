@@ -139,9 +139,6 @@ class Context:
     def lookup(self, name: str) -> Optional[Formula]:
         return self._index.get(name)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.entries)
-
     def formulas(self) -> tuple[Formula, ...]:
         return tuple(a for _, a in self.entries)
 
@@ -263,12 +260,6 @@ def _eq(p: Derivation, eqs: EquationSet, steps: tuple) -> Derivation:
 class CheckReport:
     ok: bool
     failures: list = field(default_factory=list)
-
-    def first_message(self) -> str:
-        if not self.failures:
-            return ""
-        path, msg = self.failures[0]
-        return f"at {list(path)}: {msg}"
 
 
 _ARITY = {
@@ -637,17 +628,17 @@ def read_derivation(src: str) -> Derivation:
     call's table, which build every node through it: no second pass
     interns what they return. An error in a node is kept until its parent
     is built, so the error raised is the one a reader that parsed the
-    whole text first would raise: unbalanced parentheses, an unterminated
-    string or other than one form before any node's, and otherwise the
-    first failing node's in post-order.
+    whole text first would raise: a ``)`` that closes no list as it is met;
+    after the last token, an unterminated string, then a list left open,
+    then other than one form; and otherwise the first failing node's in
+    post-order. A text with a syntax error so has its closed nodes read
+    before the error is raised, at no more than a balanced text costs.
     """
     tokens = _scan(_SEXP_TOKEN, src)
     last = tokens[-1] if tokens else ""
     unterminated = last[:1] == '"' and not _SEXP_COMPLETE.fullmatch(last)
     if unterminated:
         tokens.pop()
-    if unterminated or tokens.count("(") != tokens.count(")"):
-        _raise_syntax_error(tokens, unterminated)
     table: dict = {}
     strings: dict = {}  # each string token read -> its ("str", text) item
     nodes: dict = {}  # id of a node's list -> the node, or the error reading it raised
@@ -687,6 +678,10 @@ def read_derivation(src: str) -> Derivation:
                 items.append(item)
             else:
                 items.append(("atom", tok))
+        if unterminated:
+            raise ValueError("unterminated string in derivation file")
+        if stack:
+            raise ValueError("unbalanced parentheses")
         if len(forms) != 1:
             raise ValueError("expected exactly one derivation form")
         return _node(nodes, forms[0])
@@ -696,21 +691,6 @@ def read_derivation(src: str) -> Derivation:
         # traceback the frames that hold nodes
         table.clear()
         nodes.clear()
-
-
-def _raise_syntax_error(tokens: list, unterminated: bool):
-    """Raise the error of tokens that are not balanced s-expressions, or end in an unterminated string."""
-    depth = 0
-    for tok in tokens:
-        if tok == "(":
-            depth += 1
-        elif tok == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced parentheses")
-    if unterminated:
-        raise ValueError("unterminated string in derivation file")
-    raise ValueError("unbalanced parentheses")
 
 
 def _node(nodes: dict, form) -> Derivation:

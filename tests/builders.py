@@ -58,7 +58,7 @@ from storop.typecheck import (
 
 
 def _fresh_terms(ctx: Context, *bases: str) -> list[str]:
-    taken = set(ctx.names())
+    taken = {n for n, _ in ctx}
     out = []
     for b in bases:
         name = fresh_name(b, taken)

@@ -1,6 +1,11 @@
-from storop.builtins import BUILTINS, parse
+from storop.builtins import BUILTINS
 from storop.reduction import head_reduce, normalize
 from storop.terms import App, Var, church, numeral_of, parse_term, print_term
+
+
+def parse(src):
+    """src read with every builtin available as an @reference."""
+    return parse_term(src, BUILTINS)
 
 
 def test_table_contents():

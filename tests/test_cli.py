@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -321,6 +322,17 @@ def test_certify_prints_each_tau_once(capsys, monkeypatch, tmp_path):
     for cert in certs:
         assert sum(t is cert.tau_term for t in printed) == 1, cert.n
         assert f" tau={cert.tau}\n" in out and f"\ntau: {cert.tau}\n" in path.read_text()
+
+
+# a write or close of the --out file that failed after the run reached the
+# internal-error catch-all, exit 4, once stdout had said "certify: ok"
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("max_n", ["2", "40"], ids=["failing-at-close", "failing-at-a-write"])
+def test_certify_out_file_that_fills_up_is_exit_2(capsys, max_n):
+    code, _, err = run(capsys, "certify", "@T", "--max-n", max_n, "--out", "/dev/full")
+    assert code == 2
+    assert err.startswith("storop: error: cannot write certificate file: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_certify_unwritable_out_is_exit_2_before_any_work(capsys, tmp_path):
@@ -644,6 +656,39 @@ def test_check_reads_an_equations_file_that_starts_with_a_bom(capsys, tmp_path):
     code, out, err = run(capsys, "check", bundled("eq_demo"), "--equations", str(eqs))
     assert (code, err) == (0, "")
     assert out.startswith("ok: 2 nodes\n")
+
+
+# a file that is not UTF-8 raised UnicodeDecodeError past the read's except
+# OSError: exit 4, an internal error, for 584 of 1,000 byte edits like these
+
+
+def test_check_of_a_byte_edited_file_is_a_verdict_or_a_usage_error(capsys, tmp_path):
+    rng = random.Random(4243)
+    eqs = tmp_path / "eqs.txt"
+    eqs.write_text(EQ_DEMO_EQUATIONS)
+    path = tmp_path / "edited.deriv"
+    files = {name: Path(bundled(name)).read_bytes() for name in prebuilt_names()}
+    undecodable = 0
+    for k in range(300):
+        name = rng.choice(prebuilt_names())
+        data = files[name]
+        i, byte = rng.randrange(len(data) + 1), bytes([rng.randrange(256)])
+        edits = (data[:i] + byte + data[i:], data[:i] + byte + data[i + 1 :], data[:i] + data[i + 1 :])
+        path.write_bytes(rng.choice(edits))
+        argv = ["--equations", str(eqs)] if name == "eq_demo" else []
+        code, _, err = run(capsys, "check", str(path), *argv)
+        assert code in (0, 1, 2) and len(err.splitlines()) <= 1, (k, name, code, err)
+        undecodable += "cannot read derivation file" in err
+    assert undecodable > 50
+
+
+def test_check_an_equations_file_that_is_not_utf8_is_exit_2(capsys, tmp_path):
+    eqs = tmp_path / "eqs.txt"
+    eqs.write_bytes(EQ_DEMO_EQUATIONS.encode().replace(b"=", b"\xff", 1))
+    code, out, err = run(capsys, "check", bundled("eq_demo"), "--equations", str(eqs))
+    assert (code, out) == (2, "")
+    assert err.startswith("storop: error: cannot read equations file: 'utf-8' codec can't decode")
+    assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------- translate

@@ -44,10 +44,8 @@ from storop.formulas import (
     parse_equations,
     parse_formula,
     polarity,
-    pred_arities,
     print_formula,
     print_foterm,
-    subst_bot,
     subst_fo,
     subst_pred,
 )
@@ -59,6 +57,11 @@ from genformulas import alpha_variant, random_formula
 from genterms import random_term
 
 F = parse_formula
+
+
+def subst_bot(a, name, abst):
+    """abst for the free bottomed variable name of a: the instance of !name_| a."""
+    return instantiate(ForallBot(name, a), abst)
 
 
 # ------------------------------------------------------------------ parsing
@@ -579,7 +582,6 @@ def test_translations_at_depth_100000(chain):
 def test_queries_at_depth_100000(chain):
     assert deep(polarity, chain, "Z") == "positive"
     assert deep(polarity, chain, "Y") == "negative"
-    assert deep(pred_arities, chain) == {("pred", "Y"): 1, ("pred", "Z"): 0}
     assert not deep(is_bot_type, chain)
     assert not deep(_is_propositional, chain)
 
@@ -658,13 +660,6 @@ def test_subst_walks_each_first_order_replacement_once(monkeypatch):
         assert type(out) is ForallFo and out.var == y
         out = out.body
     assert out.args[-1] is w
-
-
-def test_pred_arities():
-    got = pred_arities(F("X(0) -> X_|(x, y) -> $P"))
-    assert got == {("pred", "X"): 1, ("bot", "X"): 2, ("sym", "P"): 0}
-    with pytest.raises(FormulaError):
-        pred_arities(F("X(0) -> X"))
 
 
 # ------------------------------------------------------------------ substitution

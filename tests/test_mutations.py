@@ -226,7 +226,7 @@ def test_fresh_subject_mutants_are_killed_at_the_node(name):
     d = _BUILT[name]
     kwargs = prebuilt_check_args(name)
     for path, node in paths(d):
-        assert FRESH not in node.ctx.names()
+        assert FRESH not in {n for n, _ in node.ctx}
         rep = check_derivation(rebuild_at(d, path, lambda _n: fresh_subject(node)), **kwargs)
         assert not rep.ok, f"fresh subject at {list(path)} survived"
         first, message = rep.failures[0]

@@ -75,7 +75,7 @@ def test_names_are_the_bundled_files_and_the_builders():
 def test_prebuilt_checks(name):
     d = build_prebuilt(name)
     rep = check_derivation(d, **prebuilt_check_args(name))
-    assert rep.ok, rep.first_message()
+    assert rep.ok, rep.failures
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -101,7 +101,7 @@ def test_golden_files_load_and_check(name):
     d = load_prebuilt(name)
     assert d == build_prebuilt(name)
     rep = check_derivation(d, **prebuilt_check_args(name))
-    assert rep.ok, rep.first_message()
+    assert rep.ok, rep.failures
 
 
 def test_unknown_prebuilt_name():
@@ -115,7 +115,7 @@ def test_eq_demo_needs_its_equations():
     d = eq_demo_derivation()
     rep = check_derivation(d)
     assert not rep.ok
-    assert "no equations are in scope" in rep.first_message()
+    assert "no equations are in scope" in rep.failures[0][1]
 
 
 def test_propositional_derivations_pass_the_fperp_check():
@@ -143,7 +143,7 @@ def test_builders_freshen_against_ambient_contexts():
     ):
         d = build()
         rep = check_derivation(d)
-        assert rep.ok, rep.first_message()
+        assert rep.ok, rep.failures
         # the ambient entries survive untouched at the root
         assert d.ctx == busy
 

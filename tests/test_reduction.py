@@ -14,7 +14,7 @@ from deep import collector_paused, deep
 from genterms import random_closed_term, random_term
 import storop
 from storop import reduction
-from storop.builtins import BUILTINS, parse
+from storop.builtins import BUILTINS
 from storop.reduction import (
     DEFAULT_FUEL,
     FUEL_EXHAUSTED,
@@ -24,10 +24,25 @@ from storop.reduction import (
     head_reduce,
     normalize,
 )
-from storop.terms import _DEEP, Abs, App, Var, church, fresh_name, numeral_of, print_term
+from storop.terms import (
+    _DEEP,
+    Abs,
+    App,
+    Var,
+    church,
+    fresh_name,
+    numeral_of,
+    parse_term,
+    print_term,
+)
 
 
 OMEGA = BUILTINS["omega"]
+
+
+def parse(src):
+    """src read with every builtin available as an @reference."""
+    return parse_term(src, BUILTINS)
 
 
 def test_head_step_contracts_head_redex():

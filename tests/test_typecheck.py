@@ -45,7 +45,6 @@ from storop.formulas import (
     parse_equations,
     parse_formula,
     print_formula,
-    subst_bot,
     subst_fo,
     subst_pred,
 )
@@ -71,7 +70,7 @@ def test_context_basics():
     c = Context().extended("x", F("A")).extended("y", F("bot"))
     assert c.lookup("x") == F("A")
     assert c.lookup("z") is None
-    assert c.names() == ("x", "y")
+    assert [n for n, _ in c] == ["x", "y"]
     assert len(c) == 2
 
 
@@ -115,7 +114,7 @@ def test_context_answers_agree_with_its_entries():
         assert wider.lookup("e") is b and typecheck._propositional_context(ctx) is verdict
         seen[verdict, wide_verdict] += 1
         if ctx.entries:
-            name = rng.choice(ctx.names())
+            name = rng.choice([n for n, _ in ctx])
             entries = ctx.entries + ((name, b),)
             message = f"duplicate names in context: {[n for n, _ in entries]}"
             with pytest.raises(ValueError) as exc:
@@ -141,7 +140,6 @@ def test_identity_checks():
     rep = check_derivation(identity_derivation())
     assert rep.ok
     assert rep.failures == []
-    assert rep.first_message() == ""
 
 
 def test_apply_node_checks():
@@ -158,22 +156,22 @@ def test_ax_failures():
     ctx = Context().extended("x", a)
     bad_name = Derivation("ax", ctx, Var("y"), a)
     rep = check_derivation(bad_name)
-    assert not rep.ok and "not in the context" in rep.first_message()
+    assert not rep.ok and "not in the context" in rep.failures[0][1]
 
     bad_type = Derivation("ax", ctx, Var("x"), F("B"))
-    assert "context gives" in check_derivation(bad_type).first_message()
+    assert "context gives" in check_derivation(bad_type).failures[0][1]
 
     bad_subject = Derivation("ax", ctx, Abs("z", Var("z")), a)
-    assert "must be a variable" in check_derivation(bad_subject).first_message()
+    assert "must be a variable" in check_derivation(bad_subject).failures[0][1]
 
 
 def test_unknown_rule_and_arity():
     d = identity_derivation()
     bad = Derivation("cut", d.ctx, d.term, d.type, None, d.premises)
-    assert "unknown rule" in check_derivation(bad).first_message()
+    assert "unknown rule" in check_derivation(bad).failures[0][1]
 
     no_premise = Derivation("abs", d.ctx, d.term, d.type, None, ())
-    assert "expects 1 premises" in check_derivation(no_premise).first_message()
+    assert "expects 1 premises" in check_derivation(no_premise).failures[0][1]
 
 
 def test_abs_failures():
@@ -181,7 +179,7 @@ def test_abs_failures():
     good = identity_derivation()
 
     not_arrow = Derivation("abs", Context(), good.term, a, None, good.premises)
-    assert "must be an arrow" in check_derivation(not_arrow).first_message()
+    assert "must be an arrow" in check_derivation(not_arrow).failures[0][1]
 
     # duplicate binder names cannot even form a context
     shadow_ctx = Context().extended("x", F("B"))
@@ -219,7 +217,7 @@ def test_app_failures():
     du = Derivation("ax", ctx, Var("u"), b)
     d = Derivation("app", ctx, App(Var("f"), Var("u")), b, None, (df, du))
     rep = check_derivation(d)
-    assert not rep.ok and "argument type" in rep.first_message()
+    assert not rep.ok and "argument type" in rep.failures[0][1]
 
     d2 = Derivation("app", ctx, App(Var("f"), Var("u")), a, None, (df, Derivation("ax", ctx, Var("u"), b)))
     assert not check_derivation(d2).ok
@@ -232,7 +230,7 @@ def test_gen_fo_freshness():
     d = Derivation("gen-fo", ctx, Var("v"), ForallFo("x", a), None, (leaf,))
     rep = check_derivation(d)
     assert not rep.ok
-    assert "occurs free in the context" in rep.first_message()
+    assert "occurs free in the context" in rep.failures[0][1]
 
     # a different variable is fine
     d2 = Derivation("gen-fo", ctx, Var("v"), ForallFo("z", a), None, (leaf,))
@@ -247,10 +245,10 @@ def test_inst_fo_checks_the_conclusion():
     assert check_derivation(good).ok
 
     wrong = Derivation("inst-fo", ctx, Var("v"), n_type(FoApp("s", (FoApp("0"),))), FoApp("0"), (leaf,))
-    assert "instantiation yields" in check_derivation(wrong).first_message()
+    assert "instantiation yields" in check_derivation(wrong).failures[0][1]
 
     no_witness = Derivation("inst-fo", ctx, Var("v"), n_type(FoApp("0")), None, (leaf,))
-    assert "witness" in check_derivation(no_witness).first_message()
+    assert "witness" in check_derivation(no_witness).failures[0][1]
 
 
 def test_gen_pred_freshness():
@@ -258,7 +256,7 @@ def test_gen_pred_freshness():
     ctx = Context().extended("v", a)
     leaf = Derivation("ax", ctx, Var("v"), a)
     d = Derivation("gen-pred", ctx, Var("v"), ForallPred("X", a), None, (leaf,))
-    assert "occurs free" in check_derivation(d).first_message()
+    assert "occurs free" in check_derivation(d).failures[0][1]
 
 
 def test_inst_pred_arity_mismatch_is_reported():
@@ -280,7 +278,7 @@ def test_inst_pred_renames_nested_binders_apart():
     right = Derivation("inst-pred", ctx, Var("v"), F("!Z (Y -> !W (Z -> W))"), w, (leaf,))
     wrong = Derivation("inst-pred", ctx, Var("v"), F("!Z (Y -> !W (W -> W))"), w, (leaf,))
     assert check_derivation(right).ok
-    assert "instantiation yields" in check_derivation(wrong).first_message()
+    assert "instantiation yields" in check_derivation(wrong).failures[0][1]
 
 
 INST_RULES = ("inst-fo", "inst-pred", "inst-bot")  # by the quantifier's namespace
@@ -377,7 +375,7 @@ def test_bot_rules_and_fragments():
     assert check_derivation(d, fragment="fperp").ok
     rep = check_derivation(d, fragment="af2")
     assert not rep.ok
-    assert "not part of the af2 fragment" in rep.first_message()
+    assert "not part of the af2 fragment" in rep.failures[0][1]
 
     with pytest.raises(ValueError):
         check_derivation(d, fragment="af3")
@@ -421,19 +419,19 @@ def test_eq_rule():
     assert check_derivation(good, equations=eqs).ok
 
     rep = check_derivation(good)
-    assert "no equations are in scope" in rep.first_message()
+    assert "no equations are in scope" in rep.failures[0][1]
 
     missing = Derivation("eq", ctx, Var("v"), n_type(FoVar("y")), (("nope", "lr", (0,)),), (leaf,))
-    assert "no equation named" in check_derivation(missing, equations=eqs).first_message()
+    assert "no equation named" in check_derivation(missing, equations=eqs).failures[0][1]
 
     bad_path = Derivation("eq", ctx, Var("v"), n_type(FoVar("y")), (("ps", "lr", (0, 1)),), (leaf,))
     assert not check_derivation(bad_path, equations=eqs).ok
 
     empty = Derivation("eq", ctx, Var("v"), n_type(FoVar("y")), (), (leaf,))
-    assert "non-empty" in check_derivation(empty, equations=eqs).first_message()
+    assert "non-empty" in check_derivation(empty, equations=eqs).failures[0][1]
 
     wrong_goal = Derivation("eq", ctx, Var("v"), n_type(FoVar("z")), (("ps", "lr", (0, 1, 1, 0)),), (leaf,))
-    assert "rewrites yield" in check_derivation(wrong_goal, equations=eqs).first_message()
+    assert "rewrites yield" in check_derivation(wrong_goal, equations=eqs).failures[0][1]
 
 
 def test_failures_are_premises_first():
@@ -845,6 +843,44 @@ def test_malformed_text_fails_as_in_the_reference(name):
     assert read_outcome(read_derivation, text) == expected
 
 
+# what an edit may insert: the tokens whose placement decides which error a
+# malformed text reports, and the heads of the forms the reader builds on
+EDIT_TOKENS = ("(", ")", '"', "\\", "(premises", "(rule ax", "(ctx)")
+
+
+def edited(rng: random.Random, text: str) -> str:
+    """text with one seeded edit: a span deleted, a token inserted, or a span repeated."""
+    i = rng.randrange(len(text) + 1)
+    j = min(len(text), i + rng.randint(1, 40))
+    roll = rng.randrange(3)
+    if roll == 0:
+        return text[:i] + text[j:]
+    if roll == 1:
+        return text[:i] + rng.choice(EDIT_TOKENS) + text[i:]
+    return text[:j] + text[i:j] + text[j:]
+
+
+def test_read_agrees_with_the_reference_on_edited_files():
+    # the four hand-picked texts above pin the order of errors; this pins it,
+    # and the trees and their sharing, on many more
+    rng = random.Random(4141)
+    names = prebuilt_names()
+    texts = {name: bundled_text(name) for name in names}
+    reads, messages = 0, set()
+    for k in range(1000):
+        name = rng.choice(names)
+        text = edited(rng, texts[name])
+        got = read_outcome(read_derivation, text)
+        expected = read_outcome(reference.read_derivation, text)
+        assert got == expected, (k, name)
+        if type(expected) is tuple:
+            messages.add(expected[1])
+        else:
+            assert sharing(got) == sharing(expected), (k, name)
+            reads += 1
+    assert reads >= 30 and len(messages) >= 15, (reads, len(messages))
+
+
 def test_read_cuts_a_long_run_of_trailing_whitespace_at_once():
     # the token pattern scanned trailing whitespace again from each of its
     # characters, in quadratic time: 40,000 spaces took 70 s on a 2-vCPU host
@@ -946,8 +982,9 @@ def test_read_keeps_alpha_variants_apart():
     assert d.type is b
     assert check_derivation(d).ok
     bad = read_derivation(src.replace('(type "!y X(y)")', '(type "!y X(y) -> !x X(x)")'))
-    assert check_derivation(bad).first_message() == (
-        "at []: context gives a : !x X(x), node says !y X(y) -> !x X(x)"
+    assert check_derivation(bad).failures[0] == (
+        (),
+        "context gives a : !x X(x), node says !y X(y) -> !x X(x)",
     )
 
 
@@ -1041,19 +1078,19 @@ def test_inst_accepts_an_equal_premise_built_apart():
     ids=["wrong-name", "wrong-formula", "wrong-arrow-source"],
 )
 def test_abs_rejects_a_wrong_context_extension(entry):
-    message = "at []: premise context must extend the conclusion context with the binder"
+    message = ((), "premise context must extend the conclusion context with the binder")
     a = F("A")
     ctx = Context((("v", F("bot")),))
     premise_ctx = Context(ctx.entries + (entry,))
     leaf = Derivation("ax", premise_ctx, Var(entry[0]), entry[1])
     d = Derivation("abs", ctx, Abs("x", Var("x")), Arrow(a, a), None, (leaf,))
-    assert check_derivation(d).first_message() == message
+    assert check_derivation(d).failures[0] == message
     # read back, where both contexts are interned
-    assert check_derivation(read_derivation(write_derivation(d))).first_message() == message
+    assert check_derivation(read_derivation(write_derivation(d))).failures[0] == message
     # an extension of a context other than the conclusion's is rejected too
     stray = Derivation("ax", Context((("x", a),)), Var("x"), a)
     d = Derivation("abs", ctx, Abs("x", Var("x")), Arrow(a, a), None, (stray,))
-    assert check_derivation(d).first_message() == message
+    assert check_derivation(d).failures[0] == message
 
 
 # forgetting
@@ -1279,7 +1316,6 @@ def test_substitution_over_a_body_100000_deep():
     with collector_paused():
         body = binder_chain("y", lambda v: BotVarApp("X", (v,)))
     bot = PredAbstraction(("t",), BotVarApp("Z", (FoVar("t"), y)))
-    assert print_formula(deep(subst_bot, body, "X", bot)) == primed_chain("Z_|(y', y)")
     assert print_formula(deep(instantiate, ForallBot("X", body), bot)) == primed_chain("Z_|(y', y)")
 
 
