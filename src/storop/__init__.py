@@ -1,127 +1,19 @@
 """Storage operators for Church numerals.
 
-Lambda-term core (terms, head reduction), second-order typing with
-equational reasoning, formula translations, and a symbolic certifier for
-the storage behaviour of the T operators.
+Each public name is imported from the module that defines it:
+``storop.terms`` (lambda terms, parsing, printing, numerals),
+``storop.reduction`` (the head-reduction kernel and ``normalize``),
+``storop.storage`` (the symbolic storage certifier and its behavioural
+cross-check), ``storop.formulas`` (second-order formulas, equations and the
+translations), ``storop.typecheck`` (derivations, their reader, writer and
+checker), ``storop.builtins`` (the named terms ``@name`` refers to),
+``storop.prebuilt`` (the bundled derivations) and ``storop.cli`` (the
+``storop`` command).
 """
 
-from storop.builtins import BUILTINS
-from storop.formulas import (
-    EquationSet,
-    Formula,
-    FormulaError,
-    bot_transform,
-    forget_first_order,
-    godel_star,
-    n_bot_type,
-    n_star_type,
-    n_type,
-    neg,
-    parse_equations,
-    parse_formula,
-    polarity,
-    print_formula,
-)
-from storop.prebuilt import load_prebuilt, prebuilt_check_args, prebuilt_names
-from storop.reduction import (
-    DEFAULT_FUEL,
-    FUEL_EXHAUSTED,
-    HEAD_NORMAL_FORM,
-    NORMAL_FORM,
-    ReductionOutcome,
-    backend_name,
-    beta_equiv,
-    head_reduce,
-    normalize,
-)
-from storop.storage import (
-    BehavioralResult,
-    Certificate,
-    behavioral_check,
-    certify,
-    theta_corpus,
-)
-from storop.terms import (
-    Abs,
-    App,
-    ParseError,
-    Term,
-    Var,
-    church,
-    match_holes,
-    numeral_of,
-    parse_term,
-    print_term,
-    substitute,
-    term_size,
-)
-from storop.typecheck import (
-    FRAGMENTS,
-    CheckReport,
-    Context,
-    Derivation,
-    check_derivation,
-    forget_derivation,
-    lift_star_to_bot,
-    read_derivation,
-    write_derivation,
-)
+# the one re-export: perfbench stamps its results with storop.backend_name()
+from storop.reduction import backend_name
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Abs",
-    "App",
-    "BUILTINS",
-    "BehavioralResult",
-    "Certificate",
-    "CheckReport",
-    "Context",
-    "DEFAULT_FUEL",
-    "Derivation",
-    "EquationSet",
-    "FRAGMENTS",
-    "FUEL_EXHAUSTED",
-    "Formula",
-    "FormulaError",
-    "HEAD_NORMAL_FORM",
-    "NORMAL_FORM",
-    "ParseError",
-    "ReductionOutcome",
-    "Term",
-    "Var",
-    "__version__",
-    "backend_name",
-    "behavioral_check",
-    "beta_equiv",
-    "bot_transform",
-    "certify",
-    "check_derivation",
-    "church",
-    "forget_derivation",
-    "forget_first_order",
-    "godel_star",
-    "head_reduce",
-    "lift_star_to_bot",
-    "load_prebuilt",
-    "match_holes",
-    "n_bot_type",
-    "n_star_type",
-    "n_type",
-    "neg",
-    "normalize",
-    "numeral_of",
-    "parse_equations",
-    "parse_formula",
-    "parse_term",
-    "polarity",
-    "prebuilt_check_args",
-    "prebuilt_names",
-    "print_formula",
-    "print_term",
-    "read_derivation",
-    "substitute",
-    "term_size",
-    "theta_corpus",
-    "write_derivation",
-]
+__all__ = ["__version__", "backend_name"]

@@ -1,11 +1,12 @@
 """Command line: reduce terms, certify operators, check derivations, translate formulas.
 
 Exit codes are disjoint by cause: 0 success or positive verdict, 1 negative
-verdict (a failed certification or check), 2 usage or parse error, 3 fuel
-exhausted, 4 internal error (one line on stderr, no traceback), 141 stdout
-closed by the reader (128 + SIGPIPE, as a shell reports a tool killed by a
-closed pipe). STOROP_FUEL overrides the default fuel; an explicit --fuel beats
-both. Derivation and equations files may start with a UTF-8 byte-order mark.
+verdict (a failed certification or check), 2 usage or parse error, or output
+that cannot be written, 3 fuel exhausted, 4 internal error (one line on
+stderr, no traceback), 141 stdout closed by the reader (128 + SIGPIPE, as a
+shell reports a tool killed by a closed pipe). STOROP_FUEL overrides the
+default fuel; an explicit --fuel beats both. Derivation and equations files
+may start with a UTF-8 byte-order mark.
 
 ``main`` returns the exit code, so it may be called repeatedly in one
 process. It builds the argument parser on its first call and keeps it, and
@@ -315,6 +316,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point stdout at devnull so the interpreter's final flush stays quiet."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -336,11 +344,13 @@ def main(argv=None) -> int:
         print(f"storop: error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
-        # Point stdout at devnull so the interpreter's final flush stays quiet.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _silence_stdout()
         return EXIT_PIPE
+    except OSError as e:
+        # _read_file and _to_file report the files a command opens, so this is stdout
+        _silence_stdout()
+        print(f"storop: error: cannot write output: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as e:
         # Exit 1 means a negative verdict; a crash must not read as one.
         print(f"storop: internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -31,10 +31,11 @@ primed.
 Formula nodes are immutable and carry caches that stay None until first
 asked for: the last formula ``==`` found equal to it (``_k``, set on both,
 so a pair compared again is not walked, alone or inside a larger pair), the
-free variables that ``fv_fo``, ``fv_pred`` and ``fv_bot`` return (``_fo``,
-``_pred``, ``_bot``), the propositional-fragment test the checker asks
-(``_prop``) and, on a quantifier, its instances by the identity of the
-witness (``_inst``). A node built by substitution starts with empty caches.
+free variables of the three namespaces as one triple, filled by one walk,
+which ``fv_fo``, ``fv_pred`` and ``fv_bot`` index (``_fv``), the
+propositional-fragment test the checker asks (``_prop``) and, on a
+quantifier, its instances by the identity of the witness (``_inst``). A node
+built by substitution starts with empty caches.
 
 ``_alpha_eq``, substitution, ``fo_vars``, ``apply_equation`` and one
 post-order fold, ``_fold``, loop over explicit stacks; so do parsing and
@@ -194,7 +195,7 @@ def _match_fo(pattern: FoTerm, target: FoTerm, sigma: dict) -> bool:
 
 class Formula:
     # the lazily filled caches named in the module docstring; _k: the last formula found equal
-    __slots__ = ("_k", "_fo", "_pred", "_bot", "_prop")
+    __slots__ = ("_k", "_fv", "_prop")
 
     def __eq__(self, other):
         if self is other:
@@ -208,7 +209,7 @@ class Formula:
         return True
 
     def __hash__(self):
-        return hash((fv_fo(self), fv_pred(self), fv_bot(self)))
+        return hash(_fv(self))
 
     def __repr__(self):
         return f"<{print_formula(self)}>"
@@ -218,7 +219,7 @@ class Bot(Formula):
     __slots__ = ()
 
     def __init__(self):
-        self._k = self._fo = self._pred = self._bot = self._prop = None
+        self._k = self._fv = self._prop = None
 
 
 class Atom(Formula):
@@ -228,7 +229,7 @@ class Atom(Formula):
     def __init__(self, name: str, args: Sequence[FoTerm] = ()):
         self.name = name
         self.args = tuple(args)
-        self._k = self._fo = self._pred = self._bot = self._prop = None
+        self._k = self._fv = self._prop = None
 
 
 class PredVarApp(Atom):
@@ -254,7 +255,7 @@ class Arrow(Formula):
     def __init__(self, left: Formula, right: Formula):
         self.left = left
         self.right = right
-        self._k = self._fo = self._pred = self._bot = self._prop = None
+        self._k = self._fv = self._prop = None
 
 
 class Quantifier(Formula):
@@ -264,7 +265,7 @@ class Quantifier(Formula):
     def __init__(self, var: str, body: Formula):
         self.var = var
         self.body = body
-        self._k = self._fo = self._pred = self._bot = self._prop = self._inst = None
+        self._k = self._fv = self._prop = self._inst = None
 
 
 class ForallFo(Quantifier):
@@ -314,7 +315,7 @@ def _alpha_eq(a, b) -> bool:
             ea[na], eb[nb] = oa, ob
             continue
         if isinstance(x, Formula) and (x is y or x._k is y or y._k is x):
-            for fv, ea, eb in zip((fv_fo(x), fv_pred(x), fv_bot(x)), enva, envb):
+            for fv, ea, eb in zip(_fv(x), enva, envb):
                 for name in fv:
                     if ea.get(name) != eb.get(name):
                         return False
@@ -402,50 +403,55 @@ def _remake(x: Formula, kids: tuple) -> Formula:
 
 
 _EMPTY: frozenset[str] = frozenset()
-# per namespace: the slot caching its free variables
-_FV_SLOTS = ("_fo", "_pred", "_bot")
+_NO_FV = (_EMPTY, _EMPTY, _EMPTY)
 
 
-def _free_vars(a: Formula, ns: int) -> frozenset[str]:
-    """The free variables of namespace ns in a, cached on a and every subformula below.
+def _free(x: Formula, kids: tuple) -> tuple:
+    """x's free variables by namespace, (first-order, predicate, bottomed), from its kids'.
 
     Where a node's set equals a child's, it reuses the child's set object.
     """
-    slot = _FV_SLOTS[ns]
-    out = getattr(a, slot)
-    if out is not None:
-        return out
+    tx = type(x)
+    if tx is Arrow:
+        (f, p, b), (g, q, c) = kids
+        return (
+            f | g if f and g else f or g,
+            p | q if p and q else p or q,
+            b | c if b and c else b or c,
+        )
+    if tx is Bot:
+        return _NO_FV
+    if isinstance(x, Quantifier):
+        (body,) = kids
+        if x.var not in body[x.ns]:
+            return body
+        out = list(body)
+        out[x.ns] = body[x.ns] - {x.var} or _EMPTY
+        return tuple(out)
+    fo = _EMPTY.union(*map(fo_vars, x.args)) or _EMPTY
+    if x.ns == 1:
+        return (fo, frozenset((x.name,)), _EMPTY)
+    if x.ns == 2:
+        return (fo, _EMPTY, frozenset((x.name,)))
+    return (fo, _EMPTY, _EMPTY)
 
-    def combine(x, kids):
-        tx = type(x)
-        if tx is Arrow:
-            left, right = kids
-            return left | right if left and right else left or right
-        if tx is Bot:
-            return _EMPTY
-        if isinstance(x, Quantifier):
-            (body,) = kids
-            return (body - {x.var} or _EMPTY) if x.ns == ns and x.var in body else body
-        if ns == 0:
-            return _EMPTY.union(*map(fo_vars, x.args)) or _EMPTY
-        return frozenset((x.name,)) if x.ns == ns else _EMPTY
 
-    return _fold(a, combine, slot=slot)
+def _fv(a: Formula) -> tuple:
+    """The triple _free gives for a, cached on a and every subformula below."""
+    out = a._fv
+    return _fold(a, _free, slot="_fv") if out is None else out
 
 
 def fv_fo(a: Formula) -> frozenset[str]:
-    out = a._fo
-    return _free_vars(a, 0) if out is None else out
+    return _fv(a)[0]
 
 
 def fv_pred(a: Formula) -> frozenset[str]:
-    out = a._pred
-    return _free_vars(a, 1) if out is None else out
+    return _fv(a)[1]
 
 
 def fv_bot(a: Formula) -> frozenset[str]:
-    out = a._bot
-    return _free_vars(a, 2) if out is None else out
+    return _fv(a)[2]
 
 
 def _propositional(x: Formula, kids: tuple) -> bool:
@@ -534,8 +540,8 @@ def _subst(a: Formula, fo: Mapping[str, FoTerm], so: Mapping[tuple, object]) -> 
             fo = {k: v for k, v in fo.items() if k != var and k in body_fv}
         # drop the entries whose variable is not free here; most binders drop none
         for k in so:
-            if k[1] not in _free_vars(a, k[0]):
-                so = {k: v for k, v in so.items() if k[1] in _free_vars(a, k[0])}
+            if k[1] not in _fv(a)[k[0]]:
+                so = {k: v for k, v in so.items() if k[1] in _fv(a)[k[0]]}
                 break
         if not fo and not so:
             done.append(a)
@@ -552,10 +558,10 @@ def _subst(a: Formula, fo: Mapping[str, FoTerm], so: Mapping[tuple, object]) -> 
                 if kns == ns:
                     brought.add(v)
             else:
-                brought |= v.free_fo() if ns == 0 else _free_vars(v.body, ns)
+                brought |= v.free_fo() if ns == 0 else _fv(v.body)[ns]
         new = var
         if var in brought:
-            new = fresh_name(var, brought | _free_vars(a.body, ns))
+            new = fresh_name(var, brought | _fv(a.body)[ns])
             if ns == 0:
                 fo = {**fo, var: FoVar(new)}
             else:

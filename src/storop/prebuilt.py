@@ -8,6 +8,7 @@ file byte for byte from the typecheck module's node constructors.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 from storop.formulas import parse_equations
@@ -22,30 +23,15 @@ __all__ = [
 
 EQ_DEMO_EQUATIONS = "p0: p(0) = 0\nps: p(s(x)) = x"
 
-# the stems of the bundled files, sorted
-_NAMES = (
-    "eq_demo",
-    "five",
-    "four",
-    "one",
-    "succ",
-    "succ_prop",
-    "t1_bot",
-    "t1_star",
-    "t2_fperp",
-    "t2_star",
-    "t_bot",
-    "theta0_star",
-    "three",
-    "tp_bot",
-    "two",
-    "zero",
-    "zero_prop",
-)
+_DATA = resources.files("storop").joinpath("data/derivations")
 
 
+@functools.cache
 def prebuilt_names() -> tuple[str, ...]:
-    return _NAMES
+    """The stems of the bundled files, sorted; listed on the first call."""
+    return tuple(
+        sorted(f.name.removesuffix(".deriv") for f in _DATA.iterdir() if f.name.endswith(".deriv"))
+    )
 
 
 def prebuilt_check_args(name: str) -> dict:
@@ -59,7 +45,6 @@ def prebuilt_check_args(name: str) -> dict:
 
 def load_prebuilt(name: str) -> Derivation:
     """Read the bundled golden file for a derivation."""
-    if name not in _NAMES:
+    if name not in prebuilt_names():
         raise KeyError(f"no bundled derivation named {name!r}")
-    path = resources.files("storop").joinpath(f"data/derivations/{name}.deriv")
-    return read_derivation(path.read_text(encoding="utf-8"))
+    return read_derivation(_DATA.joinpath(f"{name}.deriv").read_text(encoding="utf-8"))

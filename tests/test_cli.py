@@ -852,6 +852,33 @@ def test_importing_the_cli_builds_no_parser():
     assert run_python("-c", script) == (0, "0\n", "")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "@church:3"],
+        ["certify", "@T", "--max-n", "2"],
+        ["check", bundled("one")],
+        ["translate", "N[x]", "--op", "star"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_on_a_full_disk_is_exit_2(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(storop.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "storop", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("storop: error: cannot write output: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_closed_stdout_is_exit_141_without_traceback():
     env = dict(os.environ, PYTHONPATH=str(Path(storop.__file__).parents[1]))
     # omega traces 100000 lines, far more than the pipe holds

@@ -12,7 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "storop").glob("*.py"))
-# storop/__init__.py imports names only to re-export them
+# storop/__init__.py imports backend_name only to re-export it
 FILES = sorted(
     [p for p in PACKAGE if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py"))
 )
